@@ -158,20 +158,18 @@ DecisionPoint::DecisionPoint(sim::Simulation& sim, net::Transport& transport,
 void DecisionPoint::refresh_neighbors() {
   if (!membership_) return;
   neighbors_ = membership_->live_peer_nodes();
-  if (strategy_->kind() != overlay::Kind::kMesh) {
-    // Feed the same live set (alive + suspect, DpId order) to the overlay
-    // so trees and super-peer assignments repair under churn: every
-    // survivor re-derives the same structure from its converged view.
-    overlay_peers_.clear();
-    for (const MemberInfo& info : membership_->members()) {
-      if (info.dp == id_) continue;
-      if (info.state == MemberState::kAlive ||
-          info.state == MemberState::kSuspect) {
-        overlay_peers_.push_back({info.dp, NodeId(info.node)});
-      }
+  // Feed the same live set (alive + suspect, DpId order) to the overlay
+  // so trees and super-peer assignments repair under churn: every
+  // survivor re-derives the same structure from its converged view.
+  overlay_peers_.clear();
+  for (const MemberInfo& info : membership_->members()) {
+    if (info.dp == id_) continue;
+    if (info.state == MemberState::kAlive ||
+        info.state == MemberState::kSuspect) {
+      overlay_peers_.push_back({info.dp, NodeId(info.node)});
     }
-    rebuild_strategy(/*initial=*/false);
   }
+  rebuild_strategy(/*initial=*/false);
 }
 
 void DecisionPoint::rebuild_strategy(bool initial) {
@@ -282,15 +280,7 @@ void DecisionPoint::try_join() {
           engine_.view().apply_snapshot(base);
         }
         for (const gruber::DispatchRecord& record : reply.records) {
-          auto& seen = applied_[record.origin];
-          if (!seen.insert(record.seq).second) {
-            ++records_duplicate_;
-            continue;
-          }
-          engine_.record(record);
-          ++join_snapshot_records_;
-          wal_log_dispatch(record, false, 0, 0);
-          charge_bank(record);  // after the frame: settle order, see above
+          apply_record(record, Via::kJoin);
         }
         wal_commit();
         for (const DpLoadHint& hint : reply.hints) {
@@ -604,17 +594,8 @@ void DecisionPoint::run_catch_up() {
           catchup_records_received_ += result.value().records.size();
           std::int64_t applied = 0;
           for (const gruber::DispatchRecord& record : result.value().records) {
-            auto& seen = applied_[record.origin];
-            if (!seen.insert(record.seq).second) {
-              ++records_duplicate_;
-              continue;
-            }
-            engine_.record(record);
-            ++resync_applied_;
-            ++applied;
-            wal_log_dispatch(record, false, 0, 0);
-            charge_bank(record);  // after the frame: settle order, see above
             // Not re-buffered into fresh_: neighbors already hold these.
+            if (apply_record(record, Via::kCatchUp)) ++applied;
           }
           wal_commit();
           if (auto* t = trace::current()) {
@@ -714,32 +695,14 @@ void DecisionPoint::run_delta_pull(NodeId peer_node, DpId peer,
         if (!result.ok()) return;
         trace::ContextGuard guard(dctx);
         const DeltaPullReply& reply = result.value();
-        const sim::Time now = sim_.now();
         std::int64_t applied = 0;
         for (const grid::SiteSnapshot& base : reply.bases) {
           engine_.view().apply_snapshot(base);  // as_of guard drops stale ones
         }
         for (const gruber::DispatchRecord& record : reply.records) {
-          // An already-expired record must not resurrect: the merge would
-          // re-admit it for one prune cycle and skew the digest.
-          if (record.when + record.est_runtime <= now) continue;
-          // Register in the flooding dedup set *before* merging, so a
-          // full kCatchUp racing this pull (a round gap and a digest
-          // mismatch often fire together) cannot re-apply the record.
-          applied_[record.origin].insert(record.seq);
-          const auto merged = engine_.view().merge_record(record, now);
-          if (merged.conflict) ++delta_conflicts_;
-          if (merged.double_commit) ++double_commits_;
-          if (merged.applied) {
-            ++delta_records_applied_;
-            ++applied;
-            wal_log_dispatch(record, false, 0, 0);
-            charge_bank(record);  // after the frame: settle order, see above
-            // Not re-buffered into fresh_: the peer holds these, and other
-            // peers detect their own divergence from its digest.
-          } else if (!merged.conflict) {
-            ++records_duplicate_;
-          }
+          // Not re-buffered into fresh_: the peer holds these, and other
+          // peers detect their own divergence from its digest.
+          if (apply_record(record, Via::kDelta)) ++applied;
         }
         wal_commit();
         // The reply carried the peer's settled digest at serve time:
@@ -838,10 +801,6 @@ DegradedHint DecisionPoint::degraded_hint(sim::Time now) const {
 
 void DecisionPoint::bootstrap(const std::vector<grid::SiteSnapshot>& snapshots) {
   engine_.view().bootstrap(snapshots);
-}
-
-void DecisionPoint::set_neighbors(std::vector<NodeId> neighbors) {
-  neighbors_ = std::move(neighbors);
 }
 
 void DecisionPoint::set_overlay_view(std::vector<overlay::Member> peers) {
@@ -1032,8 +991,15 @@ net::Served DecisionPoint::handle_report_selection(std::span<const std::uint8_t>
   record.when = sim_.now();
   record.est_runtime = request.est_runtime;
 
-  engine_.record(record);
-  applied_[id_].insert(record.seq);
+  std::optional<RequestId> request_id;
+  if (request.has_request_id) {
+    request_id = RequestId{request.request_client, request.request_seq};
+  }
+  apply_record(record, Via::kOwn, request_id);
+  if (request_id) {
+    if (disk_) dedup_insert(request_id->client, request_id->seq, record.site);
+    audit_dispatch(request_id->client, request_id->seq);
+  }
   if (options_.overlay_audit) {
     own_record_log_.emplace_back(record.seq, record.when.to_seconds());
   }
@@ -1045,21 +1011,6 @@ net::Served DecisionPoint::handle_report_selection(std::span<const std::uint8_t>
   if (options_.dissemination != Dissemination::kNone) {
     fresh_.push_back(record);
     fresh_meta_.push_back({id_, 0});
-  }
-
-  if (disk_) {
-    wal_log_dispatch(record, request.has_request_id, request.request_client,
-                     request.request_seq);
-    if (request.has_request_id) {
-      dedup_insert(request.request_client, request.request_seq, record.site);
-    }
-  }
-  // After the dispatch frame: if this charge crosses an epoch boundary it
-  // appends a settle cross-check frame, and replay verifies that frame
-  // after re-driving the charge — the WAL order must match.
-  charge_bank(record);
-  if (request.has_request_id) {
-    audit_dispatch(request.request_client, request.request_seq);
   }
 
   if (auto* t = trace::current()) {
@@ -1115,18 +1066,7 @@ net::Served DecisionPoint::handle_exchange(std::span<const std::uint8_t> body,
   std::uint64_t relays_dropped = 0;
   for (std::size_t i = 0; i < message.dispatches.size(); ++i) {
     const gruber::DispatchRecord& record = message.dispatches[i];
-    auto& seen = applied_[record.origin];
-    if (!seen.insert(record.seq).second) {
-      ++records_duplicate_;
-      continue;
-    }
-    engine_.record(record);
-    ++records_applied_;
-    wal_log_dispatch(record, false, 0, 0);
-    // After the frame: a boundary-crossing charge appends a settle
-    // cross-check frame, which replay verifies after re-driving the
-    // charge — the WAL order must match.
-    charge_bank(record);
+    if (!apply_record(record, Via::kExchange)) continue;
     // Flooding: relay fresh records onward at the next exchange tick.
     const std::uint32_t prior =
         message.has_hops && i < message.hop_depths.size()
@@ -1247,12 +1187,51 @@ double DecisionPoint::free_fraction(sim::Time now) const {
   return total > 0 ? double(free) / double(total) : 1.0;
 }
 
-void DecisionPoint::charge_bank(const gruber::DispatchRecord& record) {
-  charge_bank_at(record, sim_.now());
+// replay_from_disk keeps its own loops: it charges per WAL frame (twins
+// included), writes no frame, and meters at the frame's applied_at.
+bool DecisionPoint::apply_record(const gruber::DispatchRecord& record, Via via,
+                                 std::optional<RequestId> request) {
+  if (via == Via::kDelta) {
+    const sim::Time now = sim_.now();
+    // An already-expired record must not resurrect: the merge would
+    // re-admit it for one prune cycle and skew the digest.
+    if (record.when + record.est_runtime <= now) return false;
+    // Register in the flooding dedup set *before* merging, so a full
+    // kCatchUp racing this pull (a round gap and a digest mismatch often
+    // fire together) cannot re-apply the record.
+    applied_[record.origin].insert(record.seq);
+    const auto merged = engine_.view().merge_record(record, now);
+    if (merged.conflict) ++delta_conflicts_;
+    if (merged.double_commit) ++double_commits_;
+    if (!merged.applied) {
+      if (!merged.conflict) ++records_duplicate_;
+      return false;
+    }
+    ++delta_records_applied_;
+  } else {
+    if (!applied_[record.origin].insert(record.seq).second) {
+      ++records_duplicate_;
+      return false;
+    }
+    engine_.record(record);
+    switch (via) {
+      case Via::kExchange: ++records_applied_; break;
+      case Via::kCatchUp: ++resync_applied_; break;
+      case Via::kJoin: ++join_snapshot_records_; break;
+      case Via::kOwn:
+      case Via::kDelta: break;
+    }
+  }
+  wal_log_dispatch(record, request);
+  // After the dispatch frame: if this charge crosses an epoch boundary it
+  // appends a settle cross-check frame, and replay verifies that frame
+  // after re-driving the charge — the WAL order must match.
+  charge_bank(record, sim_.now());
+  return true;
 }
 
-void DecisionPoint::charge_bank_at(const gruber::DispatchRecord& record,
-                                   sim::Time at) {
+void DecisionPoint::charge_bank(const gruber::DispatchRecord& record,
+                                sim::Time at) {
   if (!bank_) return;
   const std::uint64_t settled_before = bank_->epochs_settled();
   // Meter in CPU-seconds against the record's VO. Every record-apply path
@@ -1318,17 +1297,10 @@ void DecisionPoint::run_exchange(bool final_flush) {
       options_.dissemination == Dissemination::kNone) {
     return;
   }
-  const bool sparse = strategy_->kind() != overlay::Kind::kMesh;
   ExchangeMessage message;
   message.from = id_;
   message.exchange_round = ++exchange_round_;
-  if (!sparse) {
-    // Mesh: one shared frame for every neighbor, exactly the legacy path.
-    message.dispatches = std::move(fresh_);
-    fresh_.clear();
-    fresh_meta_.clear();
-  }
-  const std::size_t flushed = sparse ? fresh_.size() : message.dispatches.size();
+  const std::size_t flushed = fresh_.size();
   // Trailing fields stack positionally (see TrailerStack): attaching a
   // later trailer forces all earlier slots onto the frame. A forced load
   // hint still carries the full snapshot (it doubles as the sender's
@@ -1363,7 +1335,7 @@ void DecisionPoint::run_exchange(bool final_flush) {
             })
       .slot(strategy_->ttl() > 0,
             [&](bool) {
-              // Placeholder: sparse frames are composed per target below,
+              // Placeholder: frames are composed per exclusion group below,
               // each stamped with the max depth of the records it carries.
               message.has_hops = true;
               message.hops = 0;
@@ -1392,73 +1364,71 @@ void DecisionPoint::run_exchange(bool final_flush) {
       message.snapshots.push_back(std::move(snapshot));
     }
   }
-  // Strategy fan-out. The mesh pushes one shared frame to every live
-  // neighbor (the paper's flooding: one encode plus K refcount bumps).
-  // Sparse overlays derive a smaller per-round push set from the same
-  // roster and compose one frame *per target* — split-horizon: a record
-  // is never relayed back to the peer it was learned from (a leaf's only
-  // target is its parent, so echoing would both waste the edge and
-  // inflate the frame's hop stamp past the TTL for every record riding
-  // along), and each frame's hop trailer reflects only the records it
+  // Strategy fan-out: the strategy picks this round's targets from the
+  // live neighbors (the mesh takes all of them). Relaying strategies
+  // (ttl > 0) apply split-horizon: a record is never relayed back to the
+  // peer it was learned from (a leaf's only target is its parent, so
+  // echoing would both waste the edge and inflate the frame's hop stamp
+  // past the TTL for every record riding along). Targets sharing an
+  // exclusion get identical frames, so each group is encoded once and
+  // shared by refcount — the mesh (no exclusion) still encodes once per
+  // round — and each frame's hop trailer reflects only the records it
   // actually carries.
-  const std::vector<NodeId>* targets = &neighbors_;
-  std::vector<NodeId> selected;
-  if (sparse) {
-    strategy_->select(message.exchange_round, neighbors_, selected);
-    // A sparse strategy wired through raw set_neighbors (no roster) has
-    // no structure to select from; degrade to the mesh push set rather
-    // than silently sending nothing.
-    if (selected.empty()) selected = neighbors_;
-    targets = &selected;
-    if (!graves.empty()) {
-      selected.push_back(graves[message.exchange_round % graves.size()]);
-      ++overlay_grave_probes_;
-      if (auto* t = trace::current()) {
-        t->instant(trace::Category::kDp, id_.value(), "overlay.grave_probe",
-                   xctx, std::int64_t(graves.size()),
-                   std::int64_t(message.exchange_round));
-      }
+  std::vector<NodeId> targets;
+  strategy_->select(message.exchange_round, neighbors_, targets);
+  if (!graves.empty()) {
+    targets.push_back(graves[message.exchange_round % graves.size()]);
+    ++overlay_grave_probes_;
+    if (auto* t = trace::current()) {
+      t->instant(trace::Category::kDp, id_.value(), "overlay.grave_probe",
+                 xctx, std::int64_t(graves.size()),
+                 std::int64_t(message.exchange_round));
     }
   }
-  if (!sparse) {
-    // One shared frame, a copy per peer: count every copy so
-    // bytes-per-round comparisons against sparse strategies (which
-    // really do encode per target) stay honest.
-    overlay_bytes_sent_ += net::wire::encoded_size(message) * targets->size();
-    peer_client_.notify_all(*targets, kExchange, message);
-  } else {
-    for (const NodeId target : *targets) {
-      DpId source = id_;  // sentinel: own records are never excluded
-      bool known = false;
+  std::vector<std::optional<DpId>> exclusions(targets.size());
+  if (strategy_->ttl() > 0) {
+    for (std::size_t i = 0; i < targets.size(); ++i) {
       for (const overlay::Member& m : overlay_peers_) {
-        if (m.node == target) {
-          source = m.dp;
-          known = true;
+        if (m.node == targets[i]) {
+          exclusions[i] = m.dp;
           break;
         }
       }
-      message.dispatches.clear();
-      message.hop_depths.clear();
-      std::uint32_t hops = 0;
-      for (std::size_t i = 0; i < fresh_.size(); ++i) {
-        if (known && fresh_meta_[i].from == source) continue;
-        message.dispatches.push_back(fresh_[i]);
-        message.hop_depths.push_back(fresh_meta_[i].depth);
-        hops = std::max(hops, fresh_meta_[i].depth);
-      }
-      message.hops = hops;
-      overlay_bytes_sent_ += net::wire::encoded_size(message);
-      peer_client_.notify(target, kExchange, message);
     }
-    fresh_.clear();
-    fresh_meta_.clear();
   }
-  exchanges_sent_ += targets->size();
-  overlay_fanout_total_ += targets->size();
+  std::vector<std::optional<DpId>> groups;  // distinct, in target order
+  for (const std::optional<DpId>& exclusion : exclusions) {
+    if (std::find(groups.begin(), groups.end(), exclusion) == groups.end()) {
+      groups.push_back(exclusion);
+    }
+  }
+  std::vector<NodeId> batch;
+  for (const std::optional<DpId>& exclusion : groups) {
+    batch.clear();
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      if (exclusions[i] == exclusion) batch.push_back(targets[i]);
+    }
+    message.dispatches.clear();
+    message.hop_depths.clear();
+    message.hops = 0;
+    for (std::size_t i = 0; i < fresh_.size(); ++i) {
+      if (fresh_meta_[i].from == exclusion) continue;
+      message.dispatches.push_back(fresh_[i]);
+      message.hop_depths.push_back(fresh_meta_[i].depth);
+      message.hops = std::max(message.hops, fresh_meta_[i].depth);
+    }
+    // Count every copy, not every encode, so bytes-per-round compares
+    // honestly across strategies.
+    overlay_bytes_sent_ += net::wire::encoded_size(message) * batch.size();
+    peer_client_.notify_all(batch, kExchange, message);
+  }
+  fresh_.clear();
+  fresh_meta_.clear();
+  exchanges_sent_ += targets.size();
   ++overlay_rounds_;
   if (auto* t = trace::current()) {
     t->end(trace::Category::kDp, id_.value(), "dp.exchange", xctx,
-           std::int64_t(targets->size()));
+           std::int64_t(targets.size()));
   }
 }
 
@@ -1479,16 +1449,16 @@ void DecisionPoint::wal_append_frame(WalRecordType type,
 }
 
 void DecisionPoint::wal_log_dispatch(const gruber::DispatchRecord& record,
-                                     bool has_request_id,
-                                     std::uint64_t request_client,
-                                     std::uint64_t request_seq) {
+                                     std::optional<RequestId> request) {
   if (!disk_ || replaying_) return;
   WalDispatch frame;
   frame.record = record;
   frame.applied_at = sim_.now();
-  frame.has_request_id = has_request_id;
-  frame.request_client = request_client;
-  frame.request_seq = request_seq;
+  if (request) {
+    frame.has_request_id = true;
+    frame.request_client = request->client;
+    frame.request_seq = request->seq;
+  }
   const std::vector<std::uint8_t> payload = net::wire::encode(frame);
   wal_append_frame(WalRecordType::kDispatch, payload);
 }
@@ -1622,7 +1592,7 @@ sim::Duration DecisionPoint::replay_from_disk() {
             // applied, and its charge really happened — skipping it here
             // leaves the bank un-rolled past the twin's epoch boundary and
             // the next settle cross-check reads stale counters.
-            charge_bank_at(record, frame.applied_at);
+            charge_bank(record, frame.applied_at);
             if (frame.has_request_id) {
               dedup_insert(frame.request_client, frame.request_seq,
                            record.site);
@@ -1745,54 +1715,7 @@ void DecisionPoint::check_saturation() {
             window_avg, "s, queue ", signal.queue_depth);
 }
 
-std::vector<std::vector<std::size_t>> overlay_neighbors(std::size_t n,
-                                                        Overlay overlay) {
-  std::vector<std::vector<std::size_t>> out(n);
-  if (n < 2) return out;
-  switch (overlay) {
-    case Overlay::kMesh:
-      for (std::size_t i = 0; i < n; ++i)
-        for (std::size_t j = 0; j < n; ++j)
-          if (i != j) out[i].push_back(j);
-      break;
-    case Overlay::kRing:
-      for (std::size_t i = 0; i < n; ++i) {
-        out[i].push_back((i + 1) % n);
-        out[i].push_back((i + n - 1) % n);
-      }
-      break;
-    case Overlay::kStar:
-      for (std::size_t i = 1; i < n; ++i) {
-        out[0].push_back(i);
-        out[i].push_back(0);
-      }
-      break;
-  }
-  // Ring of 2 would duplicate the single neighbor.
-  if (overlay == Overlay::kRing && n == 2) {
-    out[0] = {1};
-    out[1] = {0};
-  }
-  return out;
-}
-
-void connect(std::vector<DecisionPoint*> dps, Overlay overlay) {
-  const auto neighbors = overlay_neighbors(dps.size(), overlay);
-  for (std::size_t i = 0; i < dps.size(); ++i) {
-    std::vector<NodeId> nodes;
-    nodes.reserve(neighbors[i].size());
-    for (const std::size_t j : neighbors[i]) nodes.push_back(dps[j]->node());
-    dps[i]->set_neighbors(std::move(nodes));
-  }
-}
-
-void connect(std::vector<DecisionPoint*> dps, const overlay::Options& options) {
-  if (options.kind == overlay::Kind::kMesh) {
-    // Bit-exact legacy wiring: raw neighbor lists, no roster, no strategy
-    // structure to maintain.
-    connect(std::move(dps), Overlay::kMesh);
-    return;
-  }
+void connect(const std::vector<DecisionPoint*>& dps) {
   std::vector<overlay::Member> all;
   all.reserve(dps.size());
   for (const DecisionPoint* dp : dps) all.push_back({dp->id(), dp->node()});

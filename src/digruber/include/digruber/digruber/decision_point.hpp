@@ -84,7 +84,7 @@ struct DecisionPointOptions {
   /// failover). Off by default: legacy messages stay byte-identical.
   bool advertise_load = false;
   /// Dynamic membership (failure detector + runtime join/leave). Off by
-  /// default: the mesh is the static `set_neighbors` wiring and all
+  /// default: the roster is the static `connect` wiring and all
   /// messages keep their legacy byte layout. When enabled, the neighbor
   /// set is derived from the membership table, exchanges carry the
   /// gossiped view, and heartbeats piggyback on the exchange rounds.
@@ -136,14 +136,10 @@ class DecisionPoint {
   /// Install complete static knowledge of the grid (strategy 2 premise).
   void bootstrap(const std::vector<grid::SiteSnapshot>& snapshots);
 
-  /// Peers this decision point pushes exchange messages to.
-  void set_neighbors(std::vector<NodeId> neighbors);
-
   /// Static overlay wiring: install the full live peer roster (sorted or
   /// not; it is sorted by DpId here) and let the strategy derive this
-  /// point's push set from it. `set_neighbors` remains the raw
-  /// mesh-equivalent wiring; under membership the view is re-derived from
-  /// the table instead and both calls are superseded by refresh.
+  /// point's push set from it. Under membership the view is re-derived
+  /// from the table instead and this call is superseded by refresh.
   void set_overlay_view(std::vector<overlay::Member> peers);
 
   /// Fault injection: kill this decision point. It detaches from the
@@ -291,14 +287,11 @@ class DecisionPoint {
   /// Accounted sim-time cost of the most recent recovery replay.
   [[nodiscard]] sim::Duration last_recovery_cost() const { return last_recovery_cost_; }
 
-  /// --- Overlay (mesh defaults: rounds/fanout count, rest stays zero) ---
+  /// --- Overlay (mesh defaults: rounds and bytes count, rest stays zero) ---
 
-  /// Exchange rounds that actually pushed to at least one peer.
+  /// Exchange rounds that actually pushed to at least one peer
+  /// (exchanges_sent / rounds = mean fan-out).
   [[nodiscard]] std::uint64_t overlay_rounds() const { return overlay_rounds_; }
-  /// Sum of per-round push-set sizes (fanout_total / rounds = mean fanout).
-  [[nodiscard]] std::uint64_t overlay_fanout_total() const {
-    return overlay_fanout_total_;
-  }
   /// Deepest relay depth observed on any received exchange frame.
   [[nodiscard]] std::uint64_t overlay_max_hops() const { return overlay_max_hops_; }
   /// Fresh records not re-relayed because their frame hit the strategy TTL.
@@ -366,22 +359,29 @@ class DecisionPoint {
   [[nodiscard]] double self_price() const;
   /// Grid free fraction from the local view (the karma scarcity signal).
   [[nodiscard]] double free_fraction(sim::Time now) const;
-  /// Meter a newly-applied dispatch record against the credit bank (all
-  /// record-apply paths: own selections, flooding, catch-up, delta pulls,
-  /// join snapshots).
-  void charge_bank(const gruber::DispatchRecord& record);
-  /// Same, metered at an explicit time: recovery replay re-drives charges
-  /// with their original apply times so settlement lands in the original
-  /// epochs.
-  void charge_bank_at(const gruber::DispatchRecord& record, sim::Time at);
+  /// Which path a dispatch record was learned through.
+  enum class Via : std::uint8_t { kOwn, kExchange, kCatchUp, kJoin, kDelta };
+  /// Client request id an own selection carries into its WAL frame.
+  struct RequestId {
+    std::uint64_t client = 0;
+    std::uint64_t seq = 0;
+  };
+  /// The one record-apply funnel: flooding dedup, engine, per-path
+  /// counter, WAL frame, bank charge — in that order. Returns false when
+  /// the record was a duplicate (or, for kDelta, expired or not merged).
+  bool apply_record(const gruber::DispatchRecord& record, Via via,
+                    std::optional<RequestId> request = std::nullopt);
+  /// Meter an applied dispatch record against the credit bank at `at`:
+  /// live applies meter now, recovery replay re-drives charges with their
+  /// original apply times so settlement lands in the original epochs.
+  void charge_bank(const gruber::DispatchRecord& record, sim::Time at);
   /// Append one frame to the WAL (no-op when durability is off or while
   /// replaying). The accounted write latency accumulates into
   /// pending_wal_cost_, folded into the next wal_commit().
   void wal_append_frame(WalRecordType type, std::span<const std::uint8_t> payload);
   /// Append one applied dispatch record to the WAL.
   void wal_log_dispatch(const gruber::DispatchRecord& record,
-                        bool has_request_id, std::uint64_t request_client,
-                        std::uint64_t request_seq);
+                        std::optional<RequestId> request);
   /// Durability barrier after a batch of appends. Returns the accumulated
   /// append latency plus the fsync cost (zero when nothing was appended).
   sim::Duration wal_commit();
@@ -427,18 +427,18 @@ class DecisionPoint {
   std::vector<overlay::Member> overlay_peers_;
   /// Per-record relay bookkeeping parallel to fresh_: which peer the
   /// record was learned from (self for own records) and the relay depth
-  /// it arrived at. Sparse overlays compose per-target frames from it —
-  /// split-horizon: a record is never relayed back to the peer that sent
-  /// it, and each frame's hop trailer is the max depth of the records it
-  /// actually carries, so one deep record cannot poison the relay budget
-  /// of records that rode in shallow. Volatile, like fresh_.
+  /// it arrived at. Exchange frames are composed from it per split-horizon
+  /// exclusion: under a relaying (ttl > 0) strategy a record is never
+  /// relayed back to the peer that sent it, and each frame's hop trailer
+  /// is the max depth of the records it actually carries, so one deep
+  /// record cannot poison the relay budget of records that rode in
+  /// shallow. Volatile, like fresh_.
   struct FreshMeta {
     DpId from;
     std::uint32_t depth = 0;
   };
   std::vector<FreshMeta> fresh_meta_;
   std::uint64_t overlay_rounds_ = 0;
-  std::uint64_t overlay_fanout_total_ = 0;
   std::uint64_t overlay_max_hops_ = 0;
   std::uint64_t overlay_relays_suppressed_ = 0;
   std::uint64_t overlay_rebuilds_ = 0;
@@ -559,20 +559,9 @@ class DecisionPoint {
   std::unique_ptr<sim::PeriodicTimer> checkpoint_timer_;
 };
 
-/// Overlay topologies connecting decision points (the paper uses a full
-/// mesh; ring and star are provided for the ablation bench).
-enum class Overlay : std::uint8_t { kMesh = 0, kRing, kStar };
-
-/// Compute the neighbor lists for `n` decision points under `overlay`.
-std::vector<std::vector<std::size_t>> overlay_neighbors(std::size_t n, Overlay overlay);
-
-/// Wire a set of decision points together under the given overlay.
-void connect(std::vector<DecisionPoint*> dps, Overlay overlay);
-
-/// Wire a set of decision points under a dissemination strategy: every
-/// point receives the full roster (full-mesh neighbor wiring) and its
-/// strategy derives the actual per-round push set from it. With
-/// `Kind::kMesh` this is exactly `connect(dps, Overlay::kMesh)`.
-void connect(std::vector<DecisionPoint*> dps, const overlay::Options& options);
+/// Wire a set of decision points together: every point receives the full
+/// roster (full-mesh neighbor wiring) and its own strategy
+/// (DecisionPointOptions::overlay) derives the per-round push set from it.
+void connect(const std::vector<DecisionPoint*>& dps);
 
 }  // namespace digruber::digruber

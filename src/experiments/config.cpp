@@ -20,18 +20,11 @@ Result<digruber::Dissemination> parse_dissemination(const std::string& name) {
   return Result<digruber::Dissemination>::failure("unknown dissemination: " + name);
 }
 
-Result<digruber::Overlay> parse_overlay(const std::string& name) {
-  if (name == "mesh") return digruber::Overlay::kMesh;
-  if (name == "ring") return digruber::Overlay::kRing;
-  if (name == "star") return digruber::Overlay::kStar;
-  return Result<digruber::Overlay>::failure("unknown overlay: " + name);
-}
-
 // Dissemination strategies live in src/overlay/.  `mesh` is the default
-// full flood (byte-identical to the legacy path); ring/star are the old
-// static wirings; tree/gossip/superpeer select a sparse strategy and
-// route through overlay::Strategy.
+// full flood (byte-identical to the legacy path); tree/gossip/superpeer
+// select a sparse strategy.
 Result<overlay::Kind> parse_overlay_kind(const std::string& name) {
+  if (name == "mesh") return overlay::Kind::kMesh;
   if (name == "tree") return overlay::Kind::kTree;
   if (name == "gossip") return overlay::Kind::kGossip;
   if (name == "superpeer") return overlay::Kind::kSuperPeer;
@@ -115,16 +108,9 @@ Result<ScenarioConfig> scenario_from_config(const Config& config) {
         parse_dissemination(config.get_string("dissemination", "usage"));
     if (!dissemination.ok()) return Fail::failure(dissemination.error());
     out.dissemination = dissemination.value();
-    const std::string overlay_name = config.get_string("overlay", "mesh");
-    const auto overlay = parse_overlay(overlay_name);
-    if (overlay.ok()) {
-      out.overlay = overlay.value();
-    } else {
-      const auto kind = parse_overlay_kind(overlay_name);
-      if (!kind.ok()) return Fail::failure(kind.error());
-      out.overlay = digruber::Overlay::kMesh;
-      out.overlay_options.kind = kind.value();
-    }
+    const auto kind = parse_overlay_kind(config.get_string("overlay", "mesh"));
+    if (!kind.ok()) return Fail::failure(kind.error());
+    out.overlay_options.kind = kind.value();
     out.overlay_options.tree_degree =
         std::uint32_t(config.get_int("overlay_degree",
                                      long(out.overlay_options.tree_degree)));

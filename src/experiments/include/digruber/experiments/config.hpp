@@ -15,7 +15,7 @@ namespace digruber::experiments {
 ///   name, seed (7)
 ///   dps (3), profile [gt3|gt4|gt4-c] (gt3), exchange_minutes (3),
 ///   dissemination [usage|usla|none] (usage),
-///   overlay [mesh|ring|star|tree|gossip|superpeer] (mesh),
+///   overlay [mesh|tree|gossip|superpeer] (mesh),
 ///   overlay_degree (3), overlay_fanout (3), overlay_superpeers (0 = sqrt(n))
 ///   grid_scale (10), background_util (0.45)
 ///   clients (120), timeout_s (60), think_s (9), ramp_s (0 = half the run),

@@ -27,14 +27,12 @@ struct ScenarioConfig {
   net::ContainerProfile profile = net::ContainerProfile::gt3();
   sim::Duration exchange_interval = sim::Duration::minutes(3);
   digruber::Dissemination dissemination = digruber::Dissemination::kUsageOnly;
-  digruber::Overlay overlay = digruber::Overlay::kMesh;
   /// Dissemination overlay strategy (mesh | tree | gossip | superpeer)
   /// with its knobs. The default mesh leaves every run byte-identical;
-  /// a sparse strategy keeps the full-mesh `overlay` wiring above (the
-  /// roster every strategy derives structure from) and narrows the
-  /// per-round push set inside each decision point. A zero seed derives
-  /// the gossip stream from `seed` arithmetically — no rng draws, so
-  /// same-seed runs replay bit-identically.
+  /// every strategy gets the full roster and derives structure from it,
+  /// narrowing the per-round push set inside each decision point. A zero
+  /// seed derives the gossip stream from `seed` arithmetically — no rng
+  /// draws, so same-seed runs replay bit-identically.
   overlay::Options overlay_options{};
   /// Observer-only I13 audit (chaos --overlay): harvest per-point applied
   /// record keys and own-record acceptance logs into DpStats.
@@ -230,9 +228,8 @@ struct DpStats {
   std::uint64_t disk_torn_tails = 0;
   std::uint64_t disk_bit_flips = 0;
 
-  // Dissemination overlay (under the default mesh only rounds/fanout move).
+  // Dissemination overlay (under the default mesh only rounds move).
   std::uint64_t overlay_rounds = 0;
-  std::uint64_t overlay_fanout_total = 0;
   std::uint64_t overlay_max_hops = 0;
   std::uint64_t overlay_relays_suppressed = 0;
   std::uint64_t overlay_rebuilds = 0;

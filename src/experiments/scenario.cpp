@@ -268,13 +268,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     std::vector<digruber::DecisionPoint*> raw;
     raw.reserve(dps.size());
     for (auto& dp : dps) raw.push_back(dp.get());
-    if (config.overlay_options.kind != overlay::Kind::kMesh) {
-      // Sparse strategies need the full roster (id + node per peer) so
-      // every point derives the same tree / super-peer structure.
-      digruber::connect(std::move(raw), dp_options.overlay);
-    } else {
-      digruber::connect(std::move(raw), config.overlay);
-    }
+    digruber::connect(raw);
   };
   auto add_dp = [&] {
     if (dp_options.durability.enabled) {
@@ -744,7 +738,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
       stats.disk_bit_flips = dc.bit_flips;
     }
     stats.overlay_rounds = dp->overlay_rounds();
-    stats.overlay_fanout_total = dp->overlay_fanout_total();
     stats.overlay_max_hops = dp->overlay_max_hops();
     stats.overlay_relays_suppressed = dp->overlay_relays_suppressed();
     stats.overlay_rebuilds = dp->overlay_rebuilds();
@@ -755,7 +748,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     }
     result.overlay.exchanges_sent += dp->exchanges_sent();
     result.overlay.rounds += dp->overlay_rounds();
-    result.overlay.fanout_total += dp->overlay_fanout_total();
     result.overlay.max_hops =
         std::max(result.overlay.max_hops, dp->overlay_max_hops());
     result.overlay.relays_suppressed += dp->overlay_relays_suppressed();

@@ -260,11 +260,10 @@ struct DurabilityCounters {
 /// depth observed on hop trailers, TTL relay suppressions, and structure
 /// repairs under churn), surfaced through the DiPerF report by the
 /// overlay ablation benches and the chaos overlay soak. Under the default
-/// full mesh only `exchanges_sent` / `rounds` / `fanout_total` move.
+/// full mesh only `exchanges_sent` / `rounds` / `bytes_sent` move.
 struct OverlayCounters {
-  std::uint64_t exchanges_sent = 0;      // actual per-strategy sends
+  std::uint64_t exchanges_sent = 0;      // sum of per-round push-set sizes
   std::uint64_t rounds = 0;              // exchange rounds that pushed
-  std::uint64_t fanout_total = 0;        // sum of per-round push-set sizes
   std::uint64_t max_hops = 0;            // deepest relay depth observed
   std::uint64_t relays_suppressed = 0;   // fresh records stopped by the TTL
   std::uint64_t rebuilds = 0;            // tree/super-peer structure repairs
@@ -272,7 +271,7 @@ struct OverlayCounters {
   std::uint64_t bytes_sent = 0;          // exchange body bytes put on the wire
 
   [[nodiscard]] double mean_fanout() const {
-    return rounds > 0 ? double(fanout_total) / double(rounds) : 0.0;
+    return rounds > 0 ? double(exchanges_sent) / double(rounds) : 0.0;
   }
   /// Transmitted exchange bytes per round — counts every copy a strategy
   /// actually sends (the wire-stats encode counter sees a mesh broadcast

@@ -126,7 +126,7 @@ TEST(DecisionPoint, ExchangePropagatesDispatchRecords) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, options);
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, Overlay::kMesh);
+  connect({&a, &b});
 
   ReportSelectionRequest report;
   report.site = SiteId(1);
@@ -169,7 +169,7 @@ TEST(DecisionPoint, ExchangeRoundEncodesOnceRegardlessOfPeerCount) {
     dps.back()->bootstrap(f.snapshots());
     raw.push_back(dps.back().get());
   }
-  connect(raw, Overlay::kMesh);
+  connect(raw);
 
   const net::wire::WireStats& stats = net::wire::wire_stats();
   const std::uint64_t encodes_before =
@@ -200,7 +200,7 @@ TEST(DecisionPoint, FloodingDedupsAcrossMesh) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, options);
   DecisionPoint c(f.sim, f.transport, DpId(2), f.catalog, f.tree, options);
   for (DecisionPoint* dp : {&a, &b, &c}) dp->bootstrap(f.snapshots());
-  connect({&a, &b, &c}, Overlay::kMesh);
+  connect({&a, &b, &c});
 
   ReportSelectionRequest report;
   report.site = SiteId(0);
@@ -224,16 +224,19 @@ TEST(DecisionPoint, FloodingDedupsAcrossMesh) {
   for (DecisionPoint* dp : {&a, &b, &c}) dp->stop();
 }
 
-TEST(DecisionPoint, RingOverlayRelaysAcrossHops) {
+TEST(DecisionPoint, LineOverlayRelaysAcrossHops) {
   Fixture f;
   DecisionPointOptions options = f.options();
+  // A degree-1 spanning tree is a line: dp0 - dp1 - dp2 - dp3.
+  options.overlay.kind = overlay::Kind::kTree;
+  options.overlay.tree_degree = 1;
   std::vector<std::unique_ptr<DecisionPoint>> dps;
   for (std::uint64_t i = 0; i < 4; ++i) {
     dps.push_back(std::make_unique<DecisionPoint>(f.sim, f.transport, DpId(i),
                                                   f.catalog, f.tree, options));
     dps.back()->bootstrap(f.snapshots());
   }
-  connect({dps[0].get(), dps[1].get(), dps[2].get(), dps[3].get()}, Overlay::kRing);
+  connect({dps[0].get(), dps[1].get(), dps[2].get(), dps[3].get()});
 
   ReportSelectionRequest report;
   report.site = SiteId(2);
@@ -246,14 +249,62 @@ TEST(DecisionPoint, RingOverlayRelaysAcrossHops) {
                                           sim::Duration::seconds(30),
                                           [](Result<Ack>) {});
 
-  // dp2 is two hops from dp0 on the ring: needs two exchange rounds.
+  // One hop per exchange round along the line.
   f.sim.run_until(sim::Time::from_seconds(70));
   EXPECT_EQ(dps[1]->records_applied(), 1u);
-  EXPECT_EQ(dps[3]->records_applied(), 1u);
   EXPECT_EQ(dps[2]->records_applied(), 0u);
   f.sim.run_until(sim::Time::from_seconds(130));
   EXPECT_EQ(dps[2]->records_applied(), 1u);
+  EXPECT_EQ(dps[3]->records_applied(), 0u);
+  f.sim.run_until(sim::Time::from_seconds(190));
+  EXPECT_EQ(dps[3]->records_applied(), 1u);
   for (auto& dp : dps) dp->stop();
+}
+
+TEST(DecisionPoint, TreeSplitHorizonAndOneEncodePerExclusion) {
+  Fixture f;
+  DecisionPointOptions options = f.options();
+  options.overlay.kind = overlay::Kind::kTree;
+  options.overlay.tree_degree = 1;
+  DecisionPoint parent(f.sim, f.transport, DpId(0), f.catalog, f.tree, options);
+  DecisionPoint middle(f.sim, f.transport, DpId(1), f.catalog, f.tree, options);
+  DecisionPoint leaf(f.sim, f.transport, DpId(2), f.catalog, f.tree, options);
+  for (DecisionPoint* dp : {&parent, &middle, &leaf}) dp->bootstrap(f.snapshots());
+  connect({&parent, &middle, &leaf});
+
+  ReportSelectionRequest report;
+  report.site = SiteId(0);
+  report.vo = VoId(0);
+  report.group = GroupId(0);
+  report.user = UserId(0);
+  report.cpus = 10;
+  report.est_runtime = sim::Duration::minutes(60);
+  f.rpc.call<ReportSelectionRequest, Ack>(parent.node(), kReportSelection, report,
+                                          sim::Duration::seconds(30),
+                                          [](Result<Ack>) {});
+
+  // First round: the root and the leaf have one target (one exclusion
+  // each), the middle point two targets with distinct exclusions — its
+  // parent and its child — so 1 + 2 + 1 encodes.
+  const net::wire::WireStats& stats = net::wire::wire_stats();
+  const std::uint64_t encodes_before =
+      stats.encodes(net::wire::MsgCategory::kStateExchange);
+  f.sim.run_until(sim::Time::from_seconds(70));
+  EXPECT_EQ(stats.encodes(net::wire::MsgCategory::kStateExchange) - encodes_before,
+            4u);
+  EXPECT_EQ(parent.exchanges_sent(), 1u);
+  EXPECT_EQ(middle.exchanges_sent(), 2u);
+  EXPECT_EQ(leaf.exchanges_sent(), 1u);
+
+  // The middle point relays the parent's record to the leaf in round two
+  // but never back to the parent, and the leaf never echoes it to the
+  // middle point: no duplicate arrives anywhere.
+  f.sim.run_until(sim::Time::from_seconds(250));
+  EXPECT_EQ(middle.records_applied(), 1u);
+  EXPECT_EQ(leaf.records_applied(), 1u);
+  EXPECT_EQ(parent.records_duplicate(), 0u);
+  EXPECT_EQ(middle.records_duplicate(), 0u);
+  for (DecisionPoint* dp : {&parent, &middle, &leaf}) dp->stop();
 }
 
 TEST(DecisionPoint, DisseminationNoneNeverExchanges) {
@@ -264,7 +315,7 @@ TEST(DecisionPoint, DisseminationNoneNeverExchanges) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, options);
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, Overlay::kMesh);
+  connect({&a, &b});
 
   ReportSelectionRequest report;
   report.site = SiteId(0);
@@ -281,25 +332,6 @@ TEST(DecisionPoint, DisseminationNoneNeverExchanges) {
   EXPECT_EQ(b.records_applied(), 0u);
   a.stop();
   b.stop();
-}
-
-TEST(DecisionPoint, OverlayNeighborSets) {
-  const auto mesh = overlay_neighbors(4, Overlay::kMesh);
-  EXPECT_EQ(mesh[0].size(), 3u);
-  EXPECT_EQ(mesh[3].size(), 3u);
-
-  const auto ring = overlay_neighbors(5, Overlay::kRing);
-  EXPECT_EQ(ring[0], (std::vector<std::size_t>{1, 4}));
-  EXPECT_EQ(ring[2], (std::vector<std::size_t>{3, 1}));
-
-  const auto ring2 = overlay_neighbors(2, Overlay::kRing);
-  EXPECT_EQ(ring2[0], (std::vector<std::size_t>{1}));
-
-  const auto star = overlay_neighbors(4, Overlay::kStar);
-  EXPECT_EQ(star[0].size(), 3u);
-  EXPECT_EQ(star[1], (std::vector<std::size_t>{0}));
-
-  EXPECT_TRUE(overlay_neighbors(1, Overlay::kMesh)[0].empty());
 }
 
 TEST(DecisionPoint, SaturationSignalsReachMonitor) {

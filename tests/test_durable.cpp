@@ -296,6 +296,81 @@ TEST(DurableDp, RetryDoubleCountsWithoutDedupAndCollapsesWithIt) {
   }
 }
 
+// Learned records take the same apply path as own ones: when a charge
+// crosses an epoch boundary, its dispatch frame is logged before the
+// settle cross-check frame, so replay re-drives the charge before it
+// verifies the settlement.
+TEST(DurableDp, LearnedRecordsLogDispatchBeforeEpochSettle) {
+  Fixture f;
+  DecisionPointOptions o = f.options();
+  o.durability.checkpoint_interval = sim::Duration::hours(10);  // keep the log
+  o.economy.enabled = true;
+  o.economy.allocator = economy::Allocator::kKarma;
+  o.economy.capacity_cpus = 300.0;
+  DecisionPoint a(f.sim, f.transport, DpId(0), f.catalog, f.tree, o);
+  DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, o);
+  a.bootstrap(f.snapshots());
+  b.bootstrap(f.snapshots());
+  connect({&a, &b});
+  auto report_every_40s_until = [&](double until_s) {
+    while (f.sim.now() < sim::Time::from_seconds(until_s)) {
+      f.send_report(a, f.report());
+      f.sim.run_until(f.sim.now() + sim::Duration::seconds(40));
+    }
+  };
+
+  // b learns a's records through the exchange rounds at 60, 120 and 180 s
+  // (the 120 s round crosses the first 2-minute epoch boundary)...
+  report_every_40s_until(200);
+  ASSERT_GT(b.records_applied(), 0u);
+  b.crash();
+  // ...then misses a round while down and catches up after the restart,
+  // in the third epoch.
+  report_every_40s_until(300);
+  b.restart(f.snapshots());
+  f.sim.run_until(sim::Time::from_seconds(340));
+  ASSERT_GT(b.resync_records_applied(), 0u);
+
+  struct Frame {
+    WalRecordType type;
+    std::int64_t epoch = 0;  // dispatch: epoch of applied_at; settle: count
+  };
+  std::vector<Frame> frames;
+  durable::wal_scan(b.disk()->log(),
+                    [&](std::uint8_t type, std::span<const std::uint8_t> payload) {
+                      Frame frame{WalRecordType(type)};
+                      if (frame.type == WalRecordType::kDispatch) {
+                        WalDispatch dispatch;
+                        ASSERT_TRUE(net::wire::decode(payload, dispatch));
+                        frame.epoch = dispatch.applied_at.us() / o.economy.epoch.us();
+                      } else if (frame.type == WalRecordType::kEpochSettle) {
+                        WalEpochSettle settle;
+                        ASSERT_TRUE(net::wire::decode(payload, settle));
+                        frame.epoch = std::int64_t(settle.epochs_settled);
+                      }
+                      frames.push_back(frame);
+                    });
+  int settles = 0;
+  for (std::size_t i = 0; i < frames.size(); ++i) {
+    if (frames[i].type != WalRecordType::kEpochSettle) continue;
+    ++settles;
+    ASSERT_GT(i, 0u);
+    EXPECT_EQ(frames[i - 1].type, WalRecordType::kDispatch) << "frame " << i;
+    // The frame right before the settle is the charge that crossed into
+    // the settled epoch.
+    EXPECT_EQ(frames[i - 1].epoch, frames[i].epoch) << "frame " << i;
+  }
+  EXPECT_GE(settles, 2);
+
+  b.crash();
+  b.restart(f.snapshots());
+  f.sim.run_until(f.sim.now() + sim::Duration::seconds(5));
+  EXPECT_EQ(b.recoveries(), 2u);
+  EXPECT_EQ(b.replay_mismatches(), 0u);
+  a.stop();
+  b.stop();
+}
+
 TEST(DurableDp, CheckpointTruncatesLogAndServesRecovery) {
   Fixture f;
   DecisionPointOptions o = f.options();

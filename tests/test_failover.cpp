@@ -81,7 +81,7 @@ TEST(Failover, CrashedPrimaryFailsOverToBackupWithinDeadline) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, f.dp_options());
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, Overlay::kMesh);
+  connect({&a, &b});
 
   ClientOptions options;
   options.attempt_timeout = sim::Duration::seconds(5);
@@ -166,7 +166,7 @@ TEST(Failover, RestartRunsCatchUpAndReconverges) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, f.dp_options());
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, Overlay::kMesh);
+  connect({&a, &b});
 
   net::RpcClient rpc(f.sim, f.transport);
   ReportSelectionRequest report;
@@ -216,7 +216,7 @@ TEST(Failover, PartitionDropsExchangeTrafficUntilHealed) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, f.dp_options());
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, Overlay::kMesh);
+  connect({&a, &b});
 
   net::RpcClient rpc(f.sim, f.transport);
   ReportSelectionRequest report;
@@ -273,7 +273,7 @@ TEST(Failover, RoundGapCatchUpRacingDeltaPullLosesNothingDoublesNothing) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, dp_opts);
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, Overlay::kMesh);
+  connect({&a, &b});
 
   net::RpcClient rpc_a(f.sim, f.transport);
   net::RpcClient rpc_b(f.sim, f.transport);
@@ -350,7 +350,7 @@ TEST(Failover, DegradedNackRedirectsWithoutQuarantine) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, dp_opts);
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, Overlay::kMesh);
+  connect({&a, &b});
 
   ClientOptions options;
   options.attempt_timeout = sim::Duration::seconds(5);

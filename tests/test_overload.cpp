@@ -280,7 +280,7 @@ TEST(Overload, PowerOfTwoChoicesRoutesAroundSaturatedDp) {
   DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, b_options);
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
-  connect({&a, &b}, Overlay::kMesh);
+  connect({&a, &b});
 
   net::RpcClient rpc(f.sim, f.transport);
   for (int i = 0; i < 2; ++i) {

@@ -25,7 +25,7 @@ dps = 5
 profile = gt4-c
 exchange_minutes = 10
 dissemination = usla
-overlay = ring
+overlay = superpeer
 grid_scale = 2
 background_util = 0.2
 clients = 30
@@ -53,7 +53,7 @@ saturation_response_s = 12
   EXPECT_EQ(cfg.profile.name, "GT4-C");
   EXPECT_DOUBLE_EQ(cfg.exchange_interval.to_minutes(), 10.0);
   EXPECT_EQ(cfg.dissemination, digruber::Dissemination::kUslaAndUsage);
-  EXPECT_EQ(cfg.overlay, digruber::Overlay::kRing);
+  EXPECT_EQ(cfg.overlay_options.kind, overlay::Kind::kSuperPeer);
   EXPECT_EQ(cfg.grid_scale, 2);
   EXPECT_DOUBLE_EQ(cfg.background_util, 0.2);
   EXPECT_EQ(cfg.n_clients, 30);
@@ -128,16 +128,18 @@ TEST(ScenarioFromConfig, RejectsUnknownKeys) {
 TEST(ScenarioFromConfig, RejectsBadEnumValues) {
   EXPECT_FALSE(scenario_from_config(Config::parse("profile = gt5\n")).ok());
   EXPECT_FALSE(scenario_from_config(Config::parse("overlay = torus\n")).ok());
+  // The retired static wirings are unknown names, not aliases.
+  EXPECT_FALSE(scenario_from_config(Config::parse("overlay = ring\n")).ok());
+  EXPECT_FALSE(scenario_from_config(Config::parse("overlay = star\n")).ok());
   EXPECT_FALSE(scenario_from_config(Config::parse("dissemination = all\n")).ok());
 }
 
 TEST(ScenarioFromConfig, ParsesOverlayStrategies) {
-  // The `overlay` key spans both families: the legacy static wirings
-  // (mesh/ring/star) and the src/overlay/ dissemination strategies.
+  // The `overlay` key names one of the src/overlay/ dissemination
+  // strategies.
   const auto tree = scenario_from_config(Config::parse(
       "overlay = tree\noverlay_degree = 3\n"));
   ASSERT_TRUE(tree.ok()) << tree.error();
-  EXPECT_EQ(tree.value().overlay, digruber::Overlay::kMesh);
   EXPECT_EQ(tree.value().overlay_options.kind, overlay::Kind::kTree);
   EXPECT_EQ(tree.value().overlay_options.tree_degree, 3u);
 
