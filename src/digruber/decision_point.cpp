@@ -818,7 +818,9 @@ void DecisionPoint::set_overlay_view(std::vector<overlay::Member> peers) {
 net::Served DecisionPoint::handle_get_site_loads(std::span<const std::uint8_t> body,
                                                  NodeId /*from*/) {
   GetSiteLoadsRequest request;
-  if (!net::wire::decode(body, request)) return {};
+  // A job needs at least one CPU; a smaller ask would be offered every
+  // site, headroom or not, so it is refused like a malformed body.
+  if (!net::wire::decode(body, request) || request.cpus < 1) return {};
   ++queries_;
 
   grid::Job probe;
@@ -951,7 +953,9 @@ net::Served DecisionPoint::handle_get_site_loads(std::span<const std::uint8_t> b
 net::Served DecisionPoint::handle_report_selection(std::span<const std::uint8_t> body,
                                                    NodeId /*from*/) {
   ReportSelectionRequest request;
-  if (!net::wire::decode(body, request)) return {};
+  // Fewer than one CPU would raise the free estimate and charge the bank a
+  // negative amount: refused like a malformed body, never recorded.
+  if (!net::wire::decode(body, request) || request.cpus < 1) return {};
 
   if (disk_ && request.has_request_id) {
     // Exactly-once: a retry of an already-committed report returns the
@@ -1191,6 +1195,9 @@ double DecisionPoint::free_fraction(sim::Time now) const {
 // included), writes no frame, and meters at the frame's applied_at.
 bool DecisionPoint::apply_record(const gruber::DispatchRecord& record, Via via,
                                  std::optional<RequestId> request) {
+  // A record holding fewer than one CPU is malformed: dropped unapplied,
+  // so it is neither charged nor relayed.
+  if (record.cpus < 1) return false;
   if (via == Via::kDelta) {
     const sim::Time now = sim_.now();
     // An already-expired record must not resurrect: the merge would

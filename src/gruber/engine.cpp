@@ -7,29 +7,26 @@ namespace digruber::gruber {
 GruberEngine::GruberEngine(const grid::VoCatalog& catalog,
                            const usla::AllocationTree& tree,
                            usla::EvaluatorOptions options)
-    : catalog_(catalog), evaluator_(tree, catalog, options) {}
+    : evaluator_(tree, catalog, options) {}
 
 std::vector<SiteLoad> GruberEngine::candidates(const grid::Job& job,
                                                sim::Time now) const {
+  const usla::ResolvedChain chain =
+      evaluator_.resolve_chain(job.vo, job.group, job.user);
+  const std::uint64_t storage_need = job.input_bytes + job.output_bytes;
   std::vector<SiteLoad> out;
-  const std::vector<SiteLoad> loads = view_.loads(now);
-  out.reserve(loads.size());
-  for (const SiteLoad& load : loads) {
-    const grid::SiteSnapshot estimate = view_.estimated_snapshot(load.site, now);
-    const std::int32_t group_running = view_.active_for_group(load.site, job.group, now);
-    const std::int32_t user_running = view_.active_for_user(load.site, job.user, now);
-    const std::int32_t headroom = evaluator_.chain_headroom(
-        estimate, job.vo, job.group, job.user, group_running, user_running);
-    if (headroom < job.cpus) continue;
-    const std::uint64_t storage_need = job.input_bytes + job.output_bytes;
+  out.reserve(view_.site_count());
+  view_.fold(job.vo, job.group, job.user, now, [&](const SiteFold& site) {
+    const std::int32_t headroom = evaluator_.chain_headroom(chain, site.usage);
+    if (headroom < job.cpus) return;
     if (storage_need > 0 &&
-        evaluator_.storage_headroom(estimate, job.vo) < storage_need) {
-      continue;
+        evaluator_.storage_headroom(*site.base, job.vo) < storage_need) {
+      return;
     }
-    SiteLoad clipped = load;
-    clipped.free_estimate = std::min(load.free_estimate, headroom);
+    SiteLoad clipped = site.load;
+    clipped.free_estimate = std::min(clipped.free_estimate, headroom);
     out.push_back(clipped);
-  }
+  });
   return out;
 }
 

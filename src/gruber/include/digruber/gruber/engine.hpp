@@ -1,6 +1,5 @@
 #pragma once
 
-#include <memory>
 #include <vector>
 
 #include "digruber/grid/job.hpp"
@@ -24,7 +23,8 @@ class GruberEngine {
 
   /// Candidate sites for a job: every site whose USLA chain headroom fits
   /// the job's CPUs, with free estimates clipped to that headroom. Sites
-  /// with zero headroom are excluded.
+  /// with zero headroom are excluded. One pass over the view: the chain's
+  /// caps are resolved once and each site's records are folded once.
   [[nodiscard]] std::vector<SiteLoad> candidates(const grid::Job& job,
                                                  sim::Time now) const;
 
@@ -38,7 +38,6 @@ class GruberEngine {
   void record(const DispatchRecord& record) { view_.record_dispatch(record); }
 
  private:
-  const grid::VoCatalog& catalog_;
   usla::UslaEvaluator evaluator_;
   GridView view_;
 };

@@ -1,11 +1,13 @@
 #pragma once
 
+#include <algorithm>
 #include <deque>
 #include <map>
 #include <vector>
 
 #include "digruber/common/ids.hpp"
 #include "digruber/grid/site.hpp"
+#include "digruber/usla/tree.hpp"
 
 namespace digruber::gruber {
 
@@ -112,6 +114,17 @@ struct ViewDigest {
   }
 };
 
+/// One site of a view folded for one consumer chain: what a candidate scan
+/// needs of the site, gathered in one pass over its active records.
+struct SiteFold {
+  SiteLoad load;                             // as `GridView::loads` reports it
+  const grid::SiteSnapshot* base = nullptr;  // the base snapshot held
+  /// The chain's usage as `GridView::estimated_snapshot` would give it:
+  /// free CPUs are the base's less each record's, clamped at zero record
+  /// by record, and the VO's running CPUs include the base's.
+  usla::ChainUsage usage;
+};
+
 /// VOs whose allocation state differs between the two digests (union of
 /// mismatched and one-sided entries), ascending — the pull set for delta
 /// anti-entropy.
@@ -142,14 +155,15 @@ class GridView {
   /// records (used for USLA evaluation).
   [[nodiscard]] grid::SiteSnapshot estimated_snapshot(SiteId site, sim::Time now) const;
 
-  /// Active (not yet aged-out) CPUs dispatched at `site` for group/user.
-  [[nodiscard]] std::int32_t active_for_group(SiteId site, GroupId group,
-                                              sim::Time now) const;
-  [[nodiscard]] std::int32_t active_for_user(SiteId site, UserId user,
-                                             sim::Time now) const;
-
   /// Per-site load vector (the GetSiteLoads reply body).
   [[nodiscard]] std::vector<SiteLoad> loads(sim::Time now) const;
+
+  /// Calls `visit(const SiteFold&)` for every site in site order, folding
+  /// each site's active (not yet aged-out) records once for the chain
+  /// `vo` -> `group` -> `user`.
+  template <class Visit>
+  void fold(VoId vo, GroupId group, UserId user, sim::Time now,
+            Visit&& visit) const;
 
   /// Every dispatch record that has not yet aged out, across all sites —
   /// the payload a peer hands a restarted decision point during the
@@ -208,10 +222,39 @@ class GridView {
   };
 
   void prune(SiteState& state, sim::Time now) const;
-  [[nodiscard]] const SiteState* find(SiteId site) const;
+  [[nodiscard]] SiteState* find(SiteId site) const;
+  [[nodiscard]] static SiteLoad site_load(SiteId site,
+                                          const grid::SiteSnapshot& base,
+                                          std::int32_t pending);
 
   mutable std::map<SiteId, SiteState> sites_;
   std::uint64_t recorded_ = 0;
 };
+
+template <class Visit>
+void GridView::fold(VoId vo, GroupId group, UserId user, sim::Time now,
+                    Visit&& visit) const {
+  for (auto& [site, state] : sites_) {
+    prune(state, now);
+    SiteFold f;
+    f.base = &state.base;
+    usla::ChainUsage& u = f.usage;
+    u.site = site;
+    u.total_cpus = state.base.total_cpus;
+    u.free_cpus = state.base.free_cpus;
+    const auto it = state.base.running_per_vo.find(vo);
+    if (it != state.base.running_per_vo.end()) u.vo_running = it->second;
+    std::int32_t pending = 0;
+    for (const DispatchRecord& r : state.active) {
+      pending += r.cpus;
+      u.free_cpus = std::max(0, u.free_cpus - r.cpus);
+      if (r.vo == vo) u.vo_running += r.cpus;
+      if (r.group == group) u.group_running += r.cpus;
+      if (r.user == user) u.user_running += r.cpus;
+    }
+    f.load = site_load(site, state.base, pending);
+    visit(f);
+  }
+}
 
 }  // namespace digruber::gruber

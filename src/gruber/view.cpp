@@ -91,24 +91,35 @@ void GridView::prune(SiteState& state, sim::Time now) const {
   });
 }
 
-const GridView::SiteState* GridView::find(SiteId site) const {
+GridView::SiteState* GridView::find(SiteId site) const {
   const auto it = sites_.find(site);
   return it == sites_.end() ? nullptr : &it->second;
 }
 
+SiteLoad GridView::site_load(SiteId site, const grid::SiteSnapshot& base,
+                             std::int32_t pending) {
+  SiteLoad load;
+  load.site = site;
+  load.total_cpus = base.total_cpus;
+  load.free_estimate = std::max(0, base.free_cpus - pending);
+  load.raw_free = load.free_estimate;
+  load.queued = base.queued_jobs;
+  return load;
+}
+
 std::int32_t GridView::estimated_free(SiteId site, sim::Time now) const {
-  const SiteState* state = find(site);
+  SiteState* state = find(site);
   if (!state) return 0;
-  prune(const_cast<SiteState&>(*state), now);
+  prune(*state, now);
   std::int32_t pending = 0;
   for (const auto& r : state->active) pending += r.cpus;
   return std::max(0, state->base.free_cpus - pending);
 }
 
 grid::SiteSnapshot GridView::estimated_snapshot(SiteId site, sim::Time now) const {
-  const SiteState* state = find(site);
+  SiteState* state = find(site);
   if (!state) return {};
-  prune(const_cast<SiteState&>(*state), now);
+  prune(*state, now);
   grid::SiteSnapshot estimate = state->base;
   for (const auto& r : state->active) {
     estimate.free_cpus = std::max(0, estimate.free_cpus - r.cpus);
@@ -116,29 +127,6 @@ grid::SiteSnapshot GridView::estimated_snapshot(SiteId site, sim::Time now) cons
   }
   estimate.as_of = now;
   return estimate;
-}
-
-std::int32_t GridView::active_for_group(SiteId site, GroupId group,
-                                        sim::Time now) const {
-  const SiteState* state = find(site);
-  if (!state) return 0;
-  prune(const_cast<SiteState&>(*state), now);
-  std::int32_t cpus = 0;
-  for (const auto& r : state->active) {
-    if (r.group == group) cpus += r.cpus;
-  }
-  return cpus;
-}
-
-std::int32_t GridView::active_for_user(SiteId site, UserId user, sim::Time now) const {
-  const SiteState* state = find(site);
-  if (!state) return 0;
-  prune(const_cast<SiteState&>(*state), now);
-  std::int32_t cpus = 0;
-  for (const auto& r : state->active) {
-    if (r.user == user) cpus += r.cpus;
-  }
-  return cpus;
 }
 
 std::vector<DispatchRecord> GridView::active_records(sim::Time now) const {
@@ -263,13 +251,7 @@ std::vector<SiteLoad> GridView::loads(sim::Time now) const {
     prune(state, now);
     std::int32_t pending = 0;
     for (const auto& r : state.active) pending += r.cpus;
-    SiteLoad load;
-    load.site = site;
-    load.total_cpus = state.base.total_cpus;
-    load.free_estimate = std::max(0, state.base.free_cpus - pending);
-    load.raw_free = load.free_estimate;
-    load.queued = state.base.queued_jobs;
-    out.push_back(load);
+    out.push_back(site_load(site, state.base, pending));
   }
   return out;
 }

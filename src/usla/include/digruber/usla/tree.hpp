@@ -34,13 +34,16 @@ class AllocationTree {
       std::optional<SiteId> site = std::nullopt) const;
   [[nodiscard]] std::optional<ShareSpec> group_share(GroupId group) const;
   [[nodiscard]] std::optional<ShareSpec> user_share(UserId user) const;
+  /// True if any site overrides the VO's grid-wide rule for `resource`.
+  [[nodiscard]] bool has_site_rule(ResourceKind resource, VoId vo) const;
 
   [[nodiscard]] std::size_t term_count() const { return terms_; }
 
  private:
   using ResourceVo = std::pair<int, VoId>;  // (ResourceKind, vo)
   std::map<ResourceVo, ShareSpec> vo_at_grid_;
-  std::map<std::pair<SiteId, ResourceVo>, ShareSpec> vo_at_site_;
+  // Keyed VO first, so one VO's site rules are contiguous.
+  std::map<std::pair<ResourceVo, SiteId>, ShareSpec> vo_at_site_;
   std::map<GroupId, ShareSpec> group_under_vo_;
   std::map<UserId, ShareSpec> user_under_group_;
   std::size_t terms_ = 0;
@@ -65,6 +68,28 @@ struct VoOverCommit {
   std::int32_t cap_cpus = 0;  // CPUs its USLA chain allows at this site
 
   [[nodiscard]] std::int32_t excess() const { return running - cap_cpus; }
+};
+
+/// A job's VO -> group -> user chain with its caps resolved: everything in
+/// a chain headroom that does not depend on the site, looked up once per
+/// query.
+struct ResolvedChain {
+  VoId vo;
+  double vo_cap = 1.0;      // grid-wide VO cap fraction
+  double group_cap = 1.0;   // group's fraction of its VO's cap
+  double user_cap = 1.0;    // user's fraction of its group's cap
+  bool site_rules = false;  // some site overrides the VO's CPU rule
+};
+
+/// One site as a chain sees it: the CPUs there and how many of them the
+/// chain's VO, group and user already hold.
+struct ChainUsage {
+  SiteId site;
+  std::int32_t total_cpus = 0;
+  std::int32_t free_cpus = 0;
+  std::int32_t vo_running = 0;
+  std::int32_t group_running = 0;
+  std::int32_t user_running = 0;
 };
 
 /// Answers "how many more CPUs may this VO/group/user take at this site
@@ -100,6 +125,14 @@ class UslaEvaluator {
                                             VoId vo, GroupId group, UserId user,
                                             std::int32_t group_running,
                                             std::int32_t user_running) const;
+
+  /// The chain's caps, for `chain_headroom` at many sites.
+  [[nodiscard]] ResolvedChain resolve_chain(VoId vo, GroupId group,
+                                            UserId user) const;
+
+  /// Full-chain headroom of a resolved chain at one site (>= 0).
+  [[nodiscard]] std::int32_t chain_headroom(const ResolvedChain& chain,
+                                            const ChainUsage& at) const;
 
   /// True if a job of `cpus` for `vo` fits at the snapshot under USLAs.
   [[nodiscard]] bool admissible(const grid::SiteSnapshot& snapshot, VoId vo,

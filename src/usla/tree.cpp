@@ -6,6 +6,12 @@
 namespace digruber::usla {
 namespace {
 
+/// Whole CPUs in a fractional CPU count. The epsilon keeps an exact share
+/// from losing a CPU to rounding: 0.29 * 100.0 is 28.999999999999996.
+std::int32_t whole_cpus(double cpus) {
+  return std::int32_t(std::floor(cpus + 1e-9));
+}
+
 /// Name -> id lookup tables for the catalog's entities.
 struct NameIndex {
   std::map<std::string, VoId> vos;
@@ -53,7 +59,7 @@ Result<AllocationTree> AllocationTree::build(
           if (site == site_names.end()) {
             return Result<AllocationTree>::failure("unknown site: " + p.name);
           }
-          tree.vo_at_site_[{site->second, {resource, vo->second}}] = term.share;
+          tree.vo_at_site_[{{resource, vo->second}, site->second}] = term.share;
         } else {
           return Result<AllocationTree>::failure(
               "vo consumer requires grid or site provider in term '" + term.name + "'");
@@ -114,7 +120,7 @@ std::optional<ShareSpec> AllocationTree::vo_share_for(
     ResourceKind resource, VoId vo, std::optional<SiteId> site) const {
   const ResourceVo key{int(resource), vo};
   if (site) {
-    const auto it = vo_at_site_.find({*site, key});
+    const auto it = vo_at_site_.find({key, *site});
     if (it != vo_at_site_.end()) return it->second;
   }
   const auto it = vo_at_grid_.find(key);
@@ -132,6 +138,12 @@ std::optional<ShareSpec> AllocationTree::user_share(UserId user) const {
   const auto it = user_under_group_.find(user);
   if (it != user_under_group_.end()) return it->second;
   return std::nullopt;
+}
+
+bool AllocationTree::has_site_rule(ResourceKind resource, VoId vo) const {
+  const ResourceVo key{int(resource), vo};
+  const auto it = vo_at_site_.lower_bound({key, SiteId(0)});
+  return it != vo_at_site_.end() && it->first.first == key;
 }
 
 UslaEvaluator::UslaEvaluator(const AllocationTree& tree,
@@ -168,8 +180,7 @@ std::int32_t UslaEvaluator::vo_headroom(const grid::SiteSnapshot& snapshot,
 
 std::int32_t UslaEvaluator::vo_cap_cpus(SiteId site, VoId vo,
                                         std::int32_t total_cpus) const {
-  const double cap = cap_fraction(vo, site);
-  return std::int32_t(std::floor(cap * double(total_cpus) + 1e-9));
+  return whole_cpus(cap_fraction(vo, site) * double(total_cpus));
 }
 
 std::vector<VoOverCommit> UslaEvaluator::over_commit_audit(
@@ -189,19 +200,39 @@ std::int32_t UslaEvaluator::chain_headroom(const grid::SiteSnapshot& snapshot,
                                            VoId vo, GroupId group, UserId user,
                                            std::int32_t group_running,
                                            std::int32_t user_running) const {
-  const std::int32_t vo_room = vo_headroom(snapshot, vo);
-  const double vo_cap = cap_fraction(vo, snapshot.site);
-  const double vo_cpus = vo_cap * double(snapshot.total_cpus);
+  ChainUsage at;
+  at.site = snapshot.site;
+  at.total_cpus = snapshot.total_cpus;
+  at.free_cpus = snapshot.free_cpus;
+  const auto it = snapshot.running_per_vo.find(vo);
+  if (it != snapshot.running_per_vo.end()) at.vo_running = it->second;
+  at.group_running = group_running;
+  at.user_running = user_running;
+  return chain_headroom(resolve_chain(vo, group, user), at);
+}
 
-  const double group_cap = effective_cap(tree_.group_share(group));
-  const auto group_allowed = std::int32_t(std::floor(group_cap * vo_cpus + 1e-9));
-  const std::int32_t group_room = group_allowed - group_running;
+ResolvedChain UslaEvaluator::resolve_chain(VoId vo, GroupId group,
+                                           UserId user) const {
+  ResolvedChain chain;
+  chain.vo = vo;
+  chain.vo_cap = cap_fraction(vo);
+  chain.group_cap = effective_cap(tree_.group_share(group));
+  chain.user_cap = effective_cap(tree_.user_share(user));
+  chain.site_rules = tree_.has_site_rule(ResourceKind::kCpu, vo);
+  return chain;
+}
 
-  const double user_cap = effective_cap(tree_.user_share(user));
-  const auto user_allowed =
-      std::int32_t(std::floor(user_cap * group_cap * vo_cpus + 1e-9));
-  const std::int32_t user_room = user_allowed - user_running;
-
+std::int32_t UslaEvaluator::chain_headroom(const ResolvedChain& chain,
+                                           const ChainUsage& at) const {
+  const double vo_cap =
+      chain.site_rules ? cap_fraction(chain.vo, at.site) : chain.vo_cap;
+  const double vo_cpus = vo_cap * double(at.total_cpus);
+  const std::int32_t vo_room =
+      std::max(0, std::min(whole_cpus(vo_cpus) - at.vo_running, at.free_cpus));
+  const std::int32_t group_room =
+      whole_cpus(chain.group_cap * vo_cpus) - at.group_running;
+  const std::int32_t user_room =
+      whole_cpus(chain.user_cap * chain.group_cap * vo_cpus) - at.user_running;
   return std::max(0, std::min({vo_room, group_room, user_room}));
 }
 

@@ -334,6 +334,84 @@ TEST(DecisionPoint, DisseminationNoneNeverExchanges) {
   b.stop();
 }
 
+TEST(DecisionPoint, RefusesSiteLoadQueriesForUnderOneCpu) {
+  Fixture f;
+  DecisionPoint dp(f.sim, f.transport, DpId(0), f.catalog, f.tree, f.options());
+  dp.bootstrap(f.snapshots());
+
+  int refused = 0;
+  for (const std::int32_t cpus : {0, -3}) {
+    GetSiteLoadsRequest request = f.request();
+    request.cpus = cpus;
+    f.rpc.call<GetSiteLoadsRequest, GetSiteLoadsReply>(
+        dp.node(), kGetSiteLoads, request, sim::Duration::seconds(30),
+        [&](Result<GetSiteLoadsReply> result) { refused += !result.ok(); });
+  }
+  f.sim.run_until(sim::Time::from_seconds(30));
+  EXPECT_EQ(refused, 2);
+  EXPECT_EQ(dp.queries_served(), 0u);
+  dp.stop();
+}
+
+TEST(DecisionPoint, RefusesSelectionReportsForUnderOneCpu) {
+  Fixture f;
+  DecisionPointOptions options = f.options();
+  DecisionPoint a(f.sim, f.transport, DpId(0), f.catalog, f.tree, options);
+  DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, options);
+  a.bootstrap(f.snapshots());
+  b.bootstrap(f.snapshots());
+  connect({&a, &b});
+
+  ReportSelectionRequest report;
+  report.site = SiteId(0);
+  report.vo = VoId(0);
+  report.group = GroupId(0);
+  report.user = UserId(0);
+  report.est_runtime = sim::Duration::minutes(60);
+  for (const std::int32_t cpus : {0, -40}) {
+    report.cpus = cpus;
+    f.rpc.call<ReportSelectionRequest, Ack>(a.node(), kReportSelection, report,
+                                            sim::Duration::seconds(30),
+                                            [](Result<Ack>) {});
+  }
+  // Several exchange rounds: nothing was recorded, so nothing floods.
+  f.sim.run_until(sim::Time::from_seconds(300));
+  EXPECT_EQ(a.selections_recorded(), 0u);
+  EXPECT_EQ(a.engine().view().estimated_free(SiteId(0), f.sim.now()), 100);
+  EXPECT_EQ(b.records_applied(), 0u);
+  EXPECT_EQ(b.engine().view().estimated_free(SiteId(0), f.sim.now()), 100);
+  a.stop();
+  b.stop();
+}
+
+TEST(DecisionPoint, DropsLearnedRecordsForUnderOneCpu) {
+  Fixture f;
+  DecisionPoint dp(f.sim, f.transport, DpId(0), f.catalog, f.tree, f.options());
+  dp.bootstrap(f.snapshots());
+
+  ExchangeMessage message;
+  message.from = DpId(7);
+  message.exchange_round = 1;
+  for (const std::int32_t cpus : {0, -5, 10}) {
+    gruber::DispatchRecord r;
+    r.origin = DpId(7);
+    r.seq = message.dispatches.size() + 1;
+    r.site = SiteId(0);
+    r.vo = VoId(0);
+    r.group = GroupId(0);
+    r.user = UserId(0);
+    r.cpus = cpus;
+    r.est_runtime = sim::Duration::minutes(60);
+    message.dispatches.push_back(r);
+  }
+  f.rpc.notify(dp.node(), kExchange, message);
+  f.sim.run_until(sim::Time::from_seconds(30));
+  EXPECT_EQ(dp.exchanges_received(), 1u);
+  EXPECT_EQ(dp.records_applied(), 1u);
+  EXPECT_EQ(dp.engine().view().estimated_free(SiteId(0), f.sim.now()), 90);
+  dp.stop();
+}
+
 TEST(DecisionPoint, SaturationSignalsReachMonitor) {
   Fixture f;
   int provisions = 0;

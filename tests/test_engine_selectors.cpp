@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <tuple>
 
+#include "digruber/common/rng.hpp"
 #include "digruber/gruber/engine.hpp"
 #include "digruber/gruber/selectors.hpp"
 
@@ -87,6 +90,160 @@ TEST(Engine, RecordedDispatchesShrinkCandidates) {
   const auto candidates = engine.candidates(job_for(0), sim::Time::from_seconds(1));
   ASSERT_EQ(candidates.size(), 1u);
   EXPECT_EQ(candidates[0].free_estimate, 2);  // 50-cap minus 48 running
+}
+
+/// The candidate scan written out site by site from public calls: the
+/// view's loads, its estimated snapshot, group and user sums over the
+/// active records, then the evaluator's snapshot chain and storage
+/// headroom.
+std::vector<SiteLoad> reference_candidates(const GruberEngine& engine,
+                                           const grid::Job& job, sim::Time now) {
+  const GridView& view = engine.view();
+  const usla::UslaEvaluator& evaluator = engine.evaluator();
+  const std::vector<DispatchRecord> active = view.active_records(now);
+  std::vector<SiteLoad> out;
+  for (const SiteLoad& load : view.loads(now)) {
+    const grid::SiteSnapshot estimate = view.estimated_snapshot(load.site, now);
+    std::int32_t group_running = 0;
+    std::int32_t user_running = 0;
+    for (const DispatchRecord& r : active) {
+      if (r.site != load.site) continue;
+      if (r.group == job.group) group_running += r.cpus;
+      if (r.user == job.user) user_running += r.cpus;
+    }
+    const std::int32_t headroom = evaluator.chain_headroom(
+        estimate, job.vo, job.group, job.user, group_running, user_running);
+    if (headroom < job.cpus) continue;
+    const std::uint64_t storage_need = job.input_bytes + job.output_bytes;
+    if (storage_need > 0 && evaluator.storage_headroom(estimate, job.vo) < storage_need) {
+      continue;
+    }
+    SiteLoad clipped = load;
+    clipped.free_estimate = std::min(load.free_estimate, headroom);
+    out.push_back(clipped);
+  }
+  return out;
+}
+
+using LoadFields = std::tuple<std::uint64_t, std::int32_t, std::int32_t,
+                              std::int32_t, std::int32_t>;
+
+std::vector<LoadFields> fields(const std::vector<SiteLoad>& loads) {
+  std::vector<LoadFields> out;
+  for (const SiteLoad& l : loads) {
+    out.emplace_back(l.site.value(), l.total_cpus, l.free_estimate, l.raw_free,
+                     l.queued);
+  }
+  return out;
+}
+
+TEST(Engine, CandidatesMatchPerSiteReference) {
+  // Three VOs of two groups, two users each (users g and g + 6 in group
+  // g). vo0 carries group, user and storage terms; vo1 is a target with a
+  // site-scoped override at site2; vo2 holds only a guarantee.
+  grid::VoCatalog catalog = grid::VoCatalog::uniform(3, 2);
+  for (std::uint64_t g = 0; g < 6; ++g) {
+    catalog.add_user(GroupId(g), catalog.group_name(GroupId(g)) + ".second");
+  }
+  const auto parsed = usla::parse_agreement(R"(
+agreement reference
+term v0: grid -> vo:vo0 cpu 60+
+term v1: grid -> vo:vo1 cpu 35
+term v2: grid -> vo:vo2 cpu 20-
+term s1: site:site2 -> vo:vo1 cpu 15+
+term g00: vo:vo0 -> group:vo0.g0 cpu 70+
+term g01: vo:vo0 -> group:vo0.g1 cpu 30
+term g10: vo:vo1 -> group:vo1.g0 cpu 50+
+term u00: group:vo0.g0 -> user:vo0.g0.user cpu 40+
+term st0: grid -> vo:vo0 storage 25+
+)");
+  ASSERT_TRUE(parsed.ok()) << parsed.error();
+  const auto tree = usla::AllocationTree::build({parsed.value()}, catalog,
+                                                {{"site2", SiteId(2)}});
+  ASSERT_TRUE(tree.ok()) << tree.error();
+
+  // Both outcomes of the headroom test must occur, and clipping too.
+  std::size_t kept = 0;
+  std::size_t dropped = 0;
+  std::size_t clipped = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    Rng rng(seed);
+    usla::EvaluatorOptions options;
+    options.default_open = seed % 5 != 0;  // closed: a chain missing a term gets 0
+    GruberEngine engine(catalog, tree.value(), options);
+
+    const auto sites = std::uint64_t(rng.uniform_int(3, 10));
+    std::vector<grid::SiteSnapshot> bases;
+    for (std::uint64_t s = 0; s < sites; ++s) {
+      grid::SiteSnapshot base;
+      base.site = SiteId(s);
+      base.total_cpus = std::int32_t(rng.uniform_int(0, 120));
+      base.free_cpus = std::int32_t(rng.uniform_int(0, base.total_cpus));
+      base.queued_jobs = std::int32_t(rng.uniform_int(0, 5));
+      for (std::uint64_t v = 0; v < 3; ++v) {
+        if (rng.bernoulli(0.5)) {
+          base.running_per_vo[VoId(v)] = std::int32_t(rng.uniform_int(0, 30));
+        }
+        if (rng.bernoulli(0.5)) {
+          base.storage_per_vo[VoId(v)] = std::uint64_t(rng.uniform_int(0, 400)) << 20;
+        }
+      }
+      base.total_storage_bytes = std::uint64_t(rng.uniform_int(0, 2000)) << 20;
+      base.free_storage_bytes = std::uint64_t(
+          rng.uniform_int(0, std::int64_t(base.total_storage_bytes >> 20))) << 20;
+      bases.push_back(base);
+    }
+    engine.view().bootstrap(bases);
+
+    // Records expire before, exactly at and after `now`; some land on
+    // site `sites`, which the view never bootstrapped. Site 0 draws extra
+    // records so group and user caps bind there.
+    const sim::Time now = sim::Time::from_seconds(double(rng.uniform_int(100, 1000)));
+    const int records = int(rng.uniform_int(0, 80));
+    for (int i = 0; i < records; ++i) {
+      DispatchRecord r;
+      r.origin = DpId(rng.uniform_index(3));
+      r.seq = std::uint64_t(i);
+      r.site = rng.bernoulli(0.4) ? SiteId(0) : SiteId(rng.uniform_index(sites + 1));
+      const auto group = rng.uniform_index(6);
+      r.vo = VoId(group / 2);
+      r.group = GroupId(group);
+      r.user = UserId(group + 6 * rng.uniform_index(2));
+      r.cpus = std::int32_t(rng.uniform_int(1, 8));
+      r.when = sim::Time::from_seconds(double(rng.uniform_int(0, 90)));
+      switch (rng.uniform_index(3)) {
+        case 0: r.est_runtime = (now - r.when) - sim::Duration::seconds(1); break;
+        case 1: r.est_runtime = now - r.when; break;
+        default: r.est_runtime = (now - r.when) + sim::Duration::seconds(50); break;
+      }
+      engine.record(r);
+    }
+
+    for (int q = 0; q < 6; ++q) {
+      grid::Job job = job_for(0);
+      const auto group = rng.uniform_index(6);
+      job.vo = VoId(group / 2);
+      job.group = GroupId(group);
+      job.user = UserId(group + 6 * rng.uniform_index(2));
+      job.cpus = int(rng.uniform_int(1, 6));
+      if (rng.bernoulli(0.4)) {
+        job.input_bytes = std::uint64_t(rng.uniform_int(0, 300)) << 20;
+        job.output_bytes = std::uint64_t(rng.uniform_int(1, 100)) << 20;
+      }
+      // The scan goes first: the reference's calls prune the view.
+      const auto actual = fields(engine.candidates(job, now));
+      const std::vector<SiteLoad> expected = reference_candidates(engine, job, now);
+      EXPECT_EQ(actual, fields(expected)) << "seed " << seed << " query " << q;
+      kept += expected.size();
+      dropped += engine.view().site_count() - expected.size();
+      clipped += std::size_t(std::count_if(
+          expected.begin(), expected.end(),
+          [](const SiteLoad& l) { return l.free_estimate < l.raw_free; }));
+    }
+  }
+  EXPECT_GT(kept, 0u);
+  EXPECT_GT(dropped, 0u);
+  EXPECT_GT(clipped, 0u);
 }
 
 std::vector<SiteLoad> make_loads(std::initializer_list<std::pair<int, int>> site_free) {

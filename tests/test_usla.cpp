@@ -241,6 +241,45 @@ term u: group:cms.higgs -> user:cms.higgs cpu 50+
   EXPECT_EQ(eval.chain_headroom(snap, VoId(0), GroupId(0), UserId(0), 40, 0), 0);
 }
 
+TEST(Evaluator, ResolvedChainHonoursSiteOverride) {
+  const grid::VoCatalog catalog = two_vo_catalog();
+  const std::map<std::string, SiteId> sites{{"fnal", SiteId(3)}};
+  const Agreement a = parse_agreement(R"(
+agreement t
+term wide: grid -> vo:cms cpu 20+
+term local: site:fnal -> vo:cms cpu 80+
+term h: vo:cms -> group:cms.higgs cpu 50+
+)").value();
+  const auto tree = AllocationTree::build({a}, catalog, sites);
+  ASSERT_TRUE(tree.ok()) << tree.error();
+  EXPECT_TRUE(tree.value().has_site_rule(ResourceKind::kCpu, VoId(0)));
+  EXPECT_FALSE(tree.value().has_site_rule(ResourceKind::kStorage, VoId(0)));
+  EXPECT_FALSE(tree.value().has_site_rule(ResourceKind::kCpu, VoId(1)));
+  const UslaEvaluator eval(tree.value(), catalog);
+
+  const ResolvedChain chain = eval.resolve_chain(VoId(0), GroupId(0), UserId(0));
+  EXPECT_TRUE(chain.site_rules);
+  EXPECT_DOUBLE_EQ(chain.vo_cap, 0.2);
+  EXPECT_DOUBLE_EQ(chain.group_cap, 0.5);
+  EXPECT_DOUBLE_EQ(chain.user_cap, 1.0);
+  // Site of 100: cms may hold 80 CPUs at fnal and 20 elsewhere; its
+  // higgs group half of either.
+  ChainUsage at;
+  at.site = SiteId(3);
+  at.total_cpus = 100;
+  at.free_cpus = 100;
+  EXPECT_EQ(eval.chain_headroom(chain, at), 40);
+  at.group_running = 30;
+  EXPECT_EQ(eval.chain_headroom(chain, at), 10);
+  at.site = SiteId(9);
+  at.group_running = 0;
+  EXPECT_EQ(eval.chain_headroom(chain, at), 10);
+  // The snapshot form resolves the same chain.
+  grid::SiteSnapshot fnal = snapshot(100, 100);
+  fnal.site = SiteId(3);
+  EXPECT_EQ(eval.chain_headroom(fnal, VoId(0), GroupId(0), UserId(0), 0, 0), 40);
+}
+
 TEST(Evaluator, Admissible) {
   const grid::VoCatalog catalog = two_vo_catalog();
   const Agreement a =

@@ -99,21 +99,39 @@ TEST(GridView, EstimatedSnapshotMergesVoUsage) {
   EXPECT_EQ(est.running_per_vo.at(VoId(2)), 3);
 }
 
+/// Site 0 as `fold` reports it for the chain vo0 -> `group` -> `user`.
+SiteFold fold_site0(const GridView& view, GroupId group, UserId user,
+                    sim::Time now) {
+  SiteFold out;
+  view.fold(VoId(0), group, user, now, [&](const SiteFold& f) {
+    if (f.load.site == SiteId(0)) out = f;
+  });
+  return out;
+}
+
 TEST(GridView, GroupAndUserActiveCounts) {
   GridView view;
-  view.bootstrap({snapshot(0, 100, 100)});
+  grid::SiteSnapshot base = snapshot(0, 100, 100);
+  base.running_per_vo[VoId(0)] = 3;
+  view.bootstrap({base});
   DispatchRecord r = record(0, 4, 0, 100);
   r.group = GroupId(7);
   r.user = UserId(9);
   view.record_dispatch(r);
   const auto t = sim::Time::from_seconds(10);
-  EXPECT_EQ(view.active_for_group(SiteId(0), GroupId(7), t), 4);
-  EXPECT_EQ(view.active_for_group(SiteId(0), GroupId(8), t), 0);
-  EXPECT_EQ(view.active_for_user(SiteId(0), UserId(9), t), 4);
-  EXPECT_EQ(view.active_for_user(SiteId(0), UserId(1), t), 0);
+  const usla::ChainUsage live = fold_site0(view, GroupId(7), UserId(9), t).usage;
+  EXPECT_EQ(live.group_running, 4);
+  EXPECT_EQ(live.user_running, 4);
+  EXPECT_EQ(live.vo_running, 7);  // 3 in the base plus the record's 4
+  EXPECT_EQ(live.free_cpus, 96);
+  EXPECT_EQ(fold_site0(view, GroupId(8), UserId(9), t).usage.group_running, 0);
+  EXPECT_EQ(fold_site0(view, GroupId(7), UserId(1), t).usage.user_running, 0);
   // After aging, counts return to zero.
   const auto later = sim::Time::from_seconds(200);
-  EXPECT_EQ(view.active_for_group(SiteId(0), GroupId(7), later), 0);
+  const usla::ChainUsage aged = fold_site0(view, GroupId(7), UserId(9), later).usage;
+  EXPECT_EQ(aged.group_running, 0);
+  EXPECT_EQ(aged.user_running, 0);
+  EXPECT_EQ(aged.vo_running, 3);
 }
 
 TEST(GridView, LoadsCoverAllSites) {
