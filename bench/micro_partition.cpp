@@ -61,6 +61,9 @@ gruber::GridView make_view(std::size_t n_records, std::uint64_t seed) {
 const sim::Time kAsOf = sim::Time::from_seconds(700.0);
 const sim::Time kHorizon = sim::Time::from_seconds(705.0);
 
+// One window asked again and again of a static view: after the first call
+// the digest revisits no site, so this measures emitting the aggregate.
+// BM_ViewDigestSliding below measures the per-reply path.
 void BM_ViewDigest(benchmark::State& state) {
   const gruber::GridView view = make_view(std::size_t(state.range(0)), 7);
   for (auto _ : state) {
@@ -71,6 +74,41 @@ void BM_ViewDigest(benchmark::State& state) {
   state.counters["records"] = double(state.range(0));
 }
 BENCHMARK(BM_ViewDigest)->Arg(100)->Arg(1000)->Arg(10000);
+
+void BM_ViewDigestSliding(benchmark::State& state) {
+  // The per-reply path: each iteration moves time on one step, records one
+  // record and digests the settled window a point with every subsystem on
+  // attaches to a reply, (now - 185 s, now + 5 s). Records live N steps on
+  // average and pruning their site on arrival keeps about N held.
+  const std::size_t n = std::size_t(state.range(0));
+  const sim::Duration step = sim::Duration::millis(500);
+  gruber::GridView view;
+  view.bootstrap(make_bases());
+  Rng rng(7);
+  std::uint64_t seq = 0;
+  sim::Time now = sim::Time::zero();
+  const auto arrive = [&] {
+    now = now + step;
+    gruber::DispatchRecord r = make_record(rng, seq++);
+    r.when = now;
+    r.est_runtime = step * (double(n) * rng.uniform(0.5, 1.5));
+    view.record_dispatch(r);
+    benchmark::DoNotOptimize(view.estimated_free(r.site, now));
+  };
+  const auto settled = [&] {
+    return view.digest(now - sim::Duration::seconds(185),
+                       now + sim::Duration::seconds(5));
+  };
+  for (std::size_t i = 0; i < 2 * n; ++i) arrive();  // reach steady state
+  benchmark::DoNotOptimize(settled().base_hash);
+  for (auto _ : state) {
+    arrive();
+    const gruber::ViewDigest digest = settled();
+    benchmark::DoNotOptimize(digest.vos.data());
+  }
+  state.counters["records"] = double(n);
+}
+BENCHMARK(BM_ViewDigestSliding)->Arg(1000)->Arg(10000);
 
 void BM_DivergedVos(benchmark::State& state) {
   // Two views sharing most records but diverged on one origin's tail —

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "digruber/common/ids.hpp"
@@ -138,6 +139,11 @@ struct SiteFold {
 /// exchange — not by live site polling.
 class GridView {
  public:
+  GridView();
+  GridView(GridView&&) noexcept;
+  GridView& operator=(GridView&&) noexcept;
+  ~GridView();
+
   /// Install base snapshots (static knowledge / fresh monitor data).
   void bootstrap(const std::vector<grid::SiteSnapshot>& snapshots);
   void apply_snapshot(const grid::SiteSnapshot& snapshot);
@@ -186,6 +192,9 @@ class GridView {
   /// horizon)` — see ViewDigest. Order-independent: two views holding the
   /// same records inside the window digest identically regardless of
   /// arrival order, physical prune history, or the comparer's clock.
+  /// The first call scans every held record; from then on the view keeps
+  /// the aggregate for the last window asked about, so a call revisits
+  /// only the sites holding a record that crossed a window edge since.
   [[nodiscard]] ViewDigest digest(sim::Time as_of, sim::Time horizon) const;
 
   /// Active records belonging to any VO in `vos` (ascending input),
@@ -221,13 +230,23 @@ class GridView {
     std::deque<DispatchRecord> active;  // pruned lazily by est completion
   };
 
+  /// The digest of the window last asked about, kept exact through every
+  /// change to the held records (view.cpp). Built by the first `digest`
+  /// call: a view that never digests keeps none.
+  struct DigestCache;
+
   void prune(SiteState& state, sim::Time now) const;
   [[nodiscard]] SiteState* find(SiteId site) const;
+  /// The state of `site`, created (and registered with the digest) if new.
+  SiteState& state_for(SiteId site);
+  /// Take `r` out of the digest before it leaves the held set.
+  void release(const DispatchRecord& r) const;
   [[nodiscard]] static SiteLoad site_load(SiteId site,
                                           const grid::SiteSnapshot& base,
                                           std::int32_t pending);
 
   mutable std::map<SiteId, SiteState> sites_;
+  mutable std::unique_ptr<DigestCache> digest_;
   std::uint64_t recorded_ = 0;
 };
 

@@ -1,7 +1,7 @@
 #include "digruber/gruber/view.hpp"
 
 #include <algorithm>
-#include <map>
+#include <set>
 
 namespace digruber::gruber {
 
@@ -43,7 +43,108 @@ std::uint64_t snapshot_hash(const grid::SiteSnapshot& s) {
   return h;
 }
 
+/// Whether `r` lies in the settled window (as_of, horizon) — see ViewDigest.
+bool settled(const DispatchRecord& r, sim::Time as_of, sim::Time horizon) {
+  // Outside the settled window: too fresh to have propagated over normal
+  // exchanges, or expiring too soon to survive the compare round trip.
+  // Either would make healthy peers digest differently.
+  return r.when <= as_of && r.when + r.est_runtime > horizon;
+}
+
 }  // namespace
+
+struct GridView::DigestCache {
+  /// The windows over which none of one site's held records enters or
+  /// leaves the settled window: `as_of` in [as_of_lo, as_of_hi) and
+  /// `horizon` in [horizon_lo, horizon_hi). Open until records narrow it.
+  struct SiteBox {
+    SiteId site;
+    const SiteState* state = nullptr;
+    sim::Time as_of_lo = sim::Time::zero() - sim::Duration::max();
+    sim::Time as_of_hi = sim::Time::max();
+    sim::Time horizon_lo = sim::Time::zero() - sim::Duration::max();
+    sim::Time horizon_hi = sim::Time::max();
+
+    [[nodiscard]] bool holds(sim::Time as_of, sim::Time horizon) const {
+      return as_of_lo <= as_of && as_of < as_of_hi &&
+             horizon_lo <= horizon && horizon < horizon_hi;
+    }
+
+    /// Narrow to the edges `r` puts around the window (as_of, horizon).
+    void tighten(const DispatchRecord& r, sim::Time as_of, sim::Time horizon) {
+      if (r.when <= as_of) {
+        as_of_lo = std::max(as_of_lo, r.when);
+      } else {
+        as_of_hi = std::min(as_of_hi, r.when);
+      }
+      const sim::Time expiry = r.when + r.est_runtime;
+      if (expiry <= horizon) {
+        horizon_lo = std::max(horizon_lo, expiry);
+      } else {
+        horizon_hi = std::min(horizon_hi, expiry);
+      }
+    }
+  };
+
+  sim::Time as_of;
+  sim::Time horizon;
+  std::uint64_t base_hash = 0;
+  std::map<VoId, VoDigest> vos;                       // in-window records
+  std::map<DpId, std::multiset<std::uint64_t>> seqs;  // their seqs by origin
+  std::vector<SiteBox> boxes;                         // ascending site
+
+  /// Add or remove one in-window record.
+  void toggle(const DispatchRecord& r, bool in) {
+    const auto vo = vos.try_emplace(r.vo, VoDigest{r.vo}).first;
+    const auto origin = seqs.try_emplace(r.origin).first;
+    vo->second.hash ^= record_hash(r);
+    if (in) {
+      ++vo->second.records;
+      vo->second.cpus += r.cpus;
+      origin->second.insert(r.seq);
+      return;
+    }
+    // Drop the entries a scan would not emit: no record left in the window.
+    --vo->second.records;
+    vo->second.cpus -= r.cpus;
+    if (vo->second.records == 0) vos.erase(vo);
+    origin->second.erase(origin->second.find(r.seq));
+    if (origin->second.empty()) seqs.erase(origin);
+  }
+
+  void add_site(SiteId site, const SiteState& state) {
+    base_hash ^= snapshot_hash(state.base);
+    SiteBox b{site, &state};
+    for (const DispatchRecord& r : state.active) {
+      if (settled(r, as_of, horizon)) toggle(r, true);
+      b.tighten(r, as_of, horizon);
+    }
+    boxes.insert(std::lower_bound(boxes.begin(), boxes.end(), site, before), b);
+  }
+
+  [[nodiscard]] SiteBox& box(SiteId site) {
+    return *std::lower_bound(boxes.begin(), boxes.end(), site, before);
+  }
+
+  /// Move `b`'s site to the window (to_as_of, to_horizon): toggle the
+  /// records that cross an edge and recompute the box.
+  void rescan(SiteBox& b, sim::Time to_as_of, sim::Time to_horizon) {
+    SiteBox moved{b.site, b.state};
+    for (const DispatchRecord& r : b.state->active) {
+      const bool in = settled(r, to_as_of, to_horizon);
+      if (in != settled(r, as_of, horizon)) toggle(r, in);
+      moved.tighten(r, to_as_of, to_horizon);
+    }
+    b = moved;
+  }
+
+  static bool before(const SiteBox& b, SiteId site) { return b.site < site; }
+};
+
+GridView::GridView() = default;
+GridView::GridView(GridView&&) noexcept = default;
+GridView& GridView::operator=(GridView&&) noexcept = default;
+GridView::~GridView() = default;
 
 std::vector<VoId> diverged_vos(const ViewDigest& a, const ViewDigest& b) {
   std::vector<VoId> out;
@@ -70,25 +171,50 @@ void GridView::bootstrap(const std::vector<grid::SiteSnapshot>& snapshots) {
 }
 
 void GridView::apply_snapshot(const grid::SiteSnapshot& snapshot) {
-  SiteState& state = sites_[snapshot.site];
+  SiteState& state = state_for(snapshot.site);
   if (snapshot.as_of < state.base.as_of) return;  // stale: ignore
+  if (digest_) {
+    digest_->base_hash ^= snapshot_hash(state.base) ^ snapshot_hash(snapshot);
+  }
   state.base = snapshot;
   // Dispatches made before the snapshot are already reflected in it.
   std::erase_if(state.active, [&](const DispatchRecord& r) {
-    return r.when <= snapshot.as_of;
+    if (r.when > snapshot.as_of) return false;
+    release(r);
+    return true;
   });
 }
 
 void GridView::record_dispatch(const DispatchRecord& record) {
-  SiteState& state = sites_[record.site];
+  SiteState& state = state_for(record.site);
   state.active.push_back(record);
   ++recorded_;
+  if (digest_) {
+    if (settled(record, digest_->as_of, digest_->horizon)) {
+      digest_->toggle(record, true);
+    }
+    digest_->box(record.site).tighten(record, digest_->as_of, digest_->horizon);
+  }
 }
 
 void GridView::prune(SiteState& state, sim::Time now) const {
   std::erase_if(state.active, [&](const DispatchRecord& r) {
-    return r.when + r.est_runtime <= now;
+    if (r.when + r.est_runtime > now) return false;
+    release(r);
+    return true;
   });
+}
+
+GridView::SiteState& GridView::state_for(SiteId site) {
+  const auto [it, created] = sites_.try_emplace(site);
+  if (created && digest_) digest_->add_site(site, it->second);
+  return it->second;
+}
+
+void GridView::release(const DispatchRecord& r) const {
+  if (digest_ && settled(r, digest_->as_of, digest_->horizon)) {
+    digest_->toggle(r, false);
+  }
 }
 
 GridView::SiteState* GridView::find(SiteId site) const {
@@ -147,37 +273,35 @@ std::vector<grid::SiteSnapshot> GridView::base_snapshots() const {
 
 void GridView::clear() {
   sites_.clear();
+  digest_.reset();
   recorded_ = 0;
 }
 
 ViewDigest GridView::digest(sim::Time as_of, sim::Time horizon) const {
+  if (!digest_) {
+    // The first call is a full scan, which starts the aggregate.
+    digest_ = std::make_unique<DigestCache>();
+    digest_->as_of = as_of;
+    digest_->horizon = horizon;
+    for (const auto& [site, state] : sites_) digest_->add_site(site, state);
+  } else {
+    for (DigestCache::SiteBox& b : digest_->boxes) {
+      if (!b.holds(as_of, horizon)) digest_->rescan(b, as_of, horizon);
+    }
+    digest_->as_of = as_of;
+    digest_->horizon = horizon;
+  }
   ViewDigest out;
   out.as_of = as_of;
   out.horizon = horizon;
-  std::map<VoId, VoDigest> vos;
-  std::map<DpId, OriginEpoch> epochs;
-  for (const auto& [site, state] : sites_) {
-    out.base_hash ^= snapshot_hash(state.base);
-    for (const DispatchRecord& r : state.active) {
-      // Outside the settled window: too fresh to have propagated over
-      // normal exchanges, or expiring too soon to survive the compare
-      // round trip. Either would make healthy peers digest differently.
-      if (r.when > as_of || r.when + r.est_runtime <= horizon) continue;
-      VoDigest& vd = vos[r.vo];
-      vd.vo = r.vo;
-      vd.hash ^= record_hash(r);
-      ++vd.records;
-      vd.cpus += r.cpus;
-      OriginEpoch& oe = epochs[r.origin];
-      oe.origin = r.origin;
-      oe.max_seq = std::max(oe.max_seq, r.seq);
-      ++oe.records;
-    }
+  out.base_hash = digest_->base_hash;
+  out.vos.reserve(digest_->vos.size());
+  for (const auto& [vo, vd] : digest_->vos) out.vos.push_back(vd);
+  out.epochs.reserve(digest_->seqs.size());
+  for (const auto& [origin, seqs] : digest_->seqs) {
+    out.epochs.push_back(
+        OriginEpoch{origin, *seqs.rbegin(), std::uint32_t(seqs.size())});
   }
-  out.vos.reserve(vos.size());
-  for (auto& [vo, vd] : vos) out.vos.push_back(vd);
-  out.epochs.reserve(epochs.size());
-  for (auto& [origin, oe] : epochs) out.epochs.push_back(oe);
   return out;
 }
 
@@ -212,6 +336,7 @@ GridView::MergeResult GridView::merge_record(const DispatchRecord& record,
             record.cpus != it->cpus ? record.cpus > it->cpus
                                     : record.when > it->when;
         if (!incoming_wins) return out;
+        release(*it);
         state.active.erase(it);
         record_dispatch(record);
         out.applied = true;

@@ -350,7 +350,14 @@ TEST(FaultPlanRandom, EveryFaultHealsAndIndicesFitDeployment) {
           break;
         case FaultKind::kDpJoin:
         case FaultKind::kDpLeave:
-          FAIL() << "seed " << seed << ": churn events without opt-in";
+        case FaultKind::kOneWayPartition:
+        case FaultKind::kOneWayHeal:
+        case FaultKind::kCorrupt:
+        case FaultKind::kDiskTorn:
+        case FaultKind::kDiskBitRot:
+        case FaultKind::kDiskStall:
+        case FaultKind::kDiskRestore:
+          FAIL() << "seed " << seed << ": events without opt-in";
           break;
       }
     }

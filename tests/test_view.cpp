@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "digruber/common/rng.hpp"
+
 namespace digruber::gruber {
 namespace {
 
@@ -226,6 +228,195 @@ TEST(ViewDigest, BaseStateDivergenceIsDetected) {
   EXPECT_FALSE(a.digest(kAsOf, kHorizon) == b.digest(kAsOf, kHorizon));
   EXPECT_TRUE(diverged_vos(a.digest(kAsOf, kHorizon), b.digest(kAsOf, kHorizon))
                   .empty());
+}
+
+TEST(ViewDigest, ValuesPinned) {
+  // Both ends of every digest comparison hash the same way, so only literal
+  // values catch a changed record, snapshot or aggregate hash.
+  GridView view;
+  grid::SiteSnapshot base = snapshot(0, 100, 90, 5);
+  base.running_per_vo[VoId(1)] = 10;
+  view.bootstrap({base, snapshot(1, 50, 50)});
+  view.record_dispatch(origin_record(0, 1, 0, 4, 10, 900, /*vo=*/1));
+  view.record_dispatch(origin_record(0, 3, 1, 2, 20, 900, /*vo=*/2));
+  view.record_dispatch(origin_record(2, 7, 0, 8, 30, 900, /*vo=*/1));
+  view.record_dispatch(origin_record(2, 9, 1, 1, 250, 900, /*vo=*/2));  // fresh
+  const ViewDigest d = view.digest(kAsOf, kHorizon);
+  EXPECT_EQ(d.as_of, kAsOf);
+  EXPECT_EQ(d.horizon, kHorizon);
+  EXPECT_EQ(d.base_hash, 0x078ee77611f86ef0ull);
+  ASSERT_EQ(d.vos.size(), 2u);
+  EXPECT_EQ(d.vos[0].vo, VoId(1));
+  EXPECT_EQ(d.vos[0].hash, 0x068a94ea1b012e12ull);
+  EXPECT_EQ(d.vos[0].records, 2u);
+  EXPECT_EQ(d.vos[0].cpus, 12);
+  EXPECT_EQ(d.vos[1].vo, VoId(2));
+  EXPECT_EQ(d.vos[1].hash, 0xe66a746893e24401ull);
+  EXPECT_EQ(d.vos[1].records, 1u);
+  EXPECT_EQ(d.vos[1].cpus, 2);
+  ASSERT_EQ(d.epochs.size(), 2u);
+  EXPECT_EQ(d.epochs[0].origin, DpId(0));
+  EXPECT_EQ(d.epochs[0].max_seq, 3u);
+  EXPECT_EQ(d.epochs[0].records, 2u);
+  EXPECT_EQ(d.epochs[1].origin, DpId(2));
+  EXPECT_EQ(d.epochs[1].max_seq, 7u);
+  EXPECT_EQ(d.epochs[1].records, 1u);
+}
+
+/// What a full scan digests for `view`'s held state over the window: a
+/// fresh view rebuilt from its bases and held records, digested once.
+ViewDigest cold_digest(const GridView& view, sim::Time as_of,
+                       sim::Time horizon) {
+  GridView cold;
+  cold.bootstrap(view.base_snapshots());
+  // Every record is dispatched after t=0 and expires later still, so
+  // reading them at t=0 prunes none.
+  for (const DispatchRecord& r : view.active_records(sim::Time::zero())) {
+    cold.record_dispatch(r);
+  }
+  return cold.digest(as_of, horizon);
+}
+
+TEST(ViewDigest, IncrementalMatchesColdRebuild) {
+  constexpr std::uint64_t kSites = 20;
+  const auto at = [](std::int64_t s) {
+    return sim::Time::from_seconds(double(s));
+  };
+  std::size_t compared = 0;
+  std::size_t nonempty = 0;
+  for (std::uint64_t seed = 1; seed <= 100; ++seed) {
+    Rng rng(seed);
+    const auto bases = [&](std::int64_t as_of_s) {
+      std::vector<grid::SiteSnapshot> out;
+      for (std::uint64_t site = 0; site < kSites; ++site) {
+        grid::SiteSnapshot s = snapshot(
+            site, 64, std::int32_t(rng.uniform_index(65)), double(as_of_s));
+        s.running_per_vo[VoId(rng.uniform_index(4))] =
+            std::int32_t(rng.uniform_index(16));
+        out.push_back(s);
+      }
+      return out;
+    };
+    GridView view;
+    view.bootstrap(bases(0));
+    // Whole seconds throughout, so records land exactly on window edges.
+    std::int64_t now = 1000;
+    std::int64_t as_of = now - 185;
+    std::int64_t horizon = now + 5;
+    for (int op = 0; op < 200; ++op) {
+      now += rng.uniform_int(0, 20);
+      const std::vector<DispatchRecord> held =
+          view.active_records(sim::Time::zero());
+      switch (rng.uniform_index(12)) {
+        case 0:
+        case 1:
+        case 2: {
+          // Several origins and VOs; a small seq range repeats pairs.
+          view.record_dispatch(origin_record(
+              rng.uniform_index(3), 1 + rng.uniform_index(40),
+              rng.uniform_index(kSites), std::int32_t(1 + rng.uniform_index(8)),
+              double(std::max<std::int64_t>(1, now - rng.uniform_int(0, 400))),
+              double(rng.uniform_int(0, 600)), rng.uniform_index(4)));
+          break;
+        }
+        case 3: {
+          // An exact duplicate, or a conflicting twin that may replace the
+          // incumbent.
+          if (held.empty()) break;
+          DispatchRecord r = held[rng.uniform_index(held.size())];
+          if (rng.bernoulli(0.5)) {
+            r.cpus = std::int32_t(1 + rng.uniform_index(8));
+            r.when = at(std::max<std::int64_t>(
+                1, r.when.us() / 1'000'000 + rng.uniform_int(-5, 5)));
+          }
+          view.merge_record(r, at(now));
+          break;
+        }
+        case 4: {
+          // A fresh snapshot absorbs older records; a stale one is ignored.
+          const std::uint64_t site = rng.uniform_index(kSites);
+          const std::int64_t base_s =
+              view.base_snapshots()[site].as_of.us() / 1'000'000;
+          grid::SiteSnapshot s = bases(0)[site];
+          s.as_of = rng.bernoulli(0.7) ? at(rng.uniform_int(base_s, now))
+                                       : at(base_s - 1);
+          view.apply_snapshot(s);
+          break;
+        }
+        case 5:
+          if (rng.bernoulli(0.5)) {
+            (void)view.loads(at(now));
+          } else {
+            (void)view.estimated_free(SiteId(rng.uniform_index(kSites)),
+                                      at(now));
+          }
+          break;
+        case 6:
+          if (rng.bernoulli(0.1)) {
+            view.clear();
+            view.bootstrap(bases(now - rng.uniform_int(0, 100)));
+          }
+          break;
+        default: {
+          switch (rng.uniform_index(4)) {
+            case 0:  // the point's own settled window, moving forward
+              as_of = now - 185;
+              horizon = now + 5;
+              break;
+            case 1: {  // a peer's window, a few seconds behind
+              const std::int64_t lag = rng.uniform_int(1, 5);
+              as_of = now - lag - 185;
+              horizon = now - lag + 5;
+              break;
+            }
+            case 2:  // a jump either way; the horizon may lie in the past
+              as_of = now - rng.uniform_int(0, 900);
+              horizon = now + rng.uniform_int(-600, 100);
+              break;
+            default:  // the same window again
+              break;
+          }
+          const ViewDigest got = view.digest(at(as_of), at(horizon));
+          const ViewDigest want = cold_digest(view, at(as_of), at(horizon));
+          ASSERT_TRUE(got == want) << "seed " << seed << " op " << op;
+          EXPECT_EQ(got.as_of, at(as_of));
+          EXPECT_EQ(got.horizon, at(horizon));
+          ++compared;
+          if (!got.vos.empty()) ++nonempty;
+        }
+      }
+    }
+  }
+  // The windows must cover records, or the comparison proves nothing.
+  EXPECT_GT(compared, 5000u);
+  EXPECT_GT(nonempty, compared / 2);
+}
+
+TEST(ViewDigest, NeverBootstrappedSitesCancelInBaseHash) {
+  // Records on sites the view never had a snapshot of create sites with
+  // default bases. Their hashes are equal, so two cancel in `base_hash`,
+  // in the scan as in the incremental digest.
+  GridView bootstrapped_only;
+  bootstrapped_only.bootstrap({snapshot(0, 100, 100)});
+  GridView view;
+  view.bootstrap({snapshot(0, 100, 100)});
+  (void)view.digest(kAsOf, kHorizon);  // start the incremental digest
+  view.record_dispatch(origin_record(0, 1, 5, 4, 10, 900, /*vo=*/1));
+  view.record_dispatch(origin_record(0, 2, 6, 2, 20, 900, /*vo=*/1));
+  const ViewDigest d = view.digest(kAsOf, kHorizon);
+  EXPECT_EQ(d.base_hash, bootstrapped_only.digest(kAsOf, kHorizon).base_hash);
+  ASSERT_EQ(d.vos.size(), 1u);
+  EXPECT_EQ(d.vos[0].records, 2u);
+
+  GridView cold;
+  cold.bootstrap({snapshot(0, 100, 100)});
+  cold.record_dispatch(origin_record(0, 1, 5, 4, 10, 900, /*vo=*/1));
+  cold.record_dispatch(origin_record(0, 2, 6, 2, 20, 900, /*vo=*/1));
+  EXPECT_TRUE(cold.digest(kAsOf, kHorizon) == d);
+
+  // A third default base no longer cancels.
+  view.record_dispatch(origin_record(0, 3, 7, 1, 30, 900, /*vo=*/1));
+  EXPECT_NE(view.digest(kAsOf, kHorizon).base_hash, d.base_hash);
 }
 
 TEST(GridViewMerge, DuplicateIsDroppedConflictResolvedBySeverity) {

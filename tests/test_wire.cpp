@@ -8,6 +8,7 @@
 #include "digruber/common/rng.hpp"
 #include "digruber/digruber/protocol.hpp"
 #include "digruber/net/wire/archive.hpp"
+#include "digruber/net/wire/crc32c.hpp"
 #include "digruber/net/wire/frame.hpp"
 
 namespace digruber::net::wire {
@@ -296,6 +297,58 @@ TEST(Buffer, FrameIsSingleAllocation) {
   EXPECT_EQ(net::Buffer::allocations(), before + 1);
   EXPECT_EQ(frame.size(),
             frame_header_size() + encoded_size(reply));
+}
+
+/// Bit-at-a-time CRC-32C, the definition the table-driven one must match.
+std::uint32_t crc32c_bitwise(std::span<const std::uint8_t> data,
+                             std::uint32_t seed = 0) {
+  std::uint32_t crc = ~seed;
+  for (const std::uint8_t byte : data) {
+    crc ^= byte;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1u) ? (crc >> 1) ^ 0x82F63B78u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+std::span<const std::uint8_t> bytes_of(const std::string& s) {
+  return {reinterpret_cast<const std::uint8_t*>(s.data()), s.size()};
+}
+
+TEST(Crc32c, KnownAnswer) {
+  // The CRC-32C check value (RFC 3720 / iSCSI).
+  EXPECT_EQ(crc32c(bytes_of("123456789")), 0xE3069283u);
+  EXPECT_EQ(crc32c({}), 0u);
+}
+
+TEST(Crc32c, MatchesBitwiseAtEveryLengthAndAlignment) {
+  Rng rng(11);
+  std::vector<std::uint8_t> data(256 + 8);
+  for (auto& b : data) b = std::uint8_t(rng.uniform_index(256));
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 256; ++len) {
+      const std::span<const std::uint8_t> piece(data.data() + offset, len);
+      ASSERT_EQ(crc32c(piece), crc32c_bitwise(piece))
+          << "offset " << offset << " length " << len;
+      ASSERT_EQ(crc32c(piece, 0xDEADBEEFu), crc32c_bitwise(piece, 0xDEADBEEFu))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32c, SeedChainsPieces) {
+  // The WAL checksums a frame's type byte, then its payload, seeded with
+  // the first CRC: that must equal one pass over both.
+  const std::string a = "\x07";
+  const std::string b = "a payload longer than one eight-byte step";
+  EXPECT_EQ(crc32c(bytes_of(b), crc32c(bytes_of(a))), crc32c(bytes_of(a + b)));
+  for (std::size_t split = 0; split <= b.size(); ++split) {
+    const std::span<const std::uint8_t> all = bytes_of(b);
+    EXPECT_EQ(crc32c(all.subspan(split), crc32c(all.first(split))),
+              crc32c(all))
+        << "split " << split;
+  }
 }
 
 /// Property sweep: random SiteLoad vectors of many sizes roundtrip

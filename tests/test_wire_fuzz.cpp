@@ -638,7 +638,9 @@ TEST(WireFuzz, WalScanOfEveryTornPrefixTerminatesCleanly) {
     EXPECT_LE(scan.valid_bytes, len);
     // A strict prefix either ends exactly on a frame boundary (fewer
     // frames, not truncated) or mid-frame (truncated).
-    if (!scan.truncated) EXPECT_LT(scan.frames, 3u);
+    if (!scan.truncated) {
+      EXPECT_LT(scan.frames, 3u);
+    }
   }
 }
 
