@@ -11,7 +11,7 @@
 //     and the client reroutes they caused (ON only),
 //   * post-heal reconciliation: how fast scheduling accuracy re-converges
 //     to the fault-free control, digest-mismatch detection and targeted
-//     delta pulls versus the full kCatchUp snapshots the OFF run leans on,
+//     delta pulls versus the full-range catch-up pulls the OFF run leans on,
 //     and the records shipped by each path.
 #include <algorithm>
 #include <iostream>

@@ -4,7 +4,7 @@
 // strategies:
 //
 //   * catchup  — no disk (the baseline broker): the restarted point comes
-//     back empty and pulls FULL kCatchUp snapshots from every neighbor,
+//     back empty and pulls every neighbor's FULL VO range (catch-up),
 //   * wal      — durable WAL + checkpoints, flooding anti-entropy: local
 //     replay restores the pre-crash committed state, then the legacy full
 //     catch-up still runs (mostly shipping records replay already has),

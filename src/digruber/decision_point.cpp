@@ -12,6 +12,9 @@ namespace digruber::digruber {
 
 namespace {
 
+/// Deadline of a catch-up or delta pull (a join uses its own).
+constexpr sim::Duration kPullTimeout = sim::Duration::seconds(30);
+
 /// Trace-instant names per membership transition target (TraceEvent keeps
 /// a `const char*`, so the names must be literals).
 const char* transition_instant_name(MemberState state) {
@@ -41,6 +44,10 @@ DecisionPoint::DecisionPoint(sim::Simulation& sim, net::Transport& transport,
       server_(sim, transport, options_.profile),
       peer_client_(sim, transport) {
   install_wire_categorizer();
+  catalog_vos_.reserve(catalog.vo_count());
+  for (std::size_t vo = 0; vo < catalog.vo_count(); ++vo) {
+    catalog_vos_.push_back(VoId(vo));
+  }
   strategy_ = overlay::make_strategy(options_.overlay, id_);
   if (options_.frame_checksums) {
     server_.set_frame_checksums(true);
@@ -64,7 +71,7 @@ DecisionPoint::DecisionPoint(sim::Simulation& sim, net::Transport& transport,
                           [this](std::span<const std::uint8_t> body, NodeId from) {
                             return handle_report_selection(body, from);
                           });
-  // Exchange and catch-up are control-plane traffic: under overload the
+  // Exchange and pull are control-plane traffic: under overload the
   // container must keep the mesh converging, so they are never shed behind
   // the query backlog.
   server_.register_method(
@@ -74,36 +81,15 @@ DecisionPoint::DecisionPoint(sim::Simulation& sim, net::Transport& transport,
       },
       net::Priority::kControl);
   server_.register_method(
-      kCatchUp,
+      kPull,
       [this](std::span<const std::uint8_t> body, NodeId from) {
-        return handle_catch_up(body, from);
+        return handle_pull(body, from);
       },
       net::Priority::kControl);
-  if (options_.partition.enabled ||
-      options_.overlay.kind != overlay::Kind::kMesh) {
-    // Delta anti-entropy is control-plane traffic like catch-up: a healing
-    // mesh must reconcile even while the query backlog is deep. Sparse
-    // overlays need it even without partition tolerance: a record flushed
-    // while rosters transiently diverge can dead-end mid-path, and unlike
-    // the full mesh no later round re-offers it — the piggybacked digest
-    // is the only way the hole is ever discovered.
-    server_.register_method(
-        kDeltaPull,
-        [this](std::span<const std::uint8_t> body, NodeId from) {
-          return handle_delta_pull(body, from);
-        },
-        net::Priority::kControl);
-  }
 
   if (options_.membership.enabled) {
     membership_ = std::make_unique<MembershipTable>(
         id_, server_.node().value(), options_.membership);
-    server_.register_method(
-        kJoinSnapshot,
-        [this](std::span<const std::uint8_t> body, NodeId from) {
-          return handle_join_snapshot(body, from);
-        },
-        net::Priority::kControl);
     server_.register_method(
         kLeave,
         [this](std::span<const std::uint8_t> body, NodeId from) {
@@ -114,8 +100,8 @@ DecisionPoint::DecisionPoint(sim::Simulation& sim, net::Transport& transport,
   if (options_.membership.enabled || options_.partition.enabled ||
       options_.durability.enabled) {
     // Door policy: refuse query-class work with a typed NACK before it
-    // consumes a container slot; control frames (exchange, catch-up, join,
-    // leave, delta pull) always flow. Three refusal causes share the gate:
+    // consumes a container slot; control frames (exchange, pull, leave)
+    // always flow. Three refusal causes share the gate:
     // joining/draining (kNackDraining), recovery replay in progress (also
     // kNackDraining — the point is up but its state is still rebuilding),
     // and degraded-mode admission while a quorum of peers is stale
@@ -236,85 +222,53 @@ void DecisionPoint::try_join() {
   if (!running_ || !joining_) return;
   const NodeId seed = join_seeds_[join_attempt_ % join_seeds_.size()];
   ++join_attempt_;
-  JoinSnapshotRequest request;
-  request.from = id_;
-  request.node = server_.node().value();
-  request.incarnation = incarnation_;
-  trace::SpanContext jctx;
-  if (auto* t = trace::current()) {
-    jctx = t->begin(trace::Category::kDp, id_.value(),
-                    "membership.join_snapshot", {},
-                    std::int64_t(seed.value()), std::int64_t(join_attempt_));
+  run_pull(seed, PullReason::kJoin, catalog_vos_, /*want_bases=*/true);
+}
+
+void DecisionPoint::finish_join(const PullReply* reply) {
+  auto* t = trace::current();
+  if (!reply) {
+    // Transfer failed (seed crashed, partitioned, or itself not serving):
+    // nothing was applied; rotate to the next seed after a backoff.
+    ++join_retries_;
+    if (t) {
+      t->instant(trace::Category::kDp, id_.value(), "membership.join_retry",
+                 t->ambient(), std::int64_t(join_retries_));
+    }
+    sim_.schedule_after(options_.membership.join_retry_backoff,
+                        [this, incarnation = incarnation_] {
+                          if (running_ && incarnation_ == incarnation &&
+                              joining_) {
+                            try_join();
+                          }
+                        });
+    return;
   }
-  trace::ContextGuard jguard(jctx);
-  peer_client_.call<JoinSnapshotRequest, JoinSnapshotReply>(
-      seed, kJoinSnapshot, request, options_.membership.join_snapshot_timeout,
-      [this, incarnation = incarnation_,
-       jctx](Result<JoinSnapshotReply> result) {
-        // A crash while the transfer was in flight invalidates it.
-        if (!running_ || incarnation_ != incarnation || !joining_) return;
-        trace::ContextGuard guard(jctx);
-        if (!result.ok()) {
-          // Transfer failed (seed crashed, partitioned, or itself not
-          // serving): abort cleanly — no partial state was applied — and
-          // rotate to the next seed after a backoff.
-          ++join_retries_;
-          if (auto* t = trace::current()) {
-            t->instant(trace::Category::kDp, id_.value(),
-                       "membership.join_retry", jctx,
-                       std::int64_t(join_retries_));
-          }
-          sim_.schedule_after(
-              options_.membership.join_retry_backoff, [this, incarnation] {
-                if (running_ && incarnation_ == incarnation && joining_) {
-                  try_join();
-                }
-              });
-          return;
-        }
-        const JoinSnapshotReply& reply = result.value();
-        // Bootstrap = the seed's base snapshots + its recent-dispatch
-        // window, registered in the dedup sets so the flooded copies of
-        // the same records are recognized as duplicates.
-        for (const grid::SiteSnapshot& base : reply.bases) {
-          engine_.view().apply_snapshot(base);
-        }
-        for (const gruber::DispatchRecord& record : reply.records) {
-          apply_record(record, Via::kJoin);
-        }
-        wal_commit();
-        for (const DpLoadHint& hint : reply.hints) {
-          if (hint.node != server_.node().value()) {
-            peer_hints_[hint.node] = hint;
-          }
-        }
-        trace_transitions(membership_->absorb(reply.membership, sim_.now()));
-        refresh_neighbors();
-        joining_ = false;
-        serving_ = true;
-        serving_since_ = sim_.now();
-        // The learned view is this point's durable config from here on: a
-        // later crash restarts against these members, not the join seeds.
-        membership_->adopt_current_as_seeds();
-        if (auto* t = trace::current()) {
-          t->end(trace::Category::kDp, id_.value(), "membership.join_snapshot",
-                 jctx, std::int64_t(join_snapshot_records_),
-                 std::int64_t(join_retries_));
-          t->instant(trace::Category::kDp, id_.value(),
-                     "membership.join_complete", jctx,
-                     std::int64_t(join_snapshot_records_),
-                     std::int64_t((sim_.now() - join_started_).us()));
-        }
-        // Announce: the first exchange carries this point's alive entry,
-        // so peers admit it and start flooding records its way...
-        run_exchange();
-        // ...and the post-snapshot delta rides the anti-entropy path; the
-        // dedup sets discard whatever overlaps the snapshot window.
-        run_catch_up();
-        log::info("digruber", "dp ", id_.value(), " joined via snapshot (",
-                  join_snapshot_records_, " records, ", join_retries_,
-                  " retries)");
-      });
+  for (const DpLoadHint& hint : reply->hints) {
+    if (hint.node != server_.node().value()) peer_hints_[hint.node] = hint;
+  }
+  trace_transitions(membership_->absorb(reply->membership, sim_.now()));
+  refresh_neighbors();
+  joining_ = false;
+  serving_ = true;
+  serving_since_ = sim_.now();
+  // The learned view is this point's durable config from here on: a later
+  // crash restarts against these members, not the join seeds.
+  membership_->adopt_current_as_seeds();
+  if (t) {
+    t->instant(trace::Category::kDp, id_.value(), "membership.join_complete",
+               t->ambient(), std::int64_t(join_snapshot_records()),
+               std::int64_t((sim_.now() - join_started_).us()));
+  }
+  // Announce: the first exchange carries this point's alive entry, so
+  // peers admit it and start flooding records its way...
+  run_exchange();
+  // ...and a catch-up from every neighbor fills in what changed since the
+  // seed served; the pull rule discards whatever overlaps the join reply.
+  run_catch_up();
+  log::info("digruber", "dp ", id_.value(), " joined via pull (",
+            join_snapshot_records(), " records, ", join_retries_,
+            " retries)");
 }
 
 void DecisionPoint::leave() {
@@ -338,45 +292,6 @@ void DecisionPoint::leave() {
   exchange_timer_.reset();
   saturation_timer_.reset();
   log::info("digruber", "dp ", id_.value(), " left the mesh");
-}
-
-net::Served DecisionPoint::handle_join_snapshot(
-    std::span<const std::uint8_t> body, NodeId /*from*/) {
-  JoinSnapshotRequest request;
-  if (!net::wire::decode(body, request)) return {};
-  // A non-serving point must not hand out bootstrap state: a joiner fed a
-  // partial view would itself go partial. Swallow the request — the
-  // joiner's transfer deadline rotates it to another seed. The joiner is
-  // NOT admitted to the membership view here: it announces itself with
-  // its first exchange once it is actually able to serve, so clients
-  // never learn (and route to) a still-bootstrapping point.
-  if (!membership_ || !serving_) return {};
-  ++snapshots_served_;
-
-  JoinSnapshotReply reply;
-  reply.from = id_;
-  reply.exchange_round = exchange_round_;
-  reply.membership = membership_->update();
-  reply.bases = engine_.view().base_snapshots();
-  reply.records = engine_.view().active_records(sim_.now());
-  reply.hints.push_back(self_hint());
-  for (const auto& [node, hint] : peer_hints_) reply.hints.push_back(hint);
-  std::sort(reply.hints.begin(), reply.hints.end(),
-            [](const DpLoadHint& a, const DpLoadHint& b) {
-              return a.node < b.node;
-            });
-
-  if (auto* t = trace::current()) {
-    t->instant(trace::Category::kDp, id_.value(), "membership.snapshot_served",
-               t->ambient(), std::int64_t(request.from.value()),
-               std::int64_t(reply.records.size()));
-  }
-
-  net::Served served;
-  served.handler_cost = sim::Duration::millis(0.2) *
-                        double(reply.records.size() + reply.bases.size() + 1);
-  served.reply = net::wire::encode_buffer(reply);
-  return served;
 }
 
 net::Served DecisionPoint::handle_leave(std::span<const std::uint8_t> body,
@@ -446,6 +361,7 @@ void DecisionPoint::crash() {
   fresh_.clear();
   fresh_meta_.clear();
   applied_.clear();
+  pulled_.clear();
   last_peer_round_.clear();
   peer_hints_.clear();
   peer_prices_.clear();
@@ -572,58 +488,114 @@ void DecisionPoint::restart(const std::vector<grid::SiteSnapshot>& snapshots) {
 
 void DecisionPoint::run_catch_up() {
   last_catch_up_ = sim_.now();
-  CatchUpRequest request;
-  request.from = id_;
-  request.incarnation = incarnation_;
-  // The catch-up span covers issuing the fan-out; each neighbor's reply
-  // lands later as a "dp.catchup_applied" instant under the same trace.
-  trace::SpanContext cctx;
-  if (auto* t = trace::current()) {
-    cctx = t->begin(trace::Category::kDp, id_.value(), "dp.catchup", {},
-                    std::int64_t(neighbors_.size()),
-                    std::int64_t(incarnation_));
-  }
-  trace::ContextGuard cguard(cctx);
   for (const NodeId neighbor : neighbors_) {
-    peer_client_.call<CatchUpRequest, CatchUpReply>(
-        neighbor, kCatchUp, request, options_.catchup_timeout,
-        [this, incarnation = incarnation_, cctx](Result<CatchUpReply> result) {
-          // A second crash while this call was in flight invalidates it.
-          if (!running_ || incarnation_ != incarnation) return;
-          if (!result.ok()) return;
-          catchup_records_received_ += result.value().records.size();
-          std::int64_t applied = 0;
-          for (const gruber::DispatchRecord& record : result.value().records) {
-            // Not re-buffered into fresh_: neighbors already hold these.
-            if (apply_record(record, Via::kCatchUp)) ++applied;
-          }
-          wal_commit();
-          if (auto* t = trace::current()) {
-            t->instant(trace::Category::kDp, id_.value(), "dp.catchup_applied",
-                       cctx, applied,
-                       std::int64_t(result.value().records.size()));
-          }
-        });
-  }
-  if (auto* t = trace::current()) {
-    t->end(trace::Category::kDp, id_.value(), "dp.catchup", cctx,
-           std::int64_t(neighbors_.size()));
+    run_pull(neighbor, PullReason::kCatchUp, catalog_vos_,
+             /*want_bases=*/false);
   }
 }
 
-net::Served DecisionPoint::handle_catch_up(std::span<const std::uint8_t> body,
-                                           NodeId /*from*/) {
-  CatchUpRequest request;
-  if (!net::wire::decode(body, request)) return {};
-  ++catchups_served_;
+void DecisionPoint::run_pull(NodeId peer, PullReason reason,
+                             std::vector<VoId> vos, bool want_bases) {
+  ++pulls(reason).sent;
+  PullRequest request;
+  request.from = id_;
+  request.reason = reason;
+  request.vos = std::move(vos);
+  request.want_bases = want_bases;
+  // A join keeps its own deadline: it moves on to the next seed when the
+  // deadline expires.
+  const sim::Duration timeout = reason == PullReason::kJoin
+                                    ? options_.membership.join_snapshot_timeout
+                                    : kPullTimeout;
+  trace::SpanContext pctx;
+  if (auto* t = trace::current()) {
+    pctx = t->begin(trace::Category::kDp, id_.value(), "dp.pull", {},
+                    std::int64_t(peer.value()), std::int64_t(reason));
+  }
+  trace::ContextGuard pguard(pctx);
+  peer_client_.call<PullRequest, PullReply>(
+      peer, kPull, request, timeout,
+      [this, reason, incarnation = incarnation_,
+       pctx](Result<PullReply> result) {
+        trace::ContextGuard guard(pctx);
+        // A crash while the pull was in flight invalidates it.
+        const bool live = running_ && incarnation_ == incarnation &&
+                          (reason != PullReason::kJoin || joining_);
+        std::int64_t applied = -1;
+        if (live && result.ok()) {
+          const PullReply& reply = result.value();
+          PullCounts& counts = pulls(reason);
+          counts.received += reply.records.size();
+          // The as_of guard drops stale bases.
+          for (const grid::SiteSnapshot& base : reply.bases) {
+            engine_.view().apply_snapshot(base);
+          }
+          applied = 0;
+          for (const gruber::DispatchRecord& record : reply.records) {
+            if (apply_record(record, Via::kPull)) ++applied;
+          }
+          counts.applied += std::uint64_t(applied);
+          wal_commit();
+          // The reply carried the peer's settled digest: matching it over
+          // the same window means this single pull fully reconciled the
+          // pair.
+          if (reason == PullReason::kDelta &&
+              engine_.view().digest(reply.digest.as_of,
+                                    reply.digest.horizon) == reply.digest) {
+            ++delta_converged_;
+          }
+        }
+        if (auto* t = trace::current()) {
+          t->end(trace::Category::kDp, id_.value(), "dp.pull", pctx, applied,
+                 result.ok() ? std::int64_t(result.value().records.size())
+                             : 0);
+        }
+        if (live && reason == PullReason::kJoin) {
+          finish_join(applied >= 0 ? &result.value() : nullptr);
+        }
+      });
+}
 
-  CatchUpReply reply;
+net::Served DecisionPoint::handle_pull(std::span<const std::uint8_t> body,
+                                       NodeId /*from*/) {
+  PullRequest request;
+  // The archive casts the reason byte unchecked: one out of range is
+  // refused like an undecodable body.
+  if (!net::wire::decode(body, request) ||
+      std::uint8_t(request.reason) >= kPullReasons) {
+    return {};
+  }
+  const bool join = request.reason == PullReason::kJoin;
+  // A non-serving point must not hand out bootstrap state: a joiner fed a
+  // partial view would itself go partial. Swallow the request — the
+  // joiner's transfer deadline rotates it to another seed. The joiner is
+  // NOT admitted to the membership view here: it announces itself with
+  // its first exchange once it is actually able to serve, so clients
+  // never learn (and route to) a still-bootstrapping point.
+  if (join && (!membership_ || !serving_)) return {};
+  ++pulls(request.reason).served;
+
+  PullReply reply;
   reply.from = id_;
-  reply.records = engine_.view().active_records(sim_.now());
+  reply.records = engine_.view().records_for_vos(request.vos, sim_.now());
+  if (request.want_bases) reply.bases = engine_.view().base_snapshots();
+  // A view that never digests keeps no digest state, so only a point that
+  // compares digests sends one.
+  if (compares_digests()) reply.digest = settled_digest(sim_.now());
+  if (join) {
+    reply.membership = membership_->update();
+    reply.hints = known_hints();
+  }
+
+  if (auto* t = trace::current()) {
+    t->instant(trace::Category::kDp, id_.value(), "dp.pull_served",
+               t->ambient(), std::int64_t(request.from.value()),
+               std::int64_t(reply.records.size()));
+  }
 
   net::Served served;
-  served.handler_cost =
-      sim::Duration::millis(0.2) * double(reply.records.size() + 1);
+  served.handler_cost = sim::Duration::millis(0.2) *
+                        double(reply.records.size() + reply.bases.size() + 1);
   served.reply = net::wire::encode_buffer(reply);
   return served;
 }
@@ -667,81 +639,8 @@ void DecisionPoint::maybe_delta_pull(const ExchangeMessage& message) {
   std::vector<VoId> vos = gruber::diverged_vos(local, message.digest);
   const bool want_bases = local.base_hash != message.digest.base_hash;
   if (vos.empty() && !want_bases) return;  // epoch-only skew: nothing to pull
-  run_delta_pull(NodeId(message.load.node), message.from,
-                 message.exchange_round, std::move(vos), want_bases);
-}
-
-void DecisionPoint::run_delta_pull(NodeId peer_node, DpId peer,
-                                   std::uint64_t round, std::vector<VoId> vos,
-                                   bool want_bases) {
-  ++delta_pulls_sent_;
-  DeltaPullRequest request;
-  request.from = id_;
-  request.digest_round = round;
-  request.vos = std::move(vos);
-  request.want_bases = want_bases;
-  trace::SpanContext dctx;
-  if (auto* t = trace::current()) {
-    dctx = t->begin(trace::Category::kDp, id_.value(), "dp.delta_pull", {},
-                    std::int64_t(peer.value()),
-                    std::int64_t(request.vos.size()));
-  }
-  trace::ContextGuard dguard(dctx);
-  peer_client_.call<DeltaPullRequest, DeltaPullReply>(
-      peer_node, kDeltaPull, request, options_.partition.delta_pull_timeout,
-      [this, incarnation = incarnation_, dctx](Result<DeltaPullReply> result) {
-        // A crash while the pull was in flight invalidates it.
-        if (!running_ || incarnation_ != incarnation) return;
-        if (!result.ok()) return;
-        trace::ContextGuard guard(dctx);
-        const DeltaPullReply& reply = result.value();
-        std::int64_t applied = 0;
-        for (const grid::SiteSnapshot& base : reply.bases) {
-          engine_.view().apply_snapshot(base);  // as_of guard drops stale ones
-        }
-        for (const gruber::DispatchRecord& record : reply.records) {
-          // Not re-buffered into fresh_: the peer holds these, and other
-          // peers detect their own divergence from its digest.
-          if (apply_record(record, Via::kDelta)) ++applied;
-        }
-        wal_commit();
-        // The reply carried the peer's settled digest at serve time:
-        // matching it over the same window means this single pull fully
-        // reconciled the pair.
-        if (engine_.view().digest(reply.digest.as_of, reply.digest.horizon) ==
-            reply.digest) {
-          ++delta_converged_;
-        }
-        if (auto* t = trace::current()) {
-          t->end(trace::Category::kDp, id_.value(), "dp.delta_pull", dctx,
-                 applied, std::int64_t(result.value().records.size()));
-        }
-      });
-}
-
-net::Served DecisionPoint::handle_delta_pull(std::span<const std::uint8_t> body,
-                                             NodeId /*from*/) {
-  DeltaPullRequest request;
-  if (!net::wire::decode(body, request)) return {};
-  ++delta_pulls_served_;
-
-  DeltaPullReply reply;
-  reply.from = id_;
-  reply.records = engine_.view().records_for_vos(request.vos, sim_.now());
-  if (request.want_bases) reply.bases = engine_.view().base_snapshots();
-  reply.digest = settled_digest(sim_.now());
-
-  if (auto* t = trace::current()) {
-    t->instant(trace::Category::kDp, id_.value(), "dp.delta_served",
-               t->ambient(), std::int64_t(request.from.value()),
-               std::int64_t(reply.records.size()));
-  }
-
-  net::Served served;
-  served.handler_cost =
-      sim::Duration::millis(0.2) * double(reply.records.size() + 1);
-  served.reply = net::wire::encode_buffer(reply);
-  return served;
+  run_pull(NodeId(message.load.node), PullReason::kDelta, std::move(vos),
+           want_bases);
 }
 
 DegradedHint DecisionPoint::degraded_hint(sim::Time now) const {
@@ -881,19 +780,7 @@ net::Served DecisionPoint::handle_get_site_loads(std::span<const std::uint8_t> b
   overlay::TrailerStack trailers;
   trailers
       .slot(options_.advertise_load,
-            [&](bool) {
-              // Own hint plus whatever peers piggybacked on recent
-              // exchanges, in node order so the reply bytes are
-              // deterministic across runs.
-              reply.dp_loads.push_back(self_hint());
-              for (const auto& [node, hint] : peer_hints_) {
-                reply.dp_loads.push_back(hint);
-              }
-              std::sort(reply.dp_loads.begin(), reply.dp_loads.end(),
-                        [](const DpLoadHint& a, const DpLoadHint& b) {
-                          return a.node < b.node;
-                        });
-            })
+            [&](bool) { reply.dp_loads = known_hints(); })
       .slot(attach_membership,
             [&](bool) {
               reply.has_membership = true;
@@ -1039,7 +926,7 @@ net::Served DecisionPoint::handle_exchange(std::span<const std::uint8_t> body,
 
   // Flooding never retransmits: a jump in the peer's round counter means
   // dropped rounds (partition, loss) whose records would otherwise stay
-  // unknown here until they age out. Re-sync via the catch-up exchange,
+  // unknown here until they age out. Re-sync with a catch-up pull,
   // at most once per exchange interval (a heal makes every peer's gap
   // visible at the same tick). A round at or below the last one seen is a
   // peer restart — its counter reset — not a gap.
@@ -1070,7 +957,11 @@ net::Served DecisionPoint::handle_exchange(std::span<const std::uint8_t> body,
   std::uint64_t relays_dropped = 0;
   for (std::size_t i = 0; i < message.dispatches.size(); ++i) {
     const gruber::DispatchRecord& record = message.dispatches[i];
-    if (!apply_record(record, Via::kExchange)) continue;
+    // A record a pull applied is relayed on its first exchange copy.
+    if (!apply_record(record, Via::kExchange) &&
+        pulled_.erase({record.origin.value(), record.seq}) == 0) {
+      continue;
+    }
     // Flooding: relay fresh records onward at the next exchange tick.
     const std::uint32_t prior =
         message.has_hops && i < message.hop_depths.size()
@@ -1101,8 +992,7 @@ net::Served DecisionPoint::handle_exchange(std::span<const std::uint8_t> body,
   }
 
   if (options_.partition.enabled) peer_last_heard_[message.from] = sim_.now();
-  if (options_.partition.enabled ||
-      strategy_->kind() != overlay::Kind::kMesh) {
+  if (compares_digests()) {
     // The frame doubles as the staleness heartbeat for degraded-mode
     // admission (partition mode only, above), and its piggybacked digest —
     // compared only *after* the frame's own records were applied — is the
@@ -1175,6 +1065,18 @@ DpLoadHint DecisionPoint::self_hint() const {
   return hint;
 }
 
+std::vector<DpLoadHint> DecisionPoint::known_hints() const {
+  std::vector<DpLoadHint> hints;
+  hints.reserve(peer_hints_.size() + 1);
+  hints.push_back(self_hint());
+  for (const auto& [node, hint] : peer_hints_) hints.push_back(hint);
+  std::sort(hints.begin(), hints.end(),
+            [](const DpLoadHint& a, const DpLoadHint& b) {
+              return a.node < b.node;
+            });
+  return hints;
+}
+
 double DecisionPoint::self_price() const {
   const DpLoadHint hint = self_hint();
   return economy::quote_price(options_.economy, hint.utilization,
@@ -1198,14 +1100,14 @@ bool DecisionPoint::apply_record(const gruber::DispatchRecord& record, Via via,
   // A record holding fewer than one CPU is malformed: dropped unapplied,
   // so it is neither charged nor relayed.
   if (record.cpus < 1) return false;
-  if (via == Via::kDelta) {
+  if (via == Via::kPull) {
     const sim::Time now = sim_.now();
     // An already-expired record must not resurrect: the merge would
     // re-admit it for one prune cycle and skew the digest.
     if (record.when + record.est_runtime <= now) return false;
-    // Register in the flooding dedup set *before* merging, so a full
-    // kCatchUp racing this pull (a round gap and a digest mismatch often
-    // fire together) cannot re-apply the record.
+    // Register in the flooding dedup set *before* merging, so another pull
+    // racing this one (a round gap and a digest mismatch often fire
+    // together) cannot re-apply the record.
     applied_[record.origin].insert(record.seq);
     const auto merged = engine_.view().merge_record(record, now);
     if (merged.conflict) ++delta_conflicts_;
@@ -1214,20 +1116,16 @@ bool DecisionPoint::apply_record(const gruber::DispatchRecord& record, Via via,
       if (!merged.conflict) ++records_duplicate_;
       return false;
     }
-    ++delta_records_applied_;
+    if (strategy_->ttl() > 0) {
+      pulled_.emplace(record.origin.value(), record.seq);
+    }
   } else {
     if (!applied_[record.origin].insert(record.seq).second) {
       ++records_duplicate_;
       return false;
     }
     engine_.record(record);
-    switch (via) {
-      case Via::kExchange: ++records_applied_; break;
-      case Via::kCatchUp: ++resync_applied_; break;
-      case Via::kJoin: ++join_snapshot_records_; break;
-      case Via::kOwn:
-      case Via::kDelta: break;
-    }
+    if (via == Via::kExchange) ++records_applied_;
   }
   wal_log_dispatch(record, request);
   // After the dispatch frame: if this charge crosses an epoch boundary it
@@ -1329,8 +1227,7 @@ void DecisionPoint::run_exchange(bool final_flush) {
               message.has_membership = true;
               if (membership_) message.membership = membership_->update();
             })
-      .slot(options_.partition.enabled ||
-                strategy_->kind() != overlay::Kind::kMesh,
+      .slot(compares_digests(),
             [&](bool forced) {
               message.has_digest = true;
               if (!forced) message.digest = settled_digest(sim_.now());

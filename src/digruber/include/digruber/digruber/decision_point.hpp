@@ -1,5 +1,6 @@
 #pragma once
 
+#include <array>
 #include <deque>
 #include <memory>
 #include <optional>
@@ -8,6 +9,7 @@
 #include <vector>
 
 #include <map>
+#include <set>
 #include <tuple>
 
 #include "digruber/common/stats.hpp"
@@ -61,8 +63,6 @@ struct PartitionToleranceOptions {
   /// Throttle: at most one delta pull per peer per this interval (a digest
   /// mismatch repeats on every exchange round until the views converge).
   sim::Duration delta_pull_min_gap = sim::Duration::seconds(30);
-  /// Deadline for each targeted delta anti-entropy pull.
-  sim::Duration delta_pull_timeout = sim::Duration::seconds(30);
 };
 
 struct DecisionPointOptions {
@@ -76,9 +76,6 @@ struct DecisionPointOptions {
   double saturation_response_s = 30.0;
   sim::Duration saturation_cooldown = sim::Duration::minutes(2);
   std::optional<NodeId> infrastructure_monitor;
-  /// Deadline for each per-neighbor anti-entropy catch-up call after a
-  /// restart.
-  sim::Duration catchup_timeout = sim::Duration::seconds(30);
   /// Piggyback this point's container-load hint on outgoing exchanges and
   /// attach known DP loads to query replies (for client-side load-aware
   /// failover). Off by default: legacy messages stay byte-identical.
@@ -149,10 +146,10 @@ class DecisionPoint {
   void crash();
 
   /// Bring a crashed decision point back at the same address: re-bootstrap
-  /// static grid knowledge, restart timers, and run an anti-entropy
-  /// catch-up exchange with every neighbor so dedup state and dispatch
-  /// records re-converge. New own records use a fresh sequence epoch so
-  /// peers never mistake them for pre-crash duplicates.
+  /// static grid knowledge, restart timers, and pull every neighbor's
+  /// active records (a catch-up pull) so dedup state and dispatch records
+  /// re-converge. New own records use a fresh sequence epoch so peers
+  /// never mistake them for pre-crash duplicates.
   void restart(const std::vector<grid::SiteSnapshot>& snapshots);
 
   [[nodiscard]] bool running() const { return running_; }
@@ -164,11 +161,11 @@ class DecisionPoint {
   /// Install the deployment-time member set (self included or not; the
   /// table filters its own entry) and derive the neighbor list from it.
   void seed_membership(const std::vector<MemberInfo>& members);
-  /// Runtime join: bootstrap from one of `seeds` via a state snapshot,
-  /// then serve. Until the snapshot lands this point is *not serving*:
-  /// query traffic is refused with a typed draining NACK, and no exchange
-  /// frames are emitted. A failed transfer rotates to the next seed after
-  /// a backoff.
+  /// Runtime join: bootstrap from one of `seeds` via a join pull (bases,
+  /// active records, membership view and load hints), then serve. Until
+  /// the reply lands this point is *not serving*: query traffic is refused
+  /// with a typed draining NACK, and no exchange frames are emitted. A
+  /// failed transfer rotates to the next seed after a backoff.
   void join(std::vector<NodeId> seeds);
   /// Graceful leave: stop accepting queries, flush the final exchange,
   /// announce departure to every neighbor, and stop the timers. The
@@ -187,11 +184,13 @@ class DecisionPoint {
   [[nodiscard]] sim::Time join_started_at() const { return join_started_; }
   [[nodiscard]] sim::Time serving_since() const { return serving_since_; }
   [[nodiscard]] std::uint64_t join_retries() const { return join_retries_; }
-  /// Bootstrap snapshots this point served to joiners.
-  [[nodiscard]] std::uint64_t snapshots_served() const { return snapshots_served_; }
-  /// Dispatch records applied from a join snapshot (vs full-history replay).
+  /// Join pulls this point served.
+  [[nodiscard]] std::uint64_t snapshots_served() const {
+    return pulls(PullReason::kJoin).served;
+  }
+  /// Dispatch records applied from a join pull (vs full-history replay).
   [[nodiscard]] std::uint64_t join_snapshot_records() const {
-    return join_snapshot_records_;
+    return pulls(PullReason::kJoin).applied;
   }
   /// Query requests refused at the door while joining or draining.
   [[nodiscard]] std::uint64_t drain_nacks_sent() const {
@@ -207,17 +206,21 @@ class DecisionPoint {
   [[nodiscard]] std::uint64_t records_duplicate() const { return records_duplicate_; }
   [[nodiscard]] std::uint64_t saturation_signals() const { return saturation_signals_; }
   [[nodiscard]] std::uint64_t restarts() const { return restarts_; }
-  /// Records re-learned from neighbors during post-restart catch-up.
-  [[nodiscard]] std::uint64_t resync_records_applied() const { return resync_applied_; }
+  /// Records re-learned from neighbors through catch-up pulls.
+  [[nodiscard]] std::uint64_t resync_records_applied() const {
+    return pulls(PullReason::kCatchUp).applied;
+  }
   /// Catch-ups triggered by a flooding-round gap (partition/loss rejoin).
   [[nodiscard]] std::uint64_t gap_resyncs() const { return gap_resyncs_; }
-  /// Catch-up requests this point answered for restarted neighbors.
-  [[nodiscard]] std::uint64_t catchups_served() const { return catchups_served_; }
-  /// Records shipped TO this point in kCatchUp replies (duplicates
-  /// included): the full-snapshot anti-entropy transfer volume a restart
+  /// Catch-up pulls this point answered.
+  [[nodiscard]] std::uint64_t catchups_served() const {
+    return pulls(PullReason::kCatchUp).served;
+  }
+  /// Records shipped TO this point in catch-up replies (duplicates
+  /// included): the full-range anti-entropy transfer volume a restart
   /// pays, and the number durable replay + delta pulls exist to shrink.
   [[nodiscard]] std::uint64_t catchup_records_received() const {
-    return catchup_records_received_;
+    return pulls(PullReason::kCatchUp).received;
   }
 
   /// --- Partition tolerance (all zero unless options.partition.enabled) ---
@@ -225,13 +228,17 @@ class DecisionPoint {
   /// Exchange rounds whose piggybacked digest disagreed with the local view.
   [[nodiscard]] std::uint64_t digest_mismatches() const { return digest_mismatches_; }
   /// Targeted delta anti-entropy pulls issued / answered.
-  [[nodiscard]] std::uint64_t delta_pulls_sent() const { return delta_pulls_sent_; }
-  [[nodiscard]] std::uint64_t delta_pulls_served() const { return delta_pulls_served_; }
-  /// Records learned through delta pulls (vs full kCatchUp snapshots).
-  [[nodiscard]] std::uint64_t delta_records_applied() const {
-    return delta_records_applied_;
+  [[nodiscard]] std::uint64_t delta_pulls_sent() const {
+    return pulls(PullReason::kDelta).sent;
   }
-  /// (origin, seq) twins that disagreed on content and had to be resolved.
+  [[nodiscard]] std::uint64_t delta_pulls_served() const {
+    return pulls(PullReason::kDelta).served;
+  }
+  /// Records learned through delta pulls (vs full-range catch-ups).
+  [[nodiscard]] std::uint64_t delta_records_applied() const {
+    return pulls(PullReason::kDelta).applied;
+  }
+  /// (origin, seq) twins a pull brought that disagreed on content.
   [[nodiscard]] std::uint64_t delta_conflicts() const { return delta_conflicts_; }
   /// Same logical work admitted by two origins across a split.
   [[nodiscard]] std::uint64_t double_commits() const { return double_commits_; }
@@ -338,37 +345,50 @@ class DecisionPoint {
   net::Served handle_get_site_loads(std::span<const std::uint8_t> body, NodeId from);
   net::Served handle_report_selection(std::span<const std::uint8_t> body, NodeId from);
   net::Served handle_exchange(std::span<const std::uint8_t> body, NodeId from);
-  net::Served handle_catch_up(std::span<const std::uint8_t> body, NodeId from);
-  net::Served handle_join_snapshot(std::span<const std::uint8_t> body, NodeId from);
   net::Served handle_leave(std::span<const std::uint8_t> body, NodeId from);
-  net::Served handle_delta_pull(std::span<const std::uint8_t> body, NodeId from);
-  /// Digest-mismatch check on a received exchange (after its records were
-  /// applied); issues a throttled delta pull when the views diverge.
+  net::Served handle_pull(std::span<const std::uint8_t> body, NodeId from);
+  /// Whether this point attaches view digests and compares the ones it
+  /// receives: partition tolerance does, and so does every sparse overlay.
+  /// A record flushed while rosters transiently diverge can dead-end
+  /// mid-path there, and unlike the full mesh no later round re-offers it:
+  /// the digest is the only way the hole is ever discovered.
+  [[nodiscard]] bool compares_digests() const {
+    return options_.partition.enabled ||
+           strategy_->kind() != overlay::Kind::kMesh;
+  }
   /// This point's digest over the settled window ending one exchange
   /// interval (plus slack) before `now` — the window every healthy peer
   /// has fully absorbed, so any mismatch is real divergence.
   [[nodiscard]] gruber::ViewDigest settled_digest(sim::Time now) const;
+  /// Digest-mismatch check on a received exchange (after its records were
+  /// applied); issues a throttled delta pull when the views diverge.
   void maybe_delta_pull(const ExchangeMessage& message);
-  /// Pull the diverged VO ranges (and base state when `want_bases`) from a
-  /// peer and merge the reply deterministically.
-  void run_delta_pull(NodeId peer_node, DpId peer, std::uint64_t round,
-                      std::vector<VoId> vos, bool want_bases);
+  /// Pull the active records of `vos` (and the bases when `want_bases`)
+  /// from `peer` and apply them by the pull rule; a join reply then
+  /// completes or retries the join.
+  void run_pull(NodeId peer, PullReason reason, std::vector<VoId> vos,
+                bool want_bases);
   /// Snapshot of this point's container load for piggybacking.
   [[nodiscard]] DpLoadHint self_hint() const;
+  /// The own hint plus the freshest heard from each peer, in node order so
+  /// the reply bytes are deterministic across runs.
+  [[nodiscard]] std::vector<DpLoadHint> known_hints() const;
   /// Congestion-derived price quote for placements through this point.
   [[nodiscard]] double self_price() const;
   /// Grid free fraction from the local view (the karma scarcity signal).
   [[nodiscard]] double free_fraction(sim::Time now) const;
   /// Which path a dispatch record was learned through.
-  enum class Via : std::uint8_t { kOwn, kExchange, kCatchUp, kJoin, kDelta };
+  enum class Via : std::uint8_t { kOwn, kExchange, kPull };
   /// Client request id an own selection carries into its WAL frame.
   struct RequestId {
     std::uint64_t client = 0;
     std::uint64_t seq = 0;
   };
-  /// The one record-apply funnel: flooding dedup, engine, per-path
-  /// counter, WAL frame, bank charge — in that order. Returns false when
-  /// the record was a duplicate (or, for kDelta, expired or not merged).
+  /// The one record-apply funnel: flooding dedup, engine, exchange
+  /// counter, WAL frame, bank charge — in that order. A pulled record is
+  /// skipped when expired, registered in the dedup set and then merged
+  /// (twins resolve, double commits count). Returns false when the record
+  /// was not applied.
   bool apply_record(const gruber::DispatchRecord& record, Via via,
                     std::optional<RequestId> request = std::nullopt);
   /// Meter an applied dispatch record against the credit bank at `at`:
@@ -397,6 +417,7 @@ class DecisionPoint {
   sim::Duration replay_from_disk();
 
   void run_exchange(bool final_flush = false);
+  /// Catch-up pull of every catalog VO from every neighbor.
   void run_catch_up();
   void check_saturation();
   void start_timers();
@@ -410,6 +431,9 @@ class DecisionPoint {
   void trace_transitions(const std::vector<MembershipTransition>& transitions);
   /// One join attempt against the next seed in rotation.
   void try_join();
+  /// A join pull's outcome: serve on `reply`, else rotate to the next seed
+  /// after the backoff (`reply` null).
+  void finish_join(const PullReply* reply);
 
   sim::Simulation& sim_;
   DpId id_;
@@ -417,6 +441,8 @@ class DecisionPoint {
   gruber::GruberEngine engine_;
   net::RpcServer server_;
   net::RpcClient peer_client_;
+  /// Every VO in the catalog, ascending: the range a full pull names.
+  std::vector<VoId> catalog_vos_;
 
   std::vector<NodeId> neighbors_;
   /// Dissemination strategy (never null; FullMesh by default) plus the
@@ -477,8 +503,6 @@ class DecisionPoint {
   sim::Time join_started_;
   sim::Time serving_since_;
   std::uint64_t join_retries_ = 0;
-  std::uint64_t snapshots_served_ = 0;
-  std::uint64_t join_snapshot_records_ = 0;
 
   std::uint64_t queries_ = 0;
   std::uint64_t selections_ = 0;
@@ -488,10 +512,28 @@ class DecisionPoint {
   std::uint64_t records_duplicate_ = 0;
   std::uint64_t saturation_signals_ = 0;
   std::uint64_t restarts_ = 0;
-  std::uint64_t resync_applied_ = 0;
-  std::uint64_t catchups_served_ = 0;
-  std::uint64_t catchup_records_received_ = 0;
   std::uint64_t gap_resyncs_ = 0;
+
+  /// Pull counters, one set per reason.
+  struct PullCounts {
+    std::uint64_t sent = 0;
+    std::uint64_t served = 0;
+    std::uint64_t received = 0;  // records in replies, duplicates included
+    std::uint64_t applied = 0;
+  };
+  std::array<PullCounts, kPullReasons> pulls_{};
+  [[nodiscard]] PullCounts& pulls(PullReason reason) {
+    return pulls_[std::size_t(reason)];
+  }
+  [[nodiscard]] const PullCounts& pulls(PullReason reason) const {
+    return pulls_[std::size_t(reason)];
+  }
+  /// Keys a pull applied under a relaying (ttl > 0) strategy whose
+  /// exchange copy has not arrived yet. A pulled record skips fresh_, so
+  /// the first exchange copy is relayed instead of dropped as a duplicate:
+  /// otherwise the subtree behind this point never gets the record.
+  /// Volatile, like fresh_.
+  std::set<std::pair<std::uint64_t, std::uint64_t>> pulled_;
 
   /// Partition-tolerance state (only touched when options.partition.enabled):
   /// per-peer last-heard times — the staleness clock behind degraded-mode
@@ -499,9 +541,6 @@ class DecisionPoint {
   std::unordered_map<DpId, sim::Time> peer_last_heard_;
   std::unordered_map<DpId, sim::Time> last_delta_pull_;
   std::uint64_t digest_mismatches_ = 0;
-  std::uint64_t delta_pulls_sent_ = 0;
-  std::uint64_t delta_pulls_served_ = 0;
-  std::uint64_t delta_records_applied_ = 0;
   std::uint64_t delta_conflicts_ = 0;
   std::uint64_t double_commits_ = 0;
   std::uint64_t delta_converged_ = 0;

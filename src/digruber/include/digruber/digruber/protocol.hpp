@@ -23,21 +23,14 @@ enum Method : std::uint16_t {
   kCreateInstance = 4,
   /// Decision point -> infrastructure monitor: saturation signal (one-way).
   kSaturation = 5,
-  /// Restarted decision point -> neighbor: anti-entropy catch-up. The
-  /// neighbor replies with every dispatch record still active in its view
-  /// so the restarted point's dedup state and utilization re-converge.
-  kCatchUp = 6,
-  /// Joining decision point -> seed peer: request a bootstrap snapshot
-  /// (base site states + recent-dispatch window + load hints + membership
-  /// view). Only sent by membership-enabled deployments.
-  kJoinSnapshot = 7,
+  // Ids 6 and 7 are retired (the catch-up and join-snapshot methods before
+  // kPull served both); do not reuse them.
   /// Departing decision point -> peers: graceful leave announcement
   /// (one-way), so the mesh drops it without waiting for suspicion.
   kLeave = 8,
-  /// Decision point -> decision point: targeted delta anti-entropy. After
-  /// a digest mismatch, pull only the diverged VO ranges (and base state
-  /// if its hash differed) instead of a full kCatchUp snapshot.
-  kDeltaPull = 9,
+  /// Decision point -> peer: anti-entropy pull of the peer's active
+  /// dispatch records in a VO range (see PullRequest).
+  kPull = 9,
 };
 
 /// Traffic class of each protocol method, for the wire layer's per-category
@@ -52,10 +45,8 @@ constexpr net::wire::MsgCategory method_category(std::uint16_t method) {
     case kExchange:
       return net::wire::MsgCategory::kStateExchange;
     case kSaturation:
-    case kCatchUp:
-    case kJoinSnapshot:
     case kLeave:
-    case kDeltaPull:
+    case kPull:
       return net::wire::MsgCategory::kControl;
     default:
       return net::wire::MsgCategory::kOther;
@@ -366,63 +357,6 @@ struct CreateInstanceReply {
   }
 };
 
-struct CatchUpRequest {
-  DpId from;
-  /// Restart generation of the requester (diagnostic; lets a neighbor log
-  /// repeated crash loops).
-  std::uint32_t incarnation = 0;
-
-  template <class Archive>
-  void serialize(Archive& ar) {
-    ar & from & incarnation;
-  }
-};
-
-struct CatchUpReply {
-  DpId from;
-  std::vector<gruber::DispatchRecord> records;
-
-  template <class Archive>
-  void serialize(Archive& ar) {
-    ar & from & records;
-  }
-};
-
-/// Joining DP -> seed peer: ask for the bootstrap snapshot. The joiner
-/// identifies itself so the seed can admit it into the membership view
-/// (and start exchanging with it) as a side effect of serving the
-/// snapshot.
-struct JoinSnapshotRequest {
-  DpId from;
-  std::uint64_t node = 0;  // joiner's RPC server address
-  std::uint32_t incarnation = 0;
-
-  template <class Archive>
-  void serialize(Archive& ar) {
-    ar & from & node & incarnation;
-  }
-};
-
-/// The bootstrap snapshot: enough for the joiner to serve queries without
-/// a full-history replay. `bases` are the seed's base site states (the
-/// USLA-filtered capacity ground truth), `records` its recent-dispatch
-/// window (every record still active, i.e. not yet aged out), `hints` the
-/// load picture, and `membership` the current view + epoch. The
-/// post-snapshot delta rides the existing kCatchUp anti-entropy path.
-struct JoinSnapshotReply {
-  DpId from;
-  std::uint64_t exchange_round = 0;  // seed's flooding round (diagnostic)
-  MembershipUpdate membership;
-  std::vector<grid::SiteSnapshot> bases;
-  std::vector<gruber::DispatchRecord> records;
-  std::vector<DpLoadHint> hints;
-
-  template <class Archive>
-  void serialize(Archive& ar) {
-    ar & from & exchange_round & membership & bases & records & hints;
-  }
-};
-
 /// Departing DP -> peers (one-way): graceful leave. Peers mark the member
 /// kLeft immediately instead of waiting out the suspicion thresholds.
 struct LeaveAnnouncement {
@@ -436,36 +370,51 @@ struct LeaveAnnouncement {
   }
 };
 
-/// Digest-mismatch follow-up: pull exactly the diverged state. `vos` is
-/// the ascending list of VOs whose digests disagreed; `want_bases` is set
-/// when the base-state hash differed too. Contrast with kCatchUp, which
-/// transfers every active record regardless of what actually diverged.
-struct DeltaPullRequest {
+/// Why a decision point pulls state from a peer. The reason picks what
+/// the reply carries besides the records.
+enum class PullReason : std::uint8_t {
+  /// Restart or flooding-round gap: every VO in the catalog.
+  kCatchUp = 0,
+  /// Runtime join: every VO plus the bases, the membership view and the
+  /// load hints. Served only by a serving, membership-enabled point.
+  kJoin = 1,
+  /// Digest mismatch: the diverged VOs, plus the bases when the base
+  /// hashes differed.
+  kDelta = 2,
+};
+/// Reasons on the wire are below this; the archive casts the byte
+/// unchecked, so a server refuses anything else like an undecodable body.
+inline constexpr std::uint8_t kPullReasons = 3;
+
+/// Anti-entropy pull: the active records of the VOs in `vos` (ascending),
+/// and the base snapshots when `want_bases`.
+struct PullRequest {
   DpId from;
-  /// Exchange round whose digest exposed the divergence (diagnostic).
-  std::uint64_t digest_round = 0;
+  PullReason reason = PullReason::kCatchUp;
   std::vector<VoId> vos;
   bool want_bases = false;
 
   template <class Archive>
   void serialize(Archive& ar) {
-    ar & from & digest_round & vos & want_bases;
+    ar & from & reason & vos & want_bases;
   }
 };
 
-struct DeltaPullReply {
+/// Every field is always encoded; a part the reason did not ask for is
+/// empty. `digest` is the server's settled digest at serve time, so the
+/// puller can verify convergence at once; only a point that compares
+/// digests fills it.
+struct PullReply {
   DpId from;
-  /// Active records in the requested VOs only.
   std::vector<gruber::DispatchRecord> records;
-  /// Base snapshots, present only when the request set `want_bases`.
   std::vector<grid::SiteSnapshot> bases;
-  /// The replier's digest at serve time, letting the puller verify
-  /// convergence without waiting for the next exchange round.
   gruber::ViewDigest digest;
+  MembershipUpdate membership;
+  std::vector<DpLoadHint> hints;
 
   template <class Archive>
   void serialize(Archive& ar) {
-    ar & from & records & bases & digest;
+    ar & from & records & bases & digest & membership & hints;
   }
 };
 

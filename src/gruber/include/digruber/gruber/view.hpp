@@ -172,8 +172,7 @@ class GridView {
             Visit&& visit) const;
 
   /// Every dispatch record that has not yet aged out, across all sites —
-  /// the payload a peer hands a restarted decision point during the
-  /// anti-entropy catch-up exchange. Deterministic order (site, then age).
+  /// what a checkpoint persists. Deterministic order (site, then age).
   [[nodiscard]] std::vector<DispatchRecord> active_records(sim::Time now) const;
 
   /// The base snapshots as held (static knowledge plus any applied monitor
@@ -198,7 +197,8 @@ class GridView {
   [[nodiscard]] ViewDigest digest(sim::Time as_of, sim::Time horizon) const;
 
   /// Active records belonging to any VO in `vos` (ascending input),
-  /// deterministic (site, then age) order — a delta anti-entropy reply.
+  /// deterministic (site, then age) order — an anti-entropy pull reply.
+  /// Over every VO of the catalog this is `active_records`.
   [[nodiscard]] std::vector<DispatchRecord> records_for_vos(
       const std::vector<VoId>& vos, sim::Time now) const;
 

@@ -259,7 +259,7 @@ TEST(Failover, PartitionDropsExchangeTrafficUntilHealed) {
 
 TEST(Failover, RoundGapCatchUpRacingDeltaPullLosesNothingDoublesNothing) {
   // After a heal the SAME exchange frame triggers both repair paths at
-  // once: the round gap fires a full kCatchUp fan-out while the
+  // once: the round gap fires a catch-up pull to every neighbor while the
   // piggybacked digest mismatch fires a targeted delta pull. Both replies
   // carry overlapping record sets; the flooding dedup set plus the
   // idempotent merge must land every split-era record exactly once on

@@ -415,7 +415,7 @@ TEST(Membership, JoinerCrashMidTransferDropsLateSnapshot) {
   net::RpcClient rpc(f.sim, f.transport);
   f.report_selection(rpc, a.node(), 40);
 
-  // This time the *joiner* dies with the kJoinSnapshot reply in flight. The
+  // This time the *joiner* dies with the join pull's reply in flight. The
   // seed serves the transfer, but the bytes land on a crashed incarnation —
   // the abort guard must drop them instead of half-applying state.
   f.sim.schedule_at(at(25), [&] { c.join({a.node(), b.node()}); });

@@ -141,6 +141,31 @@ proto::ExchangeMessage make_hopped_exchange() {
   return msg;
 }
 
+proto::PullReply make_pull_reply() {
+  const proto::ExchangeMessage exchange = make_exchange(true);
+  proto::PullReply reply;
+  reply.from = DpId(1);
+  reply.records = exchange.dispatches;
+  reply.bases = exchange.snapshots;
+  reply.digest.as_of = sim::Time::from_seconds(30.0);
+  reply.digest.horizon = sim::Time::from_seconds(95.0);
+  reply.digest.base_hash = 0x0123456789abcdefULL;
+  gruber::VoDigest vo;
+  vo.vo = VoId(1);
+  vo.hash = 0xfeedULL;
+  vo.records = 4;
+  vo.cpus = 4;
+  reply.digest.vos.push_back(vo);
+  reply.digest.epochs.push_back(gruber::OriginEpoch{DpId(0), 2, 2});
+  reply.membership.epoch = 6;
+  reply.membership.members.push_back(
+      proto::MemberInfo{DpId(1), 11, proto::MemberState::kAlive, 2});
+  reply.membership.members.push_back(
+      proto::MemberInfo{DpId(4), 14, proto::MemberState::kSuspect, 0});
+  reply.hints.push_back(exchange.load);
+  return reply;
+}
+
 // Every message the protocol can put on the wire, including the optional
 // trailing-field variants, the v2 deadline frame, and the OverloadNack.
 std::vector<CorpusEntry> corpus() {
@@ -238,16 +263,26 @@ std::vector<CorpusEntry> corpus() {
   out.push_back(entry("CreateInstanceReply", Method::kCreateInstance,
                       FrameKind::kReply, created));
 
-  proto::CatchUpRequest catch_up;
-  catch_up.from = DpId(2);
-  catch_up.incarnation = 3;
-  out.push_back(entry("CatchUpRequest", Method::kCatchUp, FrameKind::kRequest,
-                      catch_up));
-  proto::CatchUpReply catch_up_reply;
-  catch_up_reply.from = DpId(1);
-  catch_up_reply.records = make_exchange(false).dispatches;
-  out.push_back(entry("CatchUpReply", Method::kCatchUp, FrameKind::kReply,
-                      catch_up_reply));
+  // One pull request per reason, and a reply carrying every part a reason
+  // can ask for: records, bases, a digest, a membership update and hints.
+  const std::pair<const char*, proto::PullReason> reasons[] = {
+      {"PullRequest.catchup", proto::PullReason::kCatchUp},
+      {"PullRequest.join", proto::PullReason::kJoin},
+      {"PullRequest.delta", proto::PullReason::kDelta},
+  };
+  for (const auto& [name, reason] : reasons) {
+    proto::PullRequest pull;
+    pull.from = DpId(2);
+    pull.reason = reason;
+    pull.vos = {VoId(0), VoId(1), VoId(3)};
+    pull.want_bases = reason != proto::PullReason::kCatchUp;
+    out.push_back(entry(name, Method::kPull, FrameKind::kRequest, pull));
+  }
+  out.push_back(entry("PullReply", Method::kPull, FrameKind::kReply,
+                      make_pull_reply()));
+  out.push_back(entry("PullReply.v3checksum", Method::kPull, FrameKind::kReply,
+                      make_pull_reply(), /*deadline_us=*/0,
+                      /*checksum=*/true));
 
   proto::SaturationSignal saturation;
   saturation.from = DpId(4);
@@ -600,6 +635,38 @@ TEST(WireFuzz, RequestIdTrailerRoundTripsAndStaysOptional) {
       wire::decode(std::span<const std::uint8_t>(wire::encode(ack)), ack_out));
   EXPECT_TRUE(ack_out.has_original);
   EXPECT_EQ(ack_out.original_site, SiteId(5));
+}
+
+TEST(WireFuzz, PullFramesRoundTripEveryField) {
+  const proto::PullReply reply = make_pull_reply();
+  proto::PullReply out;
+  ASSERT_TRUE(
+      wire::decode(std::span<const std::uint8_t>(wire::encode(reply)), out));
+  EXPECT_EQ(out.from, reply.from);
+  EXPECT_EQ(out.records, reply.records);
+  ASSERT_EQ(out.bases.size(), reply.bases.size());
+  EXPECT_EQ(out.bases[0].free_cpus, reply.bases[0].free_cpus);
+  EXPECT_TRUE(out.digest == reply.digest);
+  EXPECT_EQ(out.digest.horizon, reply.digest.horizon);
+  EXPECT_EQ(out.membership.epoch, 6u);
+  ASSERT_EQ(out.membership.members.size(), 2u);
+  EXPECT_EQ(out.membership.members[1].state, proto::MemberState::kSuspect);
+  ASSERT_EQ(out.hints.size(), 1u);
+  EXPECT_EQ(out.hints[0].node, 12u);
+
+  // The archive casts the reason byte without a range check: an
+  // out-of-range reason decodes, so the server must refuse it itself.
+  proto::PullRequest request;
+  request.from = DpId(2);
+  request.vos = {VoId(1)};
+  std::vector<std::uint8_t> bytes = wire::encode(request);
+  const std::size_t reason_offset = wire::encode(request.from).size();
+  ASSERT_EQ(bytes[reason_offset], 0u);
+  bytes[reason_offset] = 7;
+  proto::PullRequest hostile;
+  ASSERT_TRUE(wire::decode(std::span<const std::uint8_t>(bytes), hostile));
+  EXPECT_EQ(std::uint8_t(hostile.reason), 7u);
+  EXPECT_EQ(hostile.vos, request.vos);
 }
 
 // ---------------------------------------------------------------------------

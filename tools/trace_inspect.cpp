@@ -10,10 +10,10 @@
 // instant/counter tallies, and — with --events — the matching event lines
 // themselves. Filters compose (AND). `--recovery` is a preset name filter
 // keeping only the durability/recovery lifecycle: WAL appends and fsync
-// barriers, checkpoints, replay spans, restarts, catch-up and delta
-// anti-entropy, dedup hits and client report retries. `--overlay` keeps
-// the dissemination lifecycle: exchange spans, structure rebuilds, TTL
-// relay drops, grave probes, and digest-driven delta pulls.
+// barriers, checkpoints, replay spans, restarts, anti-entropy pulls, dedup
+// hits and client report retries. `--overlay` keeps the dissemination
+// lifecycle: exchange spans, structure rebuilds, TTL relay drops, grave
+// probes, and digest-driven pulls.
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
@@ -112,10 +112,9 @@ struct Options {
 /// the gap-filling anti-entropy that follows it, and the exactly-once
 /// machinery on both sides of the wire.
 constexpr const char* kRecoveryNames[] = {
-    "wal.append",        "wal.fsync",     "dp.checkpoint",
-    "dp.recover.replay", "dp.restart",    "dp.catchup",
-    "dp.catchup_applied", "dp.delta_pull", "dp.delta_served",
-    "dp.dedup_hit",      "report.retry",
+    "wal.append",        "wal.fsync",      "dp.checkpoint",
+    "dp.recover.replay", "dp.restart",     "dp.pull",
+    "dp.pull_served",    "dp.dedup_hit",   "report.retry",
 };
 
 /// The dissemination-overlay lifecycle: every exchange push, the
@@ -123,9 +122,9 @@ constexpr const char* kRecoveryNames[] = {
 /// to believed-dead peers, and the anti-entropy that backfills what a
 /// sparse topology dropped mid-path.
 constexpr const char* kOverlayNames[] = {
-    "dp.exchange",       "overlay.rebuild", "overlay.relay_drop",
-    "overlay.grave_probe", "dp.digest_mismatch", "dp.delta_pull",
-    "dp.delta_served",
+    "dp.exchange",       "overlay.rebuild",    "overlay.relay_drop",
+    "overlay.grave_probe", "dp.digest_mismatch", "dp.pull",
+    "dp.pull_served",
 };
 
 bool name_in(const std::string& name, std::span<const char* const> set) {
