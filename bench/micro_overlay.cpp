@@ -1,14 +1,12 @@
 // Micro-benchmarks for the dissemination overlay: per-round target
-// selection runs inside every decision point's exchange tick, and the
-// trailer-stack composer sits on the encode path of every exchange frame
-// and query reply — both must stay negligible next to the serialization
-// work they surround.
+// selection and topology rebuilds run inside every decision point's
+// exchange tick, and must stay negligible next to the serialization work
+// they surround.
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
 #include "digruber/overlay/overlay.hpp"
-#include "digruber/overlay/trailer_stack.hpp"
 
 using namespace digruber;
 
@@ -83,23 +81,6 @@ void BM_RebuildTree(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RebuildTree);
-
-// The five-slot exchange trailer stack (load / membership / digest /
-// price / hops) with a mid-stack want forcing the earlier slots.
-void BM_TrailerCompose(benchmark::State& state) {
-  std::uint64_t attached = 0;
-  for (auto _ : state) {
-    overlay::TrailerStack trailers;
-    trailers.slot(true, [&](bool) { ++attached; })
-        .slot(false, [&](bool) { ++attached; })
-        .slot(true, [&](bool) { ++attached; })
-        .slot(false, [&](bool) { ++attached; })
-        .slot(true, [&](bool) { ++attached; })
-        .compose();
-    benchmark::DoNotOptimize(attached);
-  }
-}
-BENCHMARK(BM_TrailerCompose);
 
 }  // namespace
 

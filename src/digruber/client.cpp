@@ -46,9 +46,11 @@ void DiGruberClient::rebind(NodeId decision_point) {
   dp_wait_.front() = 0.0;
 }
 
-void DiGruberClient::apply_load_hints(const std::vector<DpLoadHint>& hints,
-                                      const std::vector<double>& prices) {
+void DiGruberClient::apply_load_hints(const GetSiteLoadsReply& reply) {
+  if (!reply.dp_loads) return;
   if (!options_.overload_aware && !options_.market_placement) return;
+  const std::vector<DpLoadHint>& hints = *reply.dp_loads;
+  const std::size_t quoted = reply.dp_prices ? reply.dp_prices->size() : 0;
   for (std::size_t k = 0; k < hints.size(); ++k) {
     const DpLoadHint& hint = hints[k];
     for (std::size_t i = 0; i < dps_.size(); ++i) {
@@ -60,7 +62,7 @@ void DiGruberClient::apply_load_hints(const std::vector<DpLoadHint>& hints,
           dp_wait_[i] = hint.est_wait_s;
           // Quotes align index-wise with the hints; a missing or zero
           // entry means "no quote", which keeps the point p2c-only.
-          if (k < prices.size()) dp_price_[i] = prices[k];
+          if (k < quoted) dp_price_[i] = (*reply.dp_prices)[k];
         }
         break;
       }
@@ -257,9 +259,9 @@ void DiGruberClient::on_dp_success(std::size_t idx) { health_[idx] = DpHealth{};
 void DiGruberClient::complete_with_reply(grid::Job job, Done done, sim::Time t0,
                                          NodeId dp, const GetSiteLoadsReply& reply,
                                          trace::SpanContext qctx) {
-  if (reply.has_membership) apply_membership(reply.membership);
-  apply_load_hints(reply.dp_loads, reply.dp_prices);
-  if (reply.has_degraded && reply.degraded.level >= 1) {
+  if (reply.membership) apply_membership(*reply.membership);
+  apply_load_hints(reply);
+  if (reply.degraded) {
     // Level-1 degraded reply: the answer is usable (capacity already
     // discounted server-side) but the point's view is stale — nudge p2c
     // toward fresher peers for the next queries.
@@ -267,7 +269,7 @@ void DiGruberClient::complete_with_reply(grid::Job job, Done done, sim::Time t0,
     if (options_.overload_aware) {
       for (std::size_t i = 0; i < dps_.size(); ++i) {
         if (dps_[i] == dp) {
-          dp_score_[i] += double(reply.degraded.level);
+          dp_score_[i] += double(reply.degraded->level);
           break;
         }
       }
@@ -298,17 +300,13 @@ void DiGruberClient::complete_with_reply(grid::Job job, Done done, sim::Time t0,
   report.cpus = job.cpus;
   report.est_runtime = job.runtime;
   if (options_.market_placement && (job.budget > 0 || job.deadline_s > 0)) {
-    report.has_bid = true;
-    report.budget = job.budget;
-    report.deadline_s = job.deadline_s;
+    report.bid = Bid{job.budget, job.deadline_s};
   }
   if (options_.request_ids) {
     // One id per job, assigned here — the first place the report exists —
     // and stable across every retry of it, which is what lets the decision
     // point collapse retries to one dispatch.
-    report.has_request_id = true;
-    report.request_client = id_.value();
-    report.request_seq = next_request_seq_++;
+    report.request_id = RequestId{id_.value(), next_request_seq_++};
   }
 
   // The selection-report round trip gets its own child span; the guard
@@ -350,7 +348,7 @@ void DiGruberClient::send_report(ReportSelectionRequest report, grid::Job job,
           if (auto* t = trace::current()) {
             t->instant(trace::Category::kClient, id_.value(), "report.retry",
                        rctx, std::int64_t(attempt_n + 1),
-                       std::int64_t(report.request_seq));
+                       std::int64_t(report.request_id->seq));
           }
           sim_.schedule_after(
               options_.report_retry_backoff,
@@ -372,11 +370,11 @@ void DiGruberClient::send_report(ReportSelectionRequest report, grid::Job job,
         outcome.response = sim_.now() - t0;
         outcome.believed_free = believed_free;
         outcome.served_by = dp;
-        if (ack.ok() && ack.value().has_original) {
+        if (ack.ok() && ack.value().original_site) {
           // The retry hit the dedup window: the point had already committed
           // this request, and the decision that counts is the original one.
           ++dedup_replies_;
-          outcome.site = ack.value().original_site;
+          outcome.site = *ack.value().original_site;
         }
         if (auto* t = trace::current()) {
           t->end(trace::Category::kClient, id_.value(), "query.report", rctx,
@@ -386,6 +384,17 @@ void DiGruberClient::send_report(ReportSelectionRequest report, grid::Job job,
         }
         done(std::move(job), outcome);
       });
+}
+
+GetSiteLoadsRequest DiGruberClient::site_loads_request(const grid::Job& job) const {
+  GetSiteLoadsRequest request;
+  request.job = job.id;
+  request.vo = job.vo;
+  request.group = job.group;
+  request.user = job.user;
+  request.cpus = job.cpus;
+  if (options_.membership_aware) request.membership_epoch = epoch_;
+  return request;
 }
 
 void DiGruberClient::schedule(grid::Job job, Done done) {
@@ -414,24 +423,7 @@ void DiGruberClient::schedule(grid::Job job, Done done) {
 
   // Legacy single-shot path: one attempt against the primary with the
   // full deadline, random fallback on any failure.
-  GetSiteLoadsRequest request;
-  request.job = job.id;
-  request.vo = job.vo;
-  request.group = job.group;
-  request.user = job.user;
-  request.cpus = job.cpus;
-  if (options_.membership_aware) {
-    request.has_epoch = true;
-    request.membership_epoch = epoch_;
-  }
-  if (options_.market_placement && (job.budget > 0 || job.deadline_s > 0)) {
-    // The bid rides second, forcing the epoch trailer (epoch 0 is a
-    // no-op on a decision point without a newer membership view).
-    request.has_epoch = true;
-    request.has_bid = true;
-    request.budget = job.budget;
-    request.deadline_s = job.deadline_s;
-  }
+  const GetSiteLoadsRequest request = site_loads_request(job);
 
   trace::SpanContext actx;
   if (auto* t = trace::current()) {
@@ -484,24 +476,7 @@ void DiGruberClient::attempt(grid::Job job, Done done, sim::Time t0,
     per_attempt = options_.attempt_timeout;
   }
 
-  GetSiteLoadsRequest request;
-  request.job = job.id;
-  request.vo = job.vo;
-  request.group = job.group;
-  request.user = job.user;
-  request.cpus = job.cpus;
-  if (options_.membership_aware) {
-    request.has_epoch = true;
-    request.membership_epoch = epoch_;
-  }
-  if (options_.market_placement && (job.budget > 0 || job.deadline_s > 0)) {
-    // The bid rides second, forcing the epoch trailer (epoch 0 is a
-    // no-op on a decision point without a newer membership view).
-    request.has_epoch = true;
-    request.has_bid = true;
-    request.budget = job.budget;
-    request.deadline_s = job.deadline_s;
-  }
+  const GetSiteLoadsRequest request = site_loads_request(job);
 
   const NodeId dp = dps_[std::size_t(idx)];
   trace::SpanContext actx;

@@ -5,7 +5,6 @@
 
 #include "digruber/common/log.hpp"
 #include "digruber/durable/wal.hpp"
-#include "digruber/overlay/trailer_stack.hpp"
 #include "digruber/trace/trace.hpp"
 
 namespace digruber::digruber {
@@ -281,8 +280,8 @@ void DecisionPoint::leave() {
                std::int64_t(fresh_.size()));
   }
   // Final flush: ship the not-yet-flooded records (with the kLeft self
-  // entry on the trailer), then the explicit announcement so peers drop
-  // this point without waiting out the suspicion thresholds.
+  // entry in the membership view), then the explicit announcement so
+  // peers drop this point without waiting out the suspicion thresholds.
   run_exchange(/*final_flush=*/true);
   LeaveAnnouncement announce;
   announce.from = id_;
@@ -615,19 +614,20 @@ void DecisionPoint::maybe_delta_pull(const ExchangeMessage& message) {
   // Evaluate the *sender's* window, not a fresh local one: both sides must
   // summarize the same (as_of, horizon] slice for equality to mean
   // agreement.
+  const gruber::ViewDigest& theirs = *message.digest;
   const gruber::ViewDigest local =
-      engine_.view().digest(message.digest.as_of, message.digest.horizon);
-  if (local == message.digest) return;
+      engine_.view().digest(theirs.as_of, theirs.horizon);
+  if (local == theirs) return;
   ++digest_mismatches_;
   if (auto* t = trace::current()) {
     t->instant(trace::Category::kDp, id_.value(), "dp.digest_mismatch",
                t->ambient(), std::int64_t(message.from.value()),
                std::int64_t(message.exchange_round));
   }
-  // The digest trailer forces the load trailer, so the sender's server
-  // address is always on the frame; a malformed one just skips the pull
-  // (the next round re-detects the divergence).
-  if (!message.has_load || message.load.node == 0) return;
+  // A point that sends its digest also sends its load hint, whose node is
+  // its server address; a frame without one just skips the pull (the next
+  // round re-detects the divergence).
+  if (!message.load || message.load->node == 0) return;
   // Throttle per peer: the mismatch repeats every exchange round until the
   // views converge, and one in-flight pull is enough to get there.
   const auto [it, first_pull] =
@@ -636,10 +636,10 @@ void DecisionPoint::maybe_delta_pull(const ExchangeMessage& message) {
     if (sim_.now() - it->second < options_.partition.delta_pull_min_gap) return;
     it->second = sim_.now();
   }
-  std::vector<VoId> vos = gruber::diverged_vos(local, message.digest);
-  const bool want_bases = local.base_hash != message.digest.base_hash;
+  std::vector<VoId> vos = gruber::diverged_vos(local, theirs);
+  const bool want_bases = local.base_hash != theirs.base_hash;
   if (vos.empty() && !want_bases) return;  // epoch-only skew: nothing to pull
-  run_pull(NodeId(message.load.node), PullReason::kDelta, std::move(vos),
+  run_pull(NodeId(message.load->node), PullReason::kDelta, std::move(vos),
            want_bases);
 }
 
@@ -764,63 +764,40 @@ net::Served DecisionPoint::handle_get_site_loads(std::span<const std::uint8_t> b
       load.free_estimate = std::int32_t(double(load.free_estimate) * keep);
     }
   }
+  // Each extension rides exactly when its own condition holds. Prices
+  // align index-wise with the hint table, so economy attaches both.
+  if (options_.advertise_load || options_.economy.enabled) {
+    reply.dp_loads = known_hints();
+  }
   // Membership piggyback: the client told us its epoch; attach the view
-  // only when it is stale. Trailing fields stack positionally, so the
-  // membership trailer forces the dp_loads one (at least the self hint),
-  // and the partition-tolerance digest trailer forces both.
-  const bool attach_membership = membership_ && request.has_epoch &&
-                                 request.membership_epoch < membership_->epoch();
-  const bool attach_digest = options_.partition.enabled;
-  const bool attach_prices = options_.economy.enabled;
-  // Same positional TrailerStack contract as the exchange path: a slot is
-  // *wanted* on its own merit; wanting a later slot forces every earlier
-  // one onto the reply (forced dp_loads still carry the full hint set —
-  // the bytes double as the failover hint table — while forced
-  // membership/digest/degraded slots stay empty no-ops).
-  overlay::TrailerStack trailers;
-  trailers
-      .slot(options_.advertise_load,
-            [&](bool) { reply.dp_loads = known_hints(); })
-      .slot(attach_membership,
-            [&](bool) {
-              reply.has_membership = true;
-              // Without a membership table the slot is an empty update — a
-              // no-op on the receiver, emitted only to keep the trailer
-              // positions aligned.
-              if (membership_) reply.membership = membership_->update();
-            })
-      .slot(attach_digest,
-            [&](bool forced) {
-              reply.has_digest = true;
-              if (!forced) reply.digest = settled_digest(sim_.now());
-            })
-      .slot(attach_digest && degraded.level >= 1,
-            [&](bool forced) {
-              reply.has_degraded = true;  // forced: empty level-0, a no-op
-              if (!forced) {
-                reply.degraded = degraded;
-                ++degraded_replies_;
-              }
-            })
-      .slot(attach_prices,
-            [&](bool) {
-              // Quotes aligned index-wise with dp_loads: own price for the
-              // self hint, the freshest exchanged quote for each peer
-              // (0 = no quote yet).
-              reply.dp_prices.reserve(reply.dp_loads.size());
-              const std::uint64_t self_node = server_.node().value();
-              for (const DpLoadHint& hint : reply.dp_loads) {
-                if (hint.node == self_node) {
-                  reply.dp_prices.push_back(self_price());
-                } else {
-                  const auto it = peer_prices_.find(hint.node);
-                  reply.dp_prices.push_back(
-                      it != peer_prices_.end() ? it->second : 0.0);
-                }
-              }
-              ++priced_replies_;
-            })
-      .compose();
+  // only when it is stale.
+  if (membership_ && request.membership_epoch &&
+      *request.membership_epoch < membership_->epoch()) {
+    reply.membership = membership_->update();
+  }
+  if (options_.partition.enabled) {
+    reply.digest = settled_digest(sim_.now());
+    if (degraded.level >= 1) {
+      reply.degraded = degraded;
+      ++degraded_replies_;
+    }
+  }
+  if (options_.economy.enabled) {
+    // Own price for the self hint, the freshest exchanged quote for each
+    // peer (0 = no quote yet).
+    std::vector<double>& prices = reply.dp_prices.emplace();
+    prices.reserve(reply.dp_loads->size());
+    const std::uint64_t self_node = server_.node().value();
+    for (const DpLoadHint& hint : *reply.dp_loads) {
+      if (hint.node == self_node) {
+        prices.push_back(self_price());
+      } else {
+        const auto it = peer_prices_.find(hint.node);
+        prices.push_back(it != peer_prices_.end() ? it->second : 0.0);
+      }
+    }
+    ++priced_replies_;
+  }
 
   // Ambient here is the rpc.serve span, so the instant lands inside the
   // caller's query trace.
@@ -844,22 +821,22 @@ net::Served DecisionPoint::handle_report_selection(std::span<const std::uint8_t>
   // negative amount: refused like a malformed body, never recorded.
   if (!net::wire::decode(body, request) || request.cpus < 1) return {};
 
-  if (disk_ && request.has_request_id) {
+  const std::optional<RequestId>& request_id = request.request_id;
+  if (disk_ && request_id) {
     // Exactly-once: a retry of an already-committed report returns the
     // original decision instead of re-allocating and re-metering. The
     // window survives crashes — rebuilt from checkpoint + WAL — so even a
     // retry that lands after recovery collapses to one dispatch.
     const auto hit =
-        dedup_.find(std::make_pair(request.request_client, request.request_seq));
+        dedup_.find(std::make_pair(request_id->client, request_id->seq));
     if (hit != dedup_.end()) {
       ++dedup_hits_;
       if (auto* t = trace::current()) {
         t->instant(trace::Category::kDp, id_.value(), "dp.dedup_hit",
-                   t->ambient(), std::int64_t(request.request_client),
-                   std::int64_t(request.request_seq));
+                   t->ambient(), std::int64_t(request_id->client),
+                   std::int64_t(request_id->seq));
       }
       Ack ack;
-      ack.has_original = true;
       ack.original_site = hit->second;
       net::Served served;
       served.handler_cost = sim::Duration::millis(0.5);
@@ -882,10 +859,6 @@ net::Served DecisionPoint::handle_report_selection(std::span<const std::uint8_t>
   record.when = sim_.now();
   record.est_runtime = request.est_runtime;
 
-  std::optional<RequestId> request_id;
-  if (request.has_request_id) {
-    request_id = RequestId{request.request_client, request.request_seq};
-  }
   apply_record(record, Via::kOwn, request_id);
   if (request_id) {
     if (disk_) dedup_insert(request_id->client, request_id->seq, record.site);
@@ -894,11 +867,7 @@ net::Served DecisionPoint::handle_report_selection(std::span<const std::uint8_t>
   if (options_.overlay_audit) {
     own_record_log_.emplace_back(record.seq, record.when.to_seconds());
   }
-  // The request-id trailer forces (possibly all-zero) bid bytes onto the
-  // wire, so presence alone no longer implies a priced report.
-  if (request.has_bid && (request.budget > 0 || request.deadline_s > 0)) {
-    ++priced_selections_;
-  }
+  if (request.bid) ++priced_selections_;
   if (options_.dissemination != Dissemination::kNone) {
     fresh_.push_back(record);
     fresh_meta_.push_back({id_, 0});
@@ -943,17 +912,15 @@ net::Served DecisionPoint::handle_exchange(std::span<const std::uint8_t> body,
   }
 
   // Overlay relay depth: each record applied from this frame re-floods
-  // one hop deeper than *it* has traveled (per-record depths ride the hop
-  // trailer — one deep record must not burn the relay budget of a fresh
+  // one hop deeper than *it* has traveled (per-record depths ride the hops
+  // extension — one deep record must not burn the relay budget of a fresh
   // one in the same frame). Sparse overlays bound the depth by the
   // strategy TTL — an over-deep record is still *applied* (the bound
   // suppresses relaying, never learning), leaving residual convergence to
   // the anti-entropy paths.
   const std::uint32_t relay_ttl = strategy_->ttl();
-  if (message.has_hops) {
-    overlay_max_hops_ =
-        std::max<std::uint64_t>(overlay_max_hops_, message.hops);
-  }
+  const std::uint32_t max_hops = message.hops ? message.hops->max : 0;
+  overlay_max_hops_ = std::max<std::uint64_t>(overlay_max_hops_, max_hops);
   std::uint64_t relays_dropped = 0;
   for (std::size_t i = 0; i < message.dispatches.size(); ++i) {
     const gruber::DispatchRecord& record = message.dispatches[i];
@@ -963,14 +930,15 @@ net::Served DecisionPoint::handle_exchange(std::span<const std::uint8_t> body,
       continue;
     }
     // Flooding: relay fresh records onward at the next exchange tick.
+    // Compared before incrementing, so a forged depth cannot wrap back to
+    // a fresh one.
     const std::uint32_t prior =
-        message.has_hops && i < message.hop_depths.size()
-            ? message.hop_depths[i]
+        message.hops && i < message.hops->depths.size()
+            ? message.hops->depths[i]
             : 0;
-    const std::uint32_t relay_depth = message.has_hops ? prior + 1 : 1;
-    if (relay_ttl == 0 || relay_depth <= relay_ttl) {
+    if (relay_ttl == 0 || prior < relay_ttl) {
       fresh_.push_back(record);
-      fresh_meta_.push_back({message.from, relay_ttl > 0 ? relay_depth : 0});
+      fresh_meta_.push_back({message.from, relay_ttl > 0 ? prior + 1 : 0});
     } else {
       ++overlay_relays_suppressed_;
       ++relays_dropped;
@@ -980,15 +948,17 @@ net::Served DecisionPoint::handle_exchange(std::span<const std::uint8_t> body,
     if (auto* t = trace::current()) {
       t->instant(trace::Category::kDp, id_.value(), "overlay.relay_drop",
                  t->ambient(), std::int64_t(relays_dropped),
-                 std::int64_t(message.hops));
+                 std::int64_t(max_hops));
     }
   }
   for (const grid::SiteSnapshot& snapshot : message.snapshots) {
     engine_.view().apply_snapshot(snapshot);
   }
-  if (message.has_load) peer_hints_[message.load.node] = message.load;
-  if (message.has_price && message.has_load && message.load.node != 0) {
-    peer_prices_[message.load.node] = message.price;
+  if (message.load) {
+    peer_hints_[message.load->node] = *message.load;
+    if (message.price && message.load->node != 0) {
+      peer_prices_[message.load->node] = *message.price;
+    }
   }
 
   if (options_.partition.enabled) peer_last_heard_[message.from] = sim_.now();
@@ -999,22 +969,16 @@ net::Served DecisionPoint::handle_exchange(std::span<const std::uint8_t> body,
     // split-brain detector: any divergence the frame itself did not repair
     // triggers a targeted delta pull. Sparse overlays always compare: a
     // roster-divergence transient can strand a record mid-path, and the
-    // digest exchange along the surviving edges is what backfills it. An
-    // economy-only sender emits an *empty* digest slot just to reach the
-    // price trailer; empty means "no digest", not "diverged from an empty
-    // view" — there is nothing to pull from it.
-    const bool digest_empty = message.digest.base_hash == 0 &&
-                              message.digest.vos.empty() &&
-                              message.digest.epochs.empty();
-    if (message.has_digest && !digest_empty) maybe_delta_pull(message);
+    // digest exchange along the surviving edges is what backfills it.
+    if (message.digest) maybe_delta_pull(message);
   }
 
-  if (membership_ && message.has_membership) {
+  if (membership_ && message.membership) {
     // The frame itself is the heartbeat: refresh the sender's last-heard
     // time (refuting any suspicion) using the incarnation it claims for
     // itself, then merge the rest of the gossiped view.
     bool changed = false;
-    for (const MemberInfo& info : message.membership.members) {
+    for (const MemberInfo& info : message.membership->members) {
       if (info.dp != message.from) continue;
       if (info.state == MemberState::kAlive) {
         if (auto tr = membership_->heard_from(info.dp, info.node,
@@ -1026,7 +990,7 @@ net::Served DecisionPoint::handle_exchange(std::span<const std::uint8_t> body,
       break;
     }
     const auto transitions =
-        membership_->absorb(message.membership, sim_.now());
+        membership_->absorb(*message.membership, sim_.now());
     trace_transitions(transitions);
     if (changed || !transitions.empty()) refresh_neighbors();
   }
@@ -1206,45 +1170,16 @@ void DecisionPoint::run_exchange(bool final_flush) {
   message.from = id_;
   message.exchange_round = ++exchange_round_;
   const std::size_t flushed = fresh_.size();
-  // Trailing fields stack positionally (see TrailerStack): attaching a
-  // later trailer forces all earlier slots onto the frame. A forced load
-  // hint still carries the full snapshot (it doubles as the sender's
-  // pull-target address), a forced membership slot without a table is an
-  // empty update, a forced digest stays empty — receivers treat an empty
-  // digest as absent, never as divergence — and a forced price is a
-  // no-quote 0.0. The hop trailer rides fifth, wanted only by sparse
-  // overlays, so the mesh default emits nothing and keeps the legacy
-  // byte layout.
-  overlay::TrailerStack trailers;
-  trailers
-      .slot(options_.advertise_load,
-            [&](bool) {
-              message.has_load = true;
-              message.load = self_hint();
-            })
-      .slot(membership_ != nullptr,
-            [&](bool) {
-              message.has_membership = true;
-              if (membership_) message.membership = membership_->update();
-            })
-      .slot(compares_digests(),
-            [&](bool forced) {
-              message.has_digest = true;
-              if (!forced) message.digest = settled_digest(sim_.now());
-            })
-      .slot(options_.economy.enabled,
-            [&](bool forced) {
-              message.has_price = true;
-              if (!forced) message.price = self_price();
-            })
-      .slot(strategy_->ttl() > 0,
-            [&](bool) {
-              // Placeholder: frames are composed per exclusion group below,
-              // each stamped with the max depth of the records it carries.
-              message.has_hops = true;
-              message.hops = 0;
-            })
-      .compose();
+  // Each extension rides exactly when its own condition holds. The load
+  // hint also goes wherever a receiver needs the sender's address: prices
+  // and delta pulls are keyed by its node.
+  if (options_.advertise_load || options_.economy.enabled ||
+      compares_digests()) {
+    message.load = self_hint();
+  }
+  if (membership_) message.membership = membership_->update();
+  if (compares_digests()) message.digest = settled_digest(sim_.now());
+  if (options_.economy.enabled) message.price = self_price();
   trace::SpanContext xctx;
   if (auto* t = trace::current()) {
     xctx = t->begin(trace::Category::kDp, id_.value(), "dp.exchange", {},
@@ -1276,7 +1211,7 @@ void DecisionPoint::run_exchange(bool final_flush) {
   // past the TTL for every record riding along). Targets sharing an
   // exclusion get identical frames, so each group is encoded once and
   // shared by refcount — the mesh (no exclusion) still encodes once per
-  // round — and each frame's hop trailer reflects only the records it
+  // round — and each frame's hops extension reflects only the records it
   // actually carries.
   std::vector<NodeId> targets;
   strategy_->select(message.exchange_round, neighbors_, targets);
@@ -1313,13 +1248,16 @@ void DecisionPoint::run_exchange(bool final_flush) {
       if (exclusions[i] == exclusion) batch.push_back(targets[i]);
     }
     message.dispatches.clear();
-    message.hop_depths.clear();
-    message.hops = 0;
+    // Each group's frame is stamped with the depths of the records it
+    // carries; the mesh (ttl 0) carries none.
+    if (strategy_->ttl() > 0) message.hops.emplace();
     for (std::size_t i = 0; i < fresh_.size(); ++i) {
       if (fresh_meta_[i].from == exclusion) continue;
       message.dispatches.push_back(fresh_[i]);
-      message.hop_depths.push_back(fresh_meta_[i].depth);
-      message.hops = std::max(message.hops, fresh_meta_[i].depth);
+      if (message.hops) {
+        message.hops->depths.push_back(fresh_meta_[i].depth);
+        message.hops->max = std::max(message.hops->max, fresh_meta_[i].depth);
+      }
     }
     // Count every copy, not every encode, so bytes-per-round compares
     // honestly across strategies.
@@ -1358,11 +1296,7 @@ void DecisionPoint::wal_log_dispatch(const gruber::DispatchRecord& record,
   WalDispatch frame;
   frame.record = record;
   frame.applied_at = sim_.now();
-  if (request) {
-    frame.has_request_id = true;
-    frame.request_client = request->client;
-    frame.request_seq = request->seq;
-  }
+  frame.request_id = request;
   const std::vector<std::uint8_t> payload = net::wire::encode(frame);
   wal_append_frame(WalRecordType::kDispatch, payload);
 }
@@ -1413,10 +1347,7 @@ void DecisionPoint::write_checkpoint() {
     if (it == dedup_.end()) continue;
     checkpoint.dedup.push_back({key.first, key.second, it->second});
   }
-  if (bank_) {
-    checkpoint.has_bank = true;
-    checkpoint.bank = bank_->image();
-  }
+  if (bank_) checkpoint.bank = bank_->image();
   disk_->write_checkpoint(
       durable::make_checkpoint_image(net::wire::encode(checkpoint)));
   // The checkpoint covers everything the log held; truncating bounds both
@@ -1447,8 +1378,8 @@ sim::Duration DecisionPoint::replay_from_disk() {
     DpCheckpoint checkpoint;
     if (payload && net::wire::decode(*payload, checkpoint)) {
       persisted_incarnation = checkpoint.incarnation;
-      if (checkpoint.has_bank && bank_) {
-        bank_->restore(checkpoint.bank);
+      if (checkpoint.bank && bank_) {
+        bank_->restore(*checkpoint.bank);
         bank_restored = true;
       }
       for (const gruber::DispatchRecord& record : checkpoint.active) {
@@ -1497,8 +1428,8 @@ sim::Duration DecisionPoint::replay_from_disk() {
             // leaves the bank un-rolled past the twin's epoch boundary and
             // the next settle cross-check reads stale counters.
             charge_bank(record, frame.applied_at);
-            if (frame.has_request_id) {
-              dedup_insert(frame.request_client, frame.request_seq,
+            if (frame.request_id) {
+              dedup_insert(frame.request_id->client, frame.request_id->seq,
                            record.site);
               ++replay_dedup_;
             }

@@ -67,8 +67,8 @@ struct ClientOptions {
 
   /// Market placement (off by default; enabling changes rng consumption
   /// and wire bytes, so default runs stay byte-identical):
-  ///  - jobs carrying a budget or deadline ride a bid trailer on the
-  ///    query and selection-report frames,
+  ///  - jobs carrying a budget or deadline attach a bid to their
+  ///    selection-report frames,
   ///  - decision-point choice minimizes quoted cost (price * cpus *
   ///    runtime) over the deadline-feasible quoted set instead of p2c,
   ///  - jobs without economic fields — or when no quotes have arrived —
@@ -238,10 +238,11 @@ class DiGruberClient {
   void on_dp_success(std::size_t idx);
   /// Fold the DP load hints piggybacked on a query reply into the
   /// power-of-two-choices scores (overload-aware mode) and the per-DP
-  /// wait/price books (market placement). `prices` aligns index-wise with
-  /// `hints` and may be empty (no quotes on this reply).
-  void apply_load_hints(const std::vector<DpLoadHint>& hints,
-                        const std::vector<double>& prices);
+  /// wait/price books (market placement). Prices, when present, align
+  /// index-wise with the hints.
+  void apply_load_hints(const GetSiteLoadsReply& reply);
+  /// The first round trip's request for `job`.
+  [[nodiscard]] GetSiteLoadsRequest site_loads_request(const grid::Job& job) const;
   /// Fold a piggybacked membership update into the DP list (add joiners,
   /// quarantine dead/left, un-quarantine resurrected). Epoch-gated.
   void apply_membership(const MembershipUpdate& update);

@@ -40,7 +40,7 @@ enum class Dissemination : std::uint8_t {
 
 /// Partition tolerance: split-brain detection via piggybacked state
 /// digests, targeted delta anti-entropy on divergence, and
-/// staleness-guarded admission. Off by default — no digest trailers are
+/// staleness-guarded admission. Off by default — no digests are
 /// emitted, no delta pulls happen, admission is never degraded, and every
 /// message keeps its legacy byte layout.
 struct PartitionToleranceOptions {
@@ -94,7 +94,7 @@ struct DecisionPointOptions {
   /// only controls emission, so the default stays byte-identical.
   bool frame_checksums = false;
   /// Economic brokering (price quoting + the karma credit allocator). Off
-  /// by default: no price trailers are emitted, no credit bank exists, and
+  /// by default: no prices are emitted, no credit bank exists, and
   /// every message keeps its legacy byte layout.
   economy::EconomyOptions economy{};
   /// Durable local state (WAL + checkpoints on a simulated device) with
@@ -104,7 +104,7 @@ struct DecisionPointOptions {
   DurabilityOptions durability{};
   /// Dissemination overlay strategy (who each exchange round pushes to
   /// and the relay TTL riding along). Defaults to the paper's full mesh:
-  /// every live neighbor, no hop trailer, byte-identical wire.
+  /// every live neighbor, no hops extension, byte-identical wire.
   overlay::Options overlay{};
   /// Observer-only I13 bookkeeping (chaos --overlay): log every own
   /// accepted record's (seq, time) so the harness can bound convergence.
@@ -379,11 +379,6 @@ class DecisionPoint {
   [[nodiscard]] double free_fraction(sim::Time now) const;
   /// Which path a dispatch record was learned through.
   enum class Via : std::uint8_t { kOwn, kExchange, kPull };
-  /// Client request id an own selection carries into its WAL frame.
-  struct RequestId {
-    std::uint64_t client = 0;
-    std::uint64_t seq = 0;
-  };
   /// The one record-apply funnel: flooding dedup, engine, exchange
   /// counter, WAL frame, bank charge — in that order. A pulled record is
   /// skipped when expired, registered in the dedup set and then merged
@@ -455,10 +450,10 @@ class DecisionPoint {
   /// record was learned from (self for own records) and the relay depth
   /// it arrived at. Exchange frames are composed from it per split-horizon
   /// exclusion: under a relaying (ttl > 0) strategy a record is never
-  /// relayed back to the peer that sent it, and each frame's hop trailer
-  /// is the max depth of the records it actually carries, so one deep
-  /// record cannot poison the relay budget of records that rode in
-  /// shallow. Volatile, like fresh_.
+  /// relayed back to the peer that sent it, and each frame's hops
+  /// extension holds the depths of the records it actually carries, so
+  /// one deep record cannot poison the relay budget of records that rode
+  /// in shallow. Volatile, like fresh_.
   struct FreshMeta {
     DpId from;
     std::uint32_t depth = 0;

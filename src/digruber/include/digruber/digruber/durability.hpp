@@ -1,8 +1,10 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
+#include "digruber/digruber/protocol.hpp"
 #include "digruber/durable/disk.hpp"
 #include "digruber/economy/economy.hpp"
 #include "digruber/gruber/view.hpp"
@@ -34,28 +36,20 @@ enum class WalRecordType : std::uint8_t {
 
 /// Payload of a kDispatch frame. `applied_at` is the *local* apply time —
 /// replay re-drives CreditBank::charge with it so the restored ledgers land
-/// charges in the same epochs the live bank did. The request id trailer
-/// rides only on records born from a stamped ReportSelection, and rebuilds
-/// the exactly-once dedup window on replay.
+/// charges in the same epochs the live bank did. The request id rides only
+/// on records born from a stamped ReportSelection, and rebuilds the
+/// exactly-once dedup window on replay.
 struct WalDispatch {
   gruber::DispatchRecord record{};
   sim::Time applied_at{};
-
-  bool has_request_id = false;  // not serialized: presence = trailer bytes
-  std::uint64_t request_client = 0;
-  std::uint64_t request_seq = 0;
+  enum Tag : std::uint8_t { kRequestId = 1 };
+  std::optional<RequestId> request_id;
 
   template <class Archive>
   void serialize(Archive& ar) {
+    using net::wire::ext;
     ar & record & applied_at;
-    if constexpr (Archive::kIsWriter) {
-      if (has_request_id) ar & request_client & request_seq;
-    } else {
-      if (ar.remaining() > 0) {
-        ar & request_client & request_seq;
-        has_request_id = true;
-      }
-    }
+    ar.extensions(ext(kRequestId, request_id));
   }
 };
 
@@ -104,13 +98,11 @@ struct DpCheckpoint {
   sim::Time taken_at{};
   std::vector<gruber::DispatchRecord> active;
   std::vector<DedupEntry> dedup;
-  bool has_bank = false;
-  economy::BankImage bank{};
+  std::optional<economy::BankImage> bank;
 
   template <class Archive>
   void serialize(Archive& ar) {
-    ar & incarnation & taken_at & active & dedup & has_bank;
-    if (has_bank) ar & bank;
+    ar & incarnation & taken_at & active & dedup & bank;
   }
 };
 

@@ -35,7 +35,7 @@ struct MemberInfo {
   }
 };
 
-/// The membership trailer gossiped on state exchanges and attached to
+/// The membership view gossiped on state exchanges and attached to
 /// query replies when the asking client's epoch is stale.
 struct MembershipUpdate {
   std::uint64_t epoch = 0;

@@ -1,11 +1,13 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "digruber/digruber/membership.hpp"
 #include "digruber/grid/job.hpp"
 #include "digruber/gruber/view.hpp"
+#include "digruber/net/wire/archive.hpp"
 #include "digruber/net/wire/stats.hpp"
 
 namespace digruber::digruber {
@@ -66,42 +68,24 @@ struct GetSiteLoadsRequest {
   GroupId group;
   UserId user;
   std::int32_t cpus = 1;
-  /// Optional trailing field (membership-aware clients only): the client's
-  /// current membership epoch. A decision point whose view is newer
-  /// attaches a MembershipUpdate to the reply. Absent -> legacy bytes.
-  bool has_epoch = false;
-  std::uint64_t membership_epoch = 0;
-  /// Second optional trailing field (market placement): the job's economic
-  /// bid — a spend ceiling and a completion deadline. Positional stacking
-  /// rule: attaching the bid forces the epoch trailer (epoch 0 is a
-  /// harmless no-op on decision points). Absent -> legacy bytes.
-  bool has_bid = false;
-  double budget = 0.0;
-  double deadline_s = 0.0;
+  /// Extension tags (see net::wire::Ext). Tag 2, a query-side bid no
+  /// decision point read, is retired.
+  enum Tag : std::uint8_t { kEpoch = 1 };
+  /// A membership-aware client's current membership epoch. A decision
+  /// point whose view is newer attaches its MembershipUpdate to the reply.
+  std::optional<std::uint64_t> membership_epoch;
 
   template <class Archive>
   void serialize(Archive& ar) {
+    using net::wire::ext;
     ar & job & vo & group & user & cpus;
-    if constexpr (Archive::kIsWriter) {
-      if (has_epoch) ar & membership_epoch;
-      if (has_bid) ar & budget & deadline_s;
-    } else {
-      if (ar.remaining() > 0) {
-        ar & membership_epoch;
-        has_epoch = true;
-      }
-      if (ar.remaining() > 0) {
-        ar & budget & deadline_s;
-        has_bid = true;
-      }
-    }
+    ar.extensions(ext(kEpoch, membership_epoch));
   }
 };
 
 /// Per-decision-point load hint piggybacked on existing traffic (state
 /// exchange and query replies) so peers and clients can do load-aware DP
-/// selection without extra probe RPCs. Always a trailing optional field:
-/// senders that do not advertise load emit byte-identical legacy messages.
+/// selection without extra probe RPCs.
 struct DpLoadHint {
   std::uint64_t node = 0;       // RPC address of the advertising DP
   std::int32_t queue_depth = 0;
@@ -135,58 +119,57 @@ struct DegradedHint {
 struct GetSiteLoadsReply {
   std::vector<gruber::SiteLoad> candidates;
   sim::Time as_of;
-  /// Optional trailing field: the serving DP's own hint plus what it has
-  /// heard from peers, for power-of-two-choices failover on the client.
-  std::vector<DpLoadHint> dp_loads;
-  /// Second optional trailing field: the DP's membership view, attached
-  /// only when the requesting client reported a stale epoch. Trailing
-  /// fields stack positionally, so a sender attaching the membership
-  /// trailer MUST also emit `dp_loads` (membership-enabled DPs always
-  /// include at least their own hint).
-  bool has_membership = false;
-  MembershipUpdate membership;
-  /// Third optional trailing field (partition tolerance): the DP's state
-  /// digest, so any observer can detect divergence between decision
-  /// points from query traffic alone. Attaching it forces the two earlier
-  /// trailers (an empty MembershipUpdate is a harmless no-op on apply).
-  bool has_digest = false;
-  gruber::ViewDigest digest;
-  /// Fourth optional trailing field (partition tolerance): degraded-mode
-  /// admission hint. Same stacking rule: attaching it forces the digest.
-  bool has_degraded = false;
-  DegradedHint degraded;
-  /// Fifth optional trailing field (economy): per-DP price quotes aligned
-  /// index-wise with `dp_loads`, so market-placement clients can minimize
-  /// cost over the same hint set p2c uses. Attaching it forces every
-  /// earlier trailer (empty digest / level-0 degraded hints are harmless
-  /// no-ops on receivers).
-  std::vector<double> dp_prices;
+  enum Tag : std::uint8_t {
+    kLoads = 1,
+    kMembership = 2,
+    kDigest = 3,
+    kDegraded = 4,
+    kPrices = 5,
+  };
+  /// The serving DP's own hint plus what it has heard from peers, for
+  /// power-of-two-choices failover on the client.
+  std::optional<std::vector<DpLoadHint>> dp_loads;
+  /// The DP's membership view, for a client that reported a stale epoch.
+  std::optional<MembershipUpdate> membership;
+  /// Partition tolerance: the DP's settled state digest, so any observer
+  /// can detect divergence between decision points from query traffic.
+  std::optional<gruber::ViewDigest> digest;
+  /// Partition tolerance: the DP's degraded-mode hint, level >= 1.
+  std::optional<DegradedHint> degraded;
+  /// Economy: per-DP price quotes aligned index-wise with `dp_loads`, so
+  /// market-placement clients can minimize cost over the hint set p2c uses
+  /// (0 = no quote heard yet).
+  std::optional<std::vector<double>> dp_prices;
 
   template <class Archive>
   void serialize(Archive& ar) {
+    using net::wire::ext;
     ar & candidates & as_of;
-    if constexpr (Archive::kIsWriter) {
-      if (!dp_loads.empty()) ar & dp_loads;
-      if (has_membership) ar & membership;
-      if (has_digest) ar & digest;
-      if (has_degraded) ar & degraded;
-      if (!dp_prices.empty()) ar & dp_prices;
-    } else {
-      if (ar.remaining() > 0) ar & dp_loads;
-      if (ar.remaining() > 0) {
-        ar & membership;
-        has_membership = true;
-      }
-      if (ar.remaining() > 0) {
-        ar & digest;
-        has_digest = true;
-      }
-      if (ar.remaining() > 0) {
-        ar & degraded;
-        has_degraded = true;
-      }
-      if (ar.remaining() > 0) ar & dp_prices;
-    }
+    ar.extensions(ext(kLoads, dp_loads), ext(kMembership, membership),
+                  ext(kDigest, digest), ext(kDegraded, degraded),
+                  ext(kPrices, dp_prices));
+  }
+};
+
+/// A market-placement job's bid: a spend ceiling and a completion deadline.
+struct Bid {
+  double budget = 0.0;
+  double deadline_s = 0.0;
+
+  template <class Archive>
+  void serialize(Archive& ar) {
+    ar & budget & deadline_s;
+  }
+};
+
+/// A durable client request id, stable across retries of one placement.
+struct RequestId {
+  std::uint64_t client = 0;
+  std::uint64_t seq = 0;
+
+  template <class Archive>
+  void serialize(Archive& ar) {
+    ar & client & seq;
   }
 };
 
@@ -198,61 +181,49 @@ struct ReportSelectionRequest {
   UserId user;
   std::int32_t cpus = 1;
   sim::Duration est_runtime;
-  /// Optional trailing field (market placement): the bid the client
-  /// placed this job under, echoed so the serving DP can account priced
-  /// selections. Absent -> legacy bytes.
-  bool has_bid = false;
-  double budget = 0.0;
-  double deadline_s = 0.0;
-  /// Optional trailing field (exactly-once dispatch): a durable client
-  /// request id, stable across retries of the same placement, letting the
-  /// serving DP collapse a retry to the original decision. Stacks after
-  /// the bid trailer, so stamping a request id forces the (possibly
-  /// all-zero, harmless) bid bytes to keep positional decoding
-  /// unambiguous. Absent -> legacy bytes.
-  bool has_request_id = false;
-  std::uint64_t request_client = 0;
-  std::uint64_t request_seq = 0;
+  enum Tag : std::uint8_t { kBid = 1, kRequestId = 2 };
+  /// Market placement: the bid the client placed this job under, so the
+  /// serving DP can account priced selections.
+  std::optional<Bid> bid;
+  /// Exactly-once dispatch: lets the serving DP collapse a retry to the
+  /// original decision.
+  std::optional<RequestId> request_id;
 
   template <class Archive>
   void serialize(Archive& ar) {
+    using net::wire::ext;
     ar & job & site & vo & group & user & cpus & est_runtime;
-    if constexpr (Archive::kIsWriter) {
-      if (has_bid || has_request_id) ar & budget & deadline_s;
-      if (has_request_id) ar & request_client & request_seq;
-    } else {
-      if (ar.remaining() > 0) {
-        ar & budget & deadline_s;
-        has_bid = true;
-      }
-      if (ar.remaining() > 0) {
-        ar & request_client & request_seq;
-        has_request_id = true;
-      }
-    }
+    ar.extensions(ext(kBid, bid), ext(kRequestId, request_id));
   }
 };
 
 struct Ack {
   bool ok = true;
-  /// Optional trailing field (exactly-once dispatch): present when the
-  /// dedup window collapsed a retried report — carries the placement the
-  /// original attempt recorded, so the retry returns the original
-  /// decision instead of a re-allocation. Absent -> legacy bytes.
-  bool has_original = false;
-  SiteId original_site{};
+  enum Tag : std::uint8_t { kOriginalSite = 1 };
+  /// Exactly-once dispatch: present when the dedup window collapsed a
+  /// retried report, carrying the placement the original attempt recorded.
+  std::optional<SiteId> original_site;
 
   template <class Archive>
   void serialize(Archive& ar) {
+    using net::wire::ext;
     ar & ok;
-    if constexpr (Archive::kIsWriter) {
-      if (has_original) ar & original_site;
-    } else {
-      if (ar.remaining() > 0) {
-        ar & original_site;
-        has_original = true;
-      }
-    }
+    ar.extensions(ext(kOriginalSite, original_site));
+  }
+};
+
+/// Relay depths of an exchange frame's records under a sparse overlay.
+/// Per record, because one deep record must not burn the relay budget of a
+/// fresh one riding the same frame.
+struct Hops {
+  std::uint32_t max = 0;  ///< deepest record on the frame, for telemetry
+  /// `depths[i]` = relay hops `dispatches[i]` has already traveled; empty
+  /// means all zero.
+  std::vector<std::uint32_t> depths;
+
+  template <class Archive>
+  void serialize(Archive& ar) {
+    ar & max & depths;
   }
 };
 
@@ -262,78 +233,33 @@ struct ExchangeMessage {
   std::vector<gruber::DispatchRecord> dispatches;
   /// Dissemination strategy 1 additionally carries fresh site snapshots.
   std::vector<grid::SiteSnapshot> snapshots;
-  /// Optional trailing field: sender's container-load hint (set when the
-  /// DP advertises load; absent keeps the legacy byte layout).
-  bool has_load = false;
-  DpLoadHint load;
-  /// Second optional trailing field: the sender's membership view,
-  /// gossiped so join/leave/death verdicts flood the mesh on the frames
-  /// it already sends. Positional stacking rule: a sender attaching the
-  /// membership trailer MUST also set `has_load` (membership-enabled DPs
-  /// always advertise their own hint).
-  bool has_membership = false;
-  MembershipUpdate membership;
-  /// Third optional trailing field (partition tolerance): the sender's
-  /// per-VO state digest, piggybacked so peers detect divergence on the
-  /// first frame that crosses a healed partition. Positional stacking
-  /// rule again: attaching the digest forces `load` and `membership`
-  /// (empty ones are harmless no-ops on the receiver).
-  bool has_digest = false;
-  gruber::ViewDigest digest;
-  /// Fourth optional trailing field (economy): the sender's current price
-  /// quote, flooded so every DP can relay the full price picture to its
-  /// clients. Positional stacking rule: attaching the price forces the
-  /// three earlier trailers. An economy-only sender emits an *empty*
-  /// digest — receivers must treat an empty digest as "no digest", not as
-  /// divergence (see `ViewDigest` equality).
-  bool has_price = false;
-  double price = 0.0;
-  /// Fifth optional trailing field (overlay): per-record relay depths for
-  /// `dispatches` (`hop_depths[i]` = relay hops record i has already
-  /// traveled; empty means all zero) plus the batch max in `hops` for
-  /// telemetry. Stamped by sparse overlays (tree, gossip, super-peer) so
-  /// receivers can bound further relaying of each record by the
-  /// strategy's TTL — per record, because one deep record must not burn
-  /// the relay budget of a fresh one riding the same frame. Positional
-  /// stacking rule: attaching hops forces all four earlier trailers
-  /// (empty/neutral payloads are no-ops on the receiver). The mesh
-  /// strategy never attaches it, keeping the default wire layout
-  /// byte-identical to the pre-overlay format.
-  bool has_hops = false;
-  std::uint32_t hops = 0;
-  std::vector<std::uint32_t> hop_depths;
+  enum Tag : std::uint8_t {
+    kLoad = 1,
+    kMembership = 2,
+    kDigest = 3,
+    kPrice = 4,
+    kHops = 5,
+  };
+  /// The sender's container-load hint; its node is also the sender's
+  /// server address, which receivers key prices and delta pulls by.
+  std::optional<DpLoadHint> load;
+  /// The sender's membership view, gossiped so join/leave/death verdicts
+  /// flood the mesh on the frames it already sends.
+  std::optional<MembershipUpdate> membership;
+  /// The sender's settled digest, so peers detect divergence on the first
+  /// frame that crosses a healed partition.
+  std::optional<gruber::ViewDigest> digest;
+  /// Economy: the sender's current price quote.
+  std::optional<double> price;
+  /// Sparse overlays: per-record relay depths, bounded by the strategy TTL.
+  std::optional<Hops> hops;
 
   template <class Archive>
   void serialize(Archive& ar) {
+    using net::wire::ext;
     ar & from & exchange_round & dispatches & snapshots;
-    if constexpr (Archive::kIsWriter) {
-      if (has_load) ar & load;
-      if (has_membership) ar & membership;
-      if (has_digest) ar & digest;
-      if (has_price) ar & price;
-      if (has_hops) ar & hops & hop_depths;
-    } else {
-      if (ar.remaining() > 0) {
-        ar & load;
-        has_load = true;
-      }
-      if (ar.remaining() > 0) {
-        ar & membership;
-        has_membership = true;
-      }
-      if (ar.remaining() > 0) {
-        ar & digest;
-        has_digest = true;
-      }
-      if (ar.remaining() > 0) {
-        ar & price;
-        has_price = true;
-      }
-      if (ar.remaining() > 0) {
-        ar & hops & hop_depths;
-        has_hops = true;
-      }
-    }
+    ar.extensions(ext(kLoad, load), ext(kMembership, membership),
+                  ext(kDigest, digest), ext(kPrice, price), ext(kHops, hops));
   }
 };
 

@@ -207,7 +207,7 @@ Result<ScenarioConfig> scenario_from_config(const Config& config) {
 
     // Economic brokering: `allocator = karma` turns on the credit banks,
     // `placement = market` the client-side bid/price path; either one
-    // enables the price/bid wire trailers.
+    // enables the price/bid wire extensions.
     const auto allocator =
         parse_allocator(config.get_string("allocator", "proportional"));
     if (!allocator.ok()) return Fail::failure(allocator.error());

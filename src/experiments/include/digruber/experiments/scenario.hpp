@@ -116,7 +116,7 @@ struct ScenarioConfig {
   /// credit bank (epoch settlement + severity-then-credit admission);
   /// `market_placement` enables client-side budget/deadline bids and
   /// cost-minimizing selection over the price quotes piggybacked on query
-  /// replies. Either one turns on the price/bid wire trailers; grid
+  /// replies. Either one turns on the price/bid wire extensions; grid
   /// capacity for the banks is filled in from the emulated grid.
   economy::EconomyOptions economy_options{};
   bool market_placement = false;

@@ -30,7 +30,7 @@ struct Job {
   std::uint64_t output_bytes = 0;
   /// Economic fields (market placement): spend ceiling and completion
   /// deadline in seconds from submission; 0 = no economic constraint.
-  /// Host-local — they reach the broker via the optional bid wire trailer,
+  /// Host-local — they reach the broker via the optional bid extension,
   /// not the job serialization, so job archives keep their byte layout.
   double budget = 0.0;
   double deadline_s = 0.0;

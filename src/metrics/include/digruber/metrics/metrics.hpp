@@ -257,7 +257,7 @@ struct DurabilityCounters {
 
 /// Dissemination-overlay counters aggregated across a scenario run (the
 /// per-round push sets each decision point's strategy selected, the relay
-/// depth observed on hop trailers, TTL relay suppressions, and structure
+/// depth observed on hops extensions, TTL relay suppressions, and structure
 /// repairs under churn), surfaced through the DiPerF report by the
 /// overlay ablation benches and the chaos overlay soak. Under the default
 /// full mesh only `exchanges_sent` / `rounds` / `bytes_sent` move.

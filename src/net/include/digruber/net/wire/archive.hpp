@@ -35,6 +35,36 @@ namespace digruber::net::wire {
 ///            encode() can reserve once and never reallocate;
 ///   Reader — decodes from a non-owning std::span view; it never copies
 ///            the input and never reads past it.
+///
+/// Optional fields live in one extension block after a message's fixed
+/// fields, declared once per message:
+///
+///   ar & job & vo;
+///   ar.extensions(ext(1, epoch), ext(2, bid));
+///
+/// Each present field is written as (u8 tag, u32 length, payload) in
+/// ascending tag order; with none present the block is empty, so a message
+/// without extensions keeps its legacy bytes. The reader skips unknown
+/// tags wherever they sit, and fails on a repeated or out-of-order known
+/// tag, on a length past the end, and on a known payload that does not
+/// decode exactly. The block runs to the end of the input, so only a
+/// message decoded on its own (a frame body, a WAL payload or an
+/// extension payload) may declare one.
+
+/// One optional field of an extension block under its fixed tag.
+template <class T>
+struct Ext {
+  std::uint8_t tag;
+  std::optional<T>& field;
+};
+
+template <class T>
+Ext<T> ext(std::uint8_t tag, std::optional<T>& field) {
+  return {tag, field};
+}
+
+/// Tag byte plus u32 length in front of every extension payload.
+inline constexpr std::size_t kExtHeader = 1 + sizeof(std::uint32_t);
 
 namespace detail {
 
@@ -57,8 +87,6 @@ constexpr U to_little_endian(U u) {
 
 class Writer {
  public:
-  static constexpr bool kIsWriter = true;
-
   [[nodiscard]] std::span<const std::uint8_t> bytes() const {
     return {buf_.data(), pos_};
   }
@@ -91,7 +119,26 @@ class Writer {
     return *this;
   }
 
+  /// Write the extension block; callers list the tags in ascending order.
+  template <class... Ts>
+  void extensions(const Ext<Ts>&... exts) {
+    (write_ext(exts), ...);
+  }
+
  private:
+  template <class T>
+  void write_ext(const Ext<T>& e) {
+    if (!e.field) return;
+    write_integral(e.tag);
+    // The length is patched in after the payload: one pass, no sizing.
+    const std::size_t at = pos_;
+    write_integral(std::uint32_t{0});
+    write(*e.field);
+    const std::uint32_t length = detail::to_little_endian(
+        static_cast<std::uint32_t>(pos_ - at - sizeof(std::uint32_t)));
+    std::memcpy(buf_.data() + at, &length, sizeof length);
+  }
+
   /// Grow the backing store when a write was not covered by reserve().
   /// Geometric so unsized use stays amortized-O(1).
   void ensure(std::size_t n) {
@@ -176,12 +223,9 @@ class Writer {
 };
 
 /// Computes the exact encoded size of a message without writing a byte.
-/// Mirrors Writer's layout rules; `kIsWriter` is true so version-gated
-/// serialize() branches take the writing path.
+/// Mirrors Writer's layout rules.
 class Sizer {
  public:
-  static constexpr bool kIsWriter = true;
-
   [[nodiscard]] std::size_t size() const { return size_; }
 
   void raw(const void* /*data*/, std::size_t n) { size_ += n; }
@@ -190,6 +234,11 @@ class Sizer {
   Sizer& operator&(const T& v) {
     measure(v);
     return *this;
+  }
+
+  template <class... Ts>
+  void extensions(const Ext<Ts>&... exts) {
+    ((exts.field ? (size_ += kExtHeader, measure(*exts.field)) : void()), ...);
   }
 
  private:
@@ -255,8 +304,6 @@ std::size_t encoded_size(const T& msg) {
 
 class Reader {
  public:
-  static constexpr bool kIsWriter = false;
-
   explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
 
   [[nodiscard]] bool ok() const { return ok_; }
@@ -270,7 +317,52 @@ class Reader {
     return *this;
   }
 
+  /// Read the extension block: everything left in the input.
+  template <class... Ts>
+  void extensions(const Ext<Ts>&... exts) {
+    (exts.field.reset(), ...);
+    if (!ok_ || pos_ == data_.size()) return;
+    // A Reader of its own parses the block, so this one's address never
+    // escapes and the fixed fields keep decoding from registers.
+    ok_ = read_block(data_.subspan(pos_), exts...);
+    pos_ = data_.size();
+  }
+
  private:
+  template <class... Ts>
+  static bool read_block(std::span<const std::uint8_t> block,
+                         const Ext<Ts>&... exts) {
+    Reader r(block);
+    int last_known = -1;
+    while (r.ok_ && r.pos_ < block.size()) {
+      std::uint8_t tag = 0;
+      std::uint32_t length = 0;
+      r.read_integral(tag);
+      r.read_integral(length);
+      if (!r.ok_ || length > r.remaining()) return false;
+      const std::span<const std::uint8_t> payload = block.subspan(r.pos_, length);
+      r.pos_ += length;
+      // Unknown tags match no field and are skipped.
+      (void)(r.read_ext(exts, tag, payload, last_known) || ...);
+    }
+    return r.ok_;
+  }
+
+  template <class T>
+  bool read_ext(const Ext<T>& e, std::uint8_t tag,
+                std::span<const std::uint8_t> payload, int& last_known) {
+    if (e.tag != tag) return false;
+    if (int(tag) <= last_known) {
+      ok_ = false;  // repeated, or after a higher known tag
+      return true;
+    }
+    last_known = tag;
+    Reader sub(payload);
+    sub & e.field.emplace();
+    if (!sub.complete()) ok_ = false;
+    return true;
+  }
+
   bool take(void* out, std::size_t n) {
     if (!ok_ || data_.size() - pos_ < n) {
       ok_ = false;

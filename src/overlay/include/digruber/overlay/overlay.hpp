@@ -63,7 +63,7 @@ struct View {
 /// Peer-set selection per exchange round plus the per-message relay TTL
 /// policy. Implementations are pure topology: they own no sockets and
 /// send nothing — the decision point asks for this round's targets and
-/// stamps/polices the hop trailer according to `ttl()`.
+/// stamps/polices the hops extension according to `ttl()`.
 class Strategy {
  public:
   virtual ~Strategy() = default;
@@ -81,8 +81,8 @@ class Strategy {
   virtual void select(std::uint64_t round, const std::vector<NodeId>& candidates,
                       std::vector<NodeId>& out) = 0;
 
-  /// Relay-depth bound stamped on originated exchanges. 0 means "no hop
-  /// trailer" (mesh: direct delivery, the wire stays byte-identical to
+  /// Relay-depth bound stamped on originated exchanges. 0 means "no hops
+  /// extension" (mesh: direct delivery, the wire stays byte-identical to
   /// the pre-overlay format). Receivers apply records regardless of
   /// depth — the bound only suppresses further relaying, so an expired
   /// TTL degrades to anti-entropy repair, never to record loss.

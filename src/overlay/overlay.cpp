@@ -76,7 +76,7 @@ class SpanningTree final : public Strategy {
     std::sort(watch.begin(), watch.end());
     // Diameter of the tree (leaf -> root -> leaf = 2*depth) bounds a
     // record's relay distance; depths are exact per record (they ride the
-    // hop trailer), so the TTL only needs repair slack on top: during a
+    // hops extension), so the TTL only needs repair slack on top: during a
     // churn transient points hold divergent rosters and a record may take
     // a detour through the old and new structure. The TTL is a loop
     // backstop — dedup already terminates the flood.

@@ -261,6 +261,44 @@ TEST(DecisionPoint, LineOverlayRelaysAcrossHops) {
   for (auto& dp : dps) dp->stop();
 }
 
+TEST(DecisionPoint, ForgedHopDepthIsAppliedButNotRelayed) {
+  Fixture f;
+  DecisionPointOptions options = f.options();
+  options.overlay.kind = overlay::Kind::kTree;
+  options.overlay.tree_degree = 1;  // a line: dp0 - dp1 - dp2
+  std::vector<std::unique_ptr<DecisionPoint>> dps;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    dps.push_back(std::make_unique<DecisionPoint>(f.sim, f.transport, DpId(i),
+                                                  f.catalog, f.tree, options));
+    dps.back()->bootstrap(f.snapshots());
+  }
+  connect({dps[0].get(), dps[1].get(), dps[2].get()});
+
+  // A stand-in claiming to be dp0 sends dp1 one record at the deepest
+  // depth a u32 can hold: one more hop must not wrap it back to fresh.
+  ExchangeMessage forged;
+  forged.from = DpId(0);
+  forged.exchange_round = 1;
+  gruber::DispatchRecord record;
+  record.origin = DpId(0);
+  record.seq = 99;
+  record.site = SiteId(2);
+  record.vo = VoId(0);
+  record.cpus = 5;
+  record.when = sim::Time::from_seconds(30);
+  record.est_runtime = sim::Duration::minutes(60);
+  forged.dispatches.push_back(record);
+  forged.hops = Hops{UINT32_MAX, {UINT32_MAX}};
+  f.sim.schedule_at(sim::Time::from_seconds(30),
+                    [&] { f.rpc.notify(dps[1]->node(), kExchange, forged); });
+
+  f.sim.run_until(sim::Time::from_seconds(200));
+  EXPECT_EQ(dps[1]->records_applied(), 1u);
+  EXPECT_EQ(dps[1]->overlay_relays_suppressed(), 1u);
+  EXPECT_TRUE(dps[2]->applied_keys().empty());
+  for (auto& dp : dps) dp->stop();
+}
+
 TEST(DecisionPoint, TreeSplitHorizonAndOneEncodePerExclusion) {
   Fixture f;
   DecisionPointOptions options = f.options();

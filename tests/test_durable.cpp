@@ -156,11 +156,7 @@ struct Fixture {
     r.user = UserId(0);
     r.cpus = 40;
     r.est_runtime = sim::Duration::seconds(5000);
-    if (seq != 0) {
-      r.has_request_id = true;
-      r.request_client = 77;
-      r.request_seq = seq;
-    }
+    if (seq != 0) r.request_id = RequestId{77, seq};
     return r;
   }
 
@@ -232,7 +228,7 @@ TEST(DurableDp, RetryAfterCrashReturnsOriginalDecision) {
   f.send_report(dp, f.report(/*seq=*/5), &first);
   f.sim.run_until(sim::Time::from_seconds(10));
   ASSERT_TRUE(first.ok);
-  EXPECT_FALSE(first.has_original);
+  EXPECT_FALSE(first.original_site);
   ASSERT_EQ(dp.selections_recorded(), 1u);
 
   dp.crash();
@@ -246,7 +242,6 @@ TEST(DurableDp, RetryAfterCrashReturnsOriginalDecision) {
   f.send_report(dp, f.report(/*seq=*/5), &retry);
   f.sim.run_until(f.sim.now() + sim::Duration::seconds(10));
   ASSERT_TRUE(retry.ok);
-  EXPECT_TRUE(retry.has_original);
   EXPECT_EQ(retry.original_site, SiteId(0));
   EXPECT_EQ(dp.dedup_hits(), 1u);
   EXPECT_EQ(dp.selections_recorded(), 1u);

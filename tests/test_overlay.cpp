@@ -8,8 +8,6 @@
 #include <set>
 #include <vector>
 
-#include "digruber/overlay/trailer_stack.hpp"
-
 namespace digruber::overlay {
 namespace {
 
@@ -240,28 +238,6 @@ TEST(Overlay, GossipWatchStretchTracksContactPeriod) {
   // Small rosters never stretch below one interval.
   gossip->rebuild(view_for(3, DpId(0)));
   EXPECT_DOUBLE_EQ(gossip->watch_stretch(), 2.0);
-}
-
-TEST(TrailerStack, AttachesThroughLastWantedSlot) {
-  std::vector<int> attached;  // slot index, negated when forced
-  TrailerStack stack;
-  stack.slot(true, [&](bool forced) { attached.push_back(forced ? -1 : 1); })
-      .slot(false, [&](bool forced) { attached.push_back(forced ? -2 : 2); })
-      .slot(true, [&](bool forced) { attached.push_back(forced ? -3 : 3); })
-      .slot(false, [&](bool forced) { attached.push_back(forced ? -4 : 4); })
-      .compose();
-  // Slot 2 is forced (empty payload) because slot 3 wants on; slot 4,
-  // after the last wanted slot, must never attach.
-  EXPECT_EQ(attached, (std::vector<int>{1, -2, 3}));
-}
-
-TEST(TrailerStack, NothingWantedAttachesNothing) {
-  bool touched = false;
-  TrailerStack stack;
-  stack.slot(false, [&](bool) { touched = true; })
-      .slot(false, [&](bool) { touched = true; })
-      .compose();
-  EXPECT_FALSE(touched);
 }
 
 }  // namespace

@@ -128,15 +128,13 @@ TEST_P(PullRule, SkipsExpiredResolvesTwinsAndCountsDoubleCommits) {
   if (GetParam() == PullReason::kCatchUp) {
     second.exchange_round = 3;
   } else {
-    second.has_load = true;
-    second.load.node = peer.node().value();
-    second.has_membership = true;
-    second.has_digest = true;
-    second.digest.base_hash = 1;
+    second.load.emplace().node = peer.node().value();
+    gruber::ViewDigest& digest = second.digest.emplace();
+    digest.base_hash = 1;
     gruber::VoDigest vo;
     vo.vo = VoId(0);
     vo.hash = 1;
-    second.digest.vos.push_back(vo);
+    digest.vos.push_back(vo);
   }
   f.sim.schedule_at(at(50), [&] { f.rpc.notify(dp.node(), kExchange, first); });
   f.sim.schedule_at(at(55), [&] { f.rpc.notify(dp.node(), kExchange, second); });
