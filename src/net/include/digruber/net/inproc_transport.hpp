@@ -36,7 +36,8 @@ class InProcTransport final : public Transport {
     return dropped_.load(std::memory_order_relaxed);
   }
 
-  /// Blocks until every mailbox is empty and every delivery thread idle.
+  /// Blocks until every packet sent so far, and every packet those
+  /// deliveries sent in turn, has been delivered.
   void drain();
 
  private:
@@ -47,15 +48,20 @@ class InProcTransport final : public Transport {
     std::condition_variable cv;
     std::deque<Packet> queue;
     bool closing = false;
-    bool busy = false;
     std::thread worker;
   };
 
-  static void run_mailbox(Mailbox& box);
+  void run_mailbox(Mailbox& box);
 
   mutable std::mutex registry_mutex_;
   std::uint64_t next_node_ = 1;
   std::atomic<std::uint64_t> dropped_{0};
+  // Packets queued or being delivered, transport-wide. A delivery's own
+  // sends are counted before the delivery itself is uncounted, so the
+  // count reaches zero only at true quiescence.
+  std::mutex idle_mutex_;
+  std::condition_variable idle_cv_;
+  std::uint64_t in_flight_ = 0;  // guarded by idle_mutex_
   std::unordered_map<NodeId, std::shared_ptr<Mailbox>> mailboxes_;
 };
 

@@ -26,7 +26,7 @@ NodeId InProcTransport::attach(Endpoint& endpoint) {
   const std::scoped_lock lock(registry_mutex_);
   const NodeId node(next_node_++);
   auto box = std::make_shared<Mailbox>(endpoint);
-  box->worker = std::thread([raw = box.get()] { run_mailbox(*raw); });
+  box->worker = std::thread([this, raw = box.get()] { run_mailbox(*raw); });
   mailboxes_.emplace(node, std::move(box));
   return node;
 }
@@ -53,7 +53,7 @@ bool InProcTransport::reattach(NodeId node, Endpoint& endpoint) {
   if (!node.valid() || node.value() >= next_node_) return false;  // never issued
   if (mailboxes_.count(node)) return false;                       // in use
   auto box = std::make_shared<Mailbox>(endpoint);
-  box->worker = std::thread([raw = box.get()] { run_mailbox(*raw); });
+  box->worker = std::thread([this, raw = box.get()] { run_mailbox(*raw); });
   mailboxes_.emplace(node, std::move(box));
   return true;
 }
@@ -77,6 +77,10 @@ void InProcTransport::send(Packet packet) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
+    {
+      const std::scoped_lock idle(idle_mutex_);
+      ++in_flight_;
+    }
     box->queue.push_back(std::move(packet));
   }
   box->cv.notify_one();
@@ -91,36 +95,23 @@ void InProcTransport::run_mailbox(Mailbox& box) {
       if (box.queue.empty()) return;  // closing and drained
       packet = std::move(box.queue.front());
       box.queue.pop_front();
-      box.busy = true;
     }
     box.endpoint.on_packet(std::move(packet));
+    bool idle = false;
     {
-      const std::scoped_lock lock(box.mutex);
-      box.busy = false;
+      const std::scoped_lock lock(idle_mutex_);
+      idle = --in_flight_ == 0;
     }
-    box.cv.notify_all();
+    if (idle) idle_cv_.notify_all();
   }
 }
 
 void InProcTransport::drain() {
-  // Quiescence: repeat until a full pass observes every mailbox empty and
-  // idle (a delivery can enqueue onto another mailbox, hence the loop).
-  for (;;) {
-    bool all_idle = true;
-    std::vector<std::shared_ptr<Mailbox>> boxes;
-    {
-      const std::scoped_lock lock(registry_mutex_);
-      for (auto& [node, box] : mailboxes_) boxes.push_back(box);
-    }
-    for (auto& box : boxes) {
-      std::unique_lock lock(box->mutex);
-      if (!box->queue.empty() || box->busy) {
-        all_idle = false;
-        box->cv.wait(lock, [&] { return box->queue.empty() && !box->busy; });
-      }
-    }
-    if (all_idle) return;
-  }
+  // Checking mailboxes one by one races with forwarding: a delivery can
+  // enqueue onto a mailbox already seen idle, then go idle itself before
+  // the pass reaches it. The transport-wide count has no such gap.
+  std::unique_lock lock(idle_mutex_);
+  idle_cv_.wait(lock, [&] { return in_flight_ == 0; });
 }
 
 }  // namespace digruber::net
