@@ -237,9 +237,14 @@ int main(int argc, char** argv) {
     last_mismatch_s = std::max(last_mismatch_s, event.ts.to_seconds());
   }
 
+  using ::digruber::digruber::PullReason;
   std::uint64_t catchup_records_off = 0, catchup_records_on = 0;
-  for (const auto& dp : off.dps) catchup_records_off += dp.resync_records;
-  for (const auto& dp : on.dps) catchup_records_on += dp.resync_records;
+  for (const auto& dp : off.dps) {
+    catchup_records_off += dp.pull(PullReason::kCatchUp).applied;
+  }
+  for (const auto& dp : on.dps) {
+    catchup_records_on += dp.pull(PullReason::kCatchUp).applied;
+  }
 
   Table heal({"metric", "pt off", "pt on"});
   heal.add_row(

@@ -92,8 +92,9 @@ Row run_strategy(const Strategy& strategy, const bench::BenchArgs& args,
   row.queries = result.clients.queries;
   const experiments::DpStats& dp = result.dps[1];
   row.replayed = dp.replay_records;
-  row.catchup_records = dp.catchup_records_received;
-  row.delta_records = dp.delta_records_applied;
+  using ::digruber::digruber::PullReason;
+  row.catchup_records = dp.pull(PullReason::kCatchUp).received;
+  row.delta_records = dp.pull(PullReason::kDelta).applied;
   row.recovery_s = dp.last_recovery_s;
   row.wal_appends = dp.wal_appends;
   row.wal_bytes = dp.wal_bytes;

@@ -148,8 +148,8 @@ goal accuracy > 0.9
   for (const auto& [file, popularity] : registry.hottest(3)) {
     std::cout << "  " << file << " (" << popularity << " accesses)\n";
   }
-  std::cout << "decision point: " << dp.queries_served() << " queries, "
-            << dp.selections_recorded() << " selections recorded\n";
+  std::cout << "decision point: " << dp.counters().queries << " queries, "
+            << dp.counters().selections << " selections recorded\n";
 
   std::map<VoId, std::int32_t> running;
   for (const auto& site : grid.sites()) {

@@ -96,8 +96,9 @@ goal accuracy > 0.9
   dp.stop();
   sim.run();
 
-  std::cout << "\ndecision point served " << dp.queries_served()
-            << " queries, recorded " << dp.selections_recorded() << " selections\n"
+  std::cout << "\ndecision point served " << dp.counters().queries
+            << " queries, recorded " << dp.counters().selections
+            << " selections\n"
             << "grid consumed " << grid.cpu_seconds_consumed() / 3600.0
             << " cpu-hours across " << grid.site_count() << " sites\n";
   return 0;

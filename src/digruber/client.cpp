@@ -77,7 +77,7 @@ void DiGruberClient::quarantine(std::size_t idx) {
   dp_score_[idx] = 0.0;
   dp_price_[idx] = 0.0;
   dp_wait_[idx] = 0.0;
-  ++dps_quarantined_;
+  ++counters_.dps_quarantined;
   if (auto* t = trace::current()) {
     t->instant(trace::Category::kClient, id_.value(), "membership.quarantine",
                t->ambient(), std::int64_t(idx),
@@ -88,7 +88,7 @@ void DiGruberClient::quarantine(std::size_t idx) {
 void DiGruberClient::apply_membership(const MembershipUpdate& update) {
   if (!options_.membership_aware || update.epoch <= epoch_) return;
   epoch_ = update.epoch;
-  ++membership_updates_;
+  ++counters_.membership_updates_applied;
   for (const MemberInfo& member : update.members) {
     if (member.node == 0) continue;
     std::size_t idx = dps_.size();
@@ -110,7 +110,7 @@ void DiGruberClient::apply_membership(const MembershipUpdate& update) {
           dp_score_.push_back(0.0);
           dp_price_.push_back(0.0);
           dp_wait_.push_back(0.0);
-          ++dps_added_;
+          ++counters_.dps_added;
           if (auto* t = trace::current()) {
             t->instant(trace::Category::kClient, id_.value(),
                        "membership.dp_added", t->ambient(),
@@ -139,8 +139,8 @@ void DiGruberClient::apply_membership(const MembershipUpdate& update) {
 
 void DiGruberClient::finish_with_fallback(grid::Job job, Done done, sim::Time t0,
                                           bool starved, trace::SpanContext qctx) {
-  ++fallbacks_;
-  if (starved) ++starvations_;
+  ++counters_.fallbacks;
+  if (starved) ++counters_.starvations;
   QueryOutcome outcome;
   outcome.site = all_sites_[rng_.uniform_index(all_sites_.size())];
   outcome.handled_by_gruber = false;
@@ -181,13 +181,13 @@ int DiGruberClient::pick_dp(const grid::Job& job) {
         // Too expensive everywhere: decline to buy. The job still runs —
         // the load-based path below places it — but the rejection is
         // visible to the economy counters.
-        ++budget_rejections_;
+        ++counters_.budget_rejections;
       } else {
-        ++priced_dispatches_;
+        ++counters_.priced_dispatches;
         return best;
       }
     } else {
-      ++market_fallbacks_;  // no usable offer: fall back to p2c
+      ++counters_.market_fallbacks;  // no usable offer: fall back to p2c
     }
   }
   if (options_.overload_aware) {
@@ -205,7 +205,7 @@ int DiGruberClient::pick_dp(const grid::Job& job) {
       const std::size_t a = closed[rng_.uniform_index(closed.size())];
       std::size_t b = a;
       while (b == a) b = closed[rng_.uniform_index(closed.size())];
-      ++p2c_decisions_;
+      ++counters_.p2c_decisions;
       return int(dp_score_[a] <= dp_score_[b] ? a : b);
     }
     if (closed.size() == 1) return int(closed.front());
@@ -236,7 +236,7 @@ void DiGruberClient::on_dp_failure(std::size_t idx) {
     // Failed probe: back to open for another cooldown.
     h.half_open = false;
     h.open_until = sim_.now() + options_.breaker_cooldown;
-    ++breaker_trips_;
+    ++counters_.breaker_trips;
     if (auto* t = trace::current()) {
       t->instant(trace::Category::kClient, id_.value(), "breaker.probe_failed",
                  t->ambient(), std::int64_t(idx));
@@ -246,7 +246,7 @@ void DiGruberClient::on_dp_failure(std::size_t idx) {
   if (!h.open && h.consecutive_failures >= options_.breaker_threshold) {
     h.open = true;
     h.open_until = sim_.now() + options_.breaker_cooldown;
-    ++breaker_trips_;
+    ++counters_.breaker_trips;
     if (auto* t = trace::current()) {
       t->instant(trace::Category::kClient, id_.value(), "breaker.open",
                  t->ambient(), std::int64_t(idx));
@@ -265,7 +265,7 @@ void DiGruberClient::complete_with_reply(grid::Job job, Done done, sim::Time t0,
     // Level-1 degraded reply: the answer is usable (capacity already
     // discounted server-side) but the point's view is stale — nudge p2c
     // toward fresher peers for the next queries.
-    ++degraded_hints_seen_;
+    ++counters_.degraded_hints_seen;
     if (options_.overload_aware) {
       for (std::size_t i = 0; i < dps_.size(); ++i) {
         if (dps_[i] == dp) {
@@ -344,7 +344,7 @@ void DiGruberClient::send_report(ReportSelectionRequest report, grid::Job job,
           // on disk, and only it can answer from its dedup window. A
           // re-broker to another point is exactly the double dispatch the
           // request id exists to prevent.
-          ++report_retries_;
+          ++counters_.report_retries;
           if (auto* t = trace::current()) {
             t->instant(trace::Category::kClient, id_.value(), "report.retry",
                        rctx, std::int64_t(attempt_n + 1),
@@ -363,7 +363,7 @@ void DiGruberClient::send_report(ReportSelectionRequest report, grid::Job job,
         }
         // Whether or not the ack made it back, the selection stands:
         // it was computed from decision-point state.
-        ++handled_;
+        ++counters_.handled;
         QueryOutcome outcome;
         outcome.site = site;
         outcome.handled_by_gruber = true;
@@ -373,7 +373,7 @@ void DiGruberClient::send_report(ReportSelectionRequest report, grid::Job job,
         if (ack.ok() && ack.value().original_site) {
           // The retry hit the dedup window: the point had already committed
           // this request, and the decision that counts is the original one.
-          ++dedup_replies_;
+          ++counters_.dedup_replies;
           outcome.site = *ack.value().original_site;
         }
         if (auto* t = trace::current()) {
@@ -398,7 +398,7 @@ GetSiteLoadsRequest DiGruberClient::site_loads_request(const grid::Job& job) con
 }
 
 void DiGruberClient::schedule(grid::Job job, Done done) {
-  ++queries_;
+  ++counters_.queries;
   const sim::Time t0 = sim_.now();
 
   // Root span of this query's trace tree: every attempt, handler, and
@@ -457,7 +457,7 @@ void DiGruberClient::attempt(grid::Job job, Done done, sim::Time t0,
   const int idx = pick_dp(job);
   if (idx < 0) {
     // Every decision point's breaker is open and cooling down (or probing).
-    ++all_down_fallbacks_;
+    ++counters_.all_dps_down_fallbacks;
     if (auto* t = trace::current()) {
       t->instant(trace::Category::kClient, id_.value(), "query.all_dps_down",
                  qctx, std::int64_t(attempt_n));
@@ -518,7 +518,7 @@ void DiGruberClient::attempt(grid::Job job, Done done, sim::Time t0,
         const bool overloaded =
             net::parse_overload_error(result.error(), retry_after, nack_reason);
         if (overloaded) {
-          ++overload_nacks_;
+          ++counters_.overload_nacks;
           on_dp_success(std::size_t(idx));
           if (nack_reason == net::kNackDegraded) {
             // Degraded is a routing hint, not a death verdict: the point
@@ -528,7 +528,7 @@ void DiGruberClient::attempt(grid::Job job, Done done, sim::Time t0,
             // quarantine is reserved for membership-declared dead/left
             // points, and a quarantined entry would stay unroutable until
             // a membership epoch bump that a mere heal does not produce.
-            ++degraded_redirects_;
+            ++counters_.degraded_redirects;
             dp_score_[std::size_t(idx)] += retry_after.to_seconds() + 1.0;
             if (auto* t = trace::current()) {
               t->instant(trace::Category::kClient, id_.value(),
@@ -537,7 +537,7 @@ void DiGruberClient::attempt(grid::Job job, Done done, sim::Time t0,
             }
           } else if (nack_reason == net::kNackDraining &&
                      options_.membership_aware) {
-            ++drain_redirects_;
+            ++counters_.drain_redirects;
             quarantine(std::size_t(idx));
           } else {
             dp_score_[std::size_t(idx)] += retry_after.to_seconds() + 1.0;
@@ -551,7 +551,7 @@ void DiGruberClient::attempt(grid::Job job, Done done, sim::Time t0,
         // random fallback instead of hammering the saturated mesh.
         if (options_.overload_aware) {
           if (retry_tokens_ < 1.0) {
-            ++retries_budget_denied_;
+            ++counters_.retries_budget_denied;
             if (auto* t = trace::current()) {
               t->instant(trace::Category::kClient, id_.value(),
                          "retry.budget_denied", qctx, std::int64_t(attempt_n));
@@ -573,7 +573,7 @@ void DiGruberClient::attempt(grid::Job job, Done done, sim::Time t0,
         // retry_after is guaranteed wasted work.
         if (overloaded && retry_after.to_seconds() > delay_s) {
           delay_s = retry_after.to_seconds();
-          ++retry_after_honored_;
+          ++counters_.retry_after_honored;
           if (auto* t = trace::current()) {
             t->instant(trace::Category::kClient, id_.value(),
                        "overload.retry_after", qctx, std::int64_t(attempt_n),
@@ -587,7 +587,7 @@ void DiGruberClient::attempt(grid::Job job, Done done, sim::Time t0,
           finish_with_fallback(std::move(job), std::move(done), t0, false, qctx);
           return;
         }
-        ++failovers_;
+        ++counters_.failovers;
         if (auto* t = trace::current()) {
           t->instant(trace::Category::kClient, id_.value(), "query.failover",
                      qctx, std::int64_t(attempt_n),

@@ -116,6 +116,7 @@ DecisionPoint::DecisionPoint(sim::Simulation& sim, net::Transport& transport,
               return false;
           }
           if (!serving_) {
+            ++counters_.drain_nacks;
             nack.reason = net::kNackDraining;
             nack.retry_after_us =
                 joining_ ? options_.membership.join_retry_backoff.us() : 0;
@@ -128,7 +129,7 @@ DecisionPoint::DecisionPoint(sim::Simulation& sim, net::Transport& transport,
           // refusal exists to contain.
           if (options_.partition.enabled && method != kReportSelection &&
               degraded_hint(sim_.now()).level >= 2) {
-            ++degraded_refusals_;
+            ++counters_.degraded_refusals;
             nack.reason = net::kNackDegraded;
             nack.retry_after_us = options_.exchange_interval.us() / 2;
             return true;
@@ -171,11 +172,11 @@ void DecisionPoint::rebuild_strategy(bool initial) {
     }
   }
   if (initial || !changed) return;
-  ++overlay_rebuilds_;
+  ++counters_.overlay_rebuilds;
   if (auto* t = trace::current()) {
     t->instant(trace::Category::kDp, id_.value(), "overlay.rebuild", {},
                std::int64_t(overlay_peers_.size()),
-               std::int64_t(overlay_rebuilds_));
+               std::int64_t(counters_.overlay_rebuilds));
   }
 }
 
@@ -229,10 +230,10 @@ void DecisionPoint::finish_join(const PullReply* reply) {
   if (!reply) {
     // Transfer failed (seed crashed, partitioned, or itself not serving):
     // nothing was applied; rotate to the next seed after a backoff.
-    ++join_retries_;
+    ++counters_.join_retries;
     if (t) {
       t->instant(trace::Category::kDp, id_.value(), "membership.join_retry",
-                 t->ambient(), std::int64_t(join_retries_));
+                 t->ambient(), std::int64_t(counters_.join_retries));
     }
     sim_.schedule_after(options_.membership.join_retry_backoff,
                         [this, incarnation = incarnation_] {
@@ -256,7 +257,8 @@ void DecisionPoint::finish_join(const PullReply* reply) {
   membership_->adopt_current_as_seeds();
   if (t) {
     t->instant(trace::Category::kDp, id_.value(), "membership.join_complete",
-               t->ambient(), std::int64_t(join_snapshot_records()),
+               t->ambient(),
+               std::int64_t(counters_.pull(PullReason::kJoin).applied),
                std::int64_t((sim_.now() - join_started_).us()));
   }
   // Announce: the first exchange carries this point's alive entry, so
@@ -266,8 +268,8 @@ void DecisionPoint::finish_join(const PullReply* reply) {
   // seed served; the pull rule discards whatever overlaps the join reply.
   run_catch_up();
   log::info("digruber", "dp ", id_.value(), " joined via pull (",
-            join_snapshot_records(), " records, ", join_retries_,
-            " retries)");
+            counters_.pull(PullReason::kJoin).applied, " records, ",
+            counters_.join_retries, " retries)");
 }
 
 void DecisionPoint::leave() {
@@ -387,7 +389,7 @@ void DecisionPoint::restart(const std::vector<grid::SiteSnapshot>& snapshots) {
   // derives the bump from the persisted floor inside the replay below (the
   // in-memory value would have died with the process in a real deployment).
   if (!disk_) ++incarnation_;
-  ++restarts_;
+  ++counters_.restarts;
   const bool server_up = server_.restart();
   const bool client_up = peer_client_.restart();
   if (!server_up || !client_up) {
@@ -412,7 +414,7 @@ void DecisionPoint::restart(const std::vector<grid::SiteSnapshot>& snapshots) {
     trace::ContextGuard rguard(rctx);
     replay_cost = replay_from_disk();
     ++incarnation_;
-    ++recoveries_;
+    ++counters_.recoveries;
     last_recovery_cost_ = replay_cost;
     // Persist the bump (with a barrier) so the *next* recovery starts
     // higher still, even if no checkpoint intervenes.
@@ -456,7 +458,8 @@ void DecisionPoint::restart(const std::vector<grid::SiteSnapshot>& snapshots) {
       start_timers();
       if (auto* t = trace::current()) {
         t->end(trace::Category::kDp, id_.value(), "dp.recover.replay", rctx,
-               std::int64_t(replay_records_), std::int64_t(replay_frames_));
+               std::int64_t(counters_.replay_records),
+               std::int64_t(counters_.replay_frames));
         t->instant(trace::Category::kDp, id_.value(), "dp.restart", rctx,
                    std::int64_t(incarnation_));
       }
@@ -467,7 +470,8 @@ void DecisionPoint::restart(const std::vector<grid::SiteSnapshot>& snapshots) {
       // fall back to the full catch-up.
       if (!options_.partition.enabled) run_catch_up();
       log::info("digruber", "dp ", id_.value(), " recovered (incarnation ",
-                incarnation_, ", ", replay_records_, " records replayed)");
+                incarnation_, ", ", counters_.replay_records,
+                " records replayed)");
     });
     return;
   }
@@ -495,7 +499,7 @@ void DecisionPoint::run_catch_up() {
 
 void DecisionPoint::run_pull(NodeId peer, PullReason reason,
                              std::vector<VoId> vos, bool want_bases) {
-  ++pulls(reason).sent;
+  ++counters_.pull(reason).sent;
   PullRequest request;
   request.from = id_;
   request.reason = reason;
@@ -523,7 +527,7 @@ void DecisionPoint::run_pull(NodeId peer, PullReason reason,
         std::int64_t applied = -1;
         if (live && result.ok()) {
           const PullReply& reply = result.value();
-          PullCounts& counts = pulls(reason);
+          DpCounters::PullCounts& counts = counters_.pull(reason);
           counts.received += reply.records.size();
           // The as_of guard drops stale bases.
           for (const grid::SiteSnapshot& base : reply.bases) {
@@ -541,7 +545,7 @@ void DecisionPoint::run_pull(NodeId peer, PullReason reason,
           if (reason == PullReason::kDelta &&
               engine_.view().digest(reply.digest.as_of,
                                     reply.digest.horizon) == reply.digest) {
-            ++delta_converged_;
+            ++counters_.delta_converged;
           }
         }
         if (auto* t = trace::current()) {
@@ -572,7 +576,7 @@ net::Served DecisionPoint::handle_pull(std::span<const std::uint8_t> body,
   // its first exchange once it is actually able to serve, so clients
   // never learn (and route to) a still-bootstrapping point.
   if (join && (!membership_ || !serving_)) return {};
-  ++pulls(request.reason).served;
+  ++counters_.pull(request.reason).served;
 
   PullReply reply;
   reply.from = id_;
@@ -618,7 +622,7 @@ void DecisionPoint::maybe_delta_pull(const ExchangeMessage& message) {
   const gruber::ViewDigest local =
       engine_.view().digest(theirs.as_of, theirs.horizon);
   if (local == theirs) return;
-  ++digest_mismatches_;
+  ++counters_.digest_mismatches;
   if (auto* t = trace::current()) {
     t->instant(trace::Category::kDp, id_.value(), "dp.digest_mismatch",
                t->ambient(), std::int64_t(message.from.value()),
@@ -720,7 +724,7 @@ net::Served DecisionPoint::handle_get_site_loads(std::span<const std::uint8_t> b
   // A job needs at least one CPU; a smaller ask would be offered every
   // site, headroom or not, so it is refused like a malformed body.
   if (!net::wire::decode(body, request) || request.cpus < 1) return {};
-  ++queries_;
+  ++counters_.queries;
 
   grid::Job probe;
   probe.id = request.job;
@@ -742,10 +746,10 @@ net::Served DecisionPoint::handle_get_site_loads(std::span<const std::uint8_t> b
       case economy::Admit::kWithinShare:
         break;
       case economy::Admit::kGrace:
-        ++grace_admissions_;
+        ++counters_.grace_admissions;
         break;
       case economy::Admit::kDenied:
-        ++credit_denials_;
+        ++counters_.credit_denials;
         reply.candidates.clear();
         break;
     }
@@ -779,7 +783,7 @@ net::Served DecisionPoint::handle_get_site_loads(std::span<const std::uint8_t> b
     reply.digest = settled_digest(sim_.now());
     if (degraded.level >= 1) {
       reply.degraded = degraded;
-      ++degraded_replies_;
+      ++counters_.degraded_replies;
     }
   }
   if (options_.economy.enabled) {
@@ -796,7 +800,7 @@ net::Served DecisionPoint::handle_get_site_loads(std::span<const std::uint8_t> b
         prices.push_back(it != peer_prices_.end() ? it->second : 0.0);
       }
     }
-    ++priced_replies_;
+    ++counters_.priced_replies;
   }
 
   // Ambient here is the rpc.serve span, so the instant lands inside the
@@ -830,7 +834,7 @@ net::Served DecisionPoint::handle_report_selection(std::span<const std::uint8_t>
     const auto hit =
         dedup_.find(std::make_pair(request_id->client, request_id->seq));
     if (hit != dedup_.end()) {
-      ++dedup_hits_;
+      ++counters_.dedup_hits;
       if (auto* t = trace::current()) {
         t->instant(trace::Category::kDp, id_.value(), "dp.dedup_hit",
                    t->ambient(), std::int64_t(request_id->client),
@@ -847,7 +851,7 @@ net::Served DecisionPoint::handle_report_selection(std::span<const std::uint8_t>
 
   // Counted here, below the dedup gate: a collapsed retry is not a new
   // recorded selection.
-  ++selections_;
+  ++counters_.selections;
   gruber::DispatchRecord record;
   record.origin = id_;
   record.seq = next_seq_++;
@@ -867,7 +871,7 @@ net::Served DecisionPoint::handle_report_selection(std::span<const std::uint8_t>
   if (options_.overlay_audit) {
     own_record_log_.emplace_back(record.seq, record.when.to_seconds());
   }
-  if (request.bid) ++priced_selections_;
+  if (request.bid) ++counters_.priced_selections;
   if (options_.dissemination != Dissemination::kNone) {
     fresh_.push_back(record);
     fresh_meta_.push_back({id_, 0});
@@ -891,7 +895,7 @@ net::Served DecisionPoint::handle_exchange(std::span<const std::uint8_t> body,
                                            NodeId /*from*/) {
   ExchangeMessage message;
   if (!net::wire::decode(body, message)) return {};
-  ++exchanges_received_;
+  ++counters_.exchanges_received;
 
   // Flooding never retransmits: a jump in the peer's round counter means
   // dropped rounds (partition, loss) whose records would otherwise stay
@@ -906,7 +910,7 @@ net::Served DecisionPoint::handle_exchange(std::span<const std::uint8_t> body,
     it->second = message.exchange_round;
     if (gap && (last_catch_up_ == sim::Time::zero() ||
                 sim_.now() - last_catch_up_ >= options_.exchange_interval)) {
-      ++gap_resyncs_;
+      ++counters_.gap_resyncs;
       run_catch_up();
     }
   }
@@ -920,7 +924,8 @@ net::Served DecisionPoint::handle_exchange(std::span<const std::uint8_t> body,
   // the anti-entropy paths.
   const std::uint32_t relay_ttl = strategy_->ttl();
   const std::uint32_t max_hops = message.hops ? message.hops->max : 0;
-  overlay_max_hops_ = std::max<std::uint64_t>(overlay_max_hops_, max_hops);
+  counters_.overlay_max_hops =
+      std::max<std::uint64_t>(counters_.overlay_max_hops, max_hops);
   std::uint64_t relays_dropped = 0;
   for (std::size_t i = 0; i < message.dispatches.size(); ++i) {
     const gruber::DispatchRecord& record = message.dispatches[i];
@@ -940,7 +945,7 @@ net::Served DecisionPoint::handle_exchange(std::span<const std::uint8_t> body,
       fresh_.push_back(record);
       fresh_meta_.push_back({message.from, relay_ttl > 0 ? prior + 1 : 0});
     } else {
-      ++overlay_relays_suppressed_;
+      ++counters_.overlay_relays_suppressed;
       ++relays_dropped;
     }
   }
@@ -1074,10 +1079,10 @@ bool DecisionPoint::apply_record(const gruber::DispatchRecord& record, Via via,
     // together) cannot re-apply the record.
     applied_[record.origin].insert(record.seq);
     const auto merged = engine_.view().merge_record(record, now);
-    if (merged.conflict) ++delta_conflicts_;
-    if (merged.double_commit) ++double_commits_;
+    if (merged.conflict) ++counters_.delta_conflicts;
+    if (merged.double_commit) ++counters_.double_commits;
     if (!merged.applied) {
-      if (!merged.conflict) ++records_duplicate_;
+      if (!merged.conflict) ++counters_.records_duplicate;
       return false;
     }
     if (strategy_->ttl() > 0) {
@@ -1085,11 +1090,11 @@ bool DecisionPoint::apply_record(const gruber::DispatchRecord& record, Via via,
     }
   } else {
     if (!applied_[record.origin].insert(record.seq).second) {
-      ++records_duplicate_;
+      ++counters_.records_duplicate;
       return false;
     }
     engine_.record(record);
-    if (via == Via::kExchange) ++records_applied_;
+    if (via == Via::kExchange) ++counters_.records_applied;
   }
   wal_log_dispatch(record, request);
   // After the dispatch frame: if this charge crosses an epoch boundary it
@@ -1217,7 +1222,7 @@ void DecisionPoint::run_exchange(bool final_flush) {
   strategy_->select(message.exchange_round, neighbors_, targets);
   if (!graves.empty()) {
     targets.push_back(graves[message.exchange_round % graves.size()]);
-    ++overlay_grave_probes_;
+    ++counters_.overlay_grave_probes;
     if (auto* t = trace::current()) {
       t->instant(trace::Category::kDp, id_.value(), "overlay.grave_probe",
                  xctx, std::int64_t(graves.size()),
@@ -1261,13 +1266,14 @@ void DecisionPoint::run_exchange(bool final_flush) {
     }
     // Count every copy, not every encode, so bytes-per-round compares
     // honestly across strategies.
-    overlay_bytes_sent_ += net::wire::encoded_size(message) * batch.size();
+    counters_.overlay_bytes_sent +=
+        net::wire::encoded_size(message) * batch.size();
     peer_client_.notify_all(batch, kExchange, message);
   }
   fresh_.clear();
   fresh_meta_.clear();
-  exchanges_sent_ += targets.size();
-  ++overlay_rounds_;
+  counters_.exchanges_sent += targets.size();
+  ++counters_.overlay_rounds;
   if (auto* t = trace::current()) {
     t->end(trace::Category::kDp, id_.value(), "dp.exchange", xctx,
            std::int64_t(targets.size()));
@@ -1329,7 +1335,7 @@ void DecisionPoint::audit_dispatch(std::uint64_t client, std::uint64_t seq) {
   // crash(), so a duplicate committed across a crash/recovery boundary is
   // still counted.
   if (++dispatch_audit_[std::make_pair(client, seq)] > 1) {
-    ++duplicate_dispatches_;
+    ++counters_.duplicate_dispatches;
   }
 }
 
@@ -1365,7 +1371,7 @@ void DecisionPoint::write_checkpoint() {
 sim::Duration DecisionPoint::replay_from_disk() {
   replaying_ = true;
   const sim::Time now = sim_.now();
-  const std::uint64_t frames_before = replay_frames_;
+  const std::uint64_t frames_before = counters_.replay_frames;
   std::uint32_t persisted_incarnation = 0;
   bool bank_restored = false;
 
@@ -1386,15 +1392,15 @@ sim::Duration DecisionPoint::replay_from_disk() {
         applied_[record.origin].insert(record.seq);
         if (record.when + record.est_runtime > now) {
           engine_.record(record);
-          ++replay_records_;
+          ++counters_.replay_records;
         }
       }
       for (const DedupEntry& entry : checkpoint.dedup) {
         dedup_insert(entry.client, entry.seq, entry.site);
-        ++replay_dedup_;
+        ++counters_.replay_dedup_entries;
       }
     } else {
-      ++checkpoint_fallbacks_;
+      ++counters_.checkpoint_fallbacks;
     }
   }
   // Checkpoint bank charges are inside the image; without one, replay
@@ -1407,12 +1413,12 @@ sim::Duration DecisionPoint::replay_from_disk() {
   // (torn tail): everything before it is intact by CRC.
   const durable::WalScan scan = durable::wal_scan(
       disk_->log(), [&](std::uint8_t type, std::span<const std::uint8_t> payload) {
-        ++replay_frames_;
+        ++counters_.replay_frames;
         switch (WalRecordType(type)) {
           case WalRecordType::kDispatch: {
             WalDispatch frame;
             if (!net::wire::decode(payload, frame)) {
-              ++replay_mismatches_;
+              ++counters_.replay_mismatches;
               return;
             }
             const gruber::DispatchRecord& record = frame.record;
@@ -1420,7 +1426,7 @@ sim::Duration DecisionPoint::replay_from_disk() {
               if (record.when + record.est_runtime > now) {
                 engine_.record(record);
               }
-              ++replay_records_;
+              ++counters_.replay_records;
             }
             // Charged per FRAME, not per unique (origin, seq): a
             // delta-merge twin logs a second frame for a seq already
@@ -1431,27 +1437,27 @@ sim::Duration DecisionPoint::replay_from_disk() {
             if (frame.request_id) {
               dedup_insert(frame.request_id->client, frame.request_id->seq,
                            record.site);
-              ++replay_dedup_;
+              ++counters_.replay_dedup_entries;
             }
             break;
           }
           case WalRecordType::kEpochSettle: {
             WalEpochSettle settle;
             if (!net::wire::decode(payload, settle)) {
-              ++replay_mismatches_;
+              ++counters_.replay_mismatches;
               return;
             }
             // Cross-check: the recomputed settlement must be exactly where
             // the live bank was when this frame was logged.
             if (bank_ && bank_->epochs_settled() != settle.epochs_settled) {
-              ++replay_mismatches_;
+              ++counters_.replay_mismatches;
             }
             break;
           }
           case WalRecordType::kIncarnation: {
             WalIncarnation bump;
             if (!net::wire::decode(payload, bump)) {
-              ++replay_mismatches_;
+              ++counters_.replay_mismatches;
               return;
             }
             persisted_incarnation =
@@ -1459,11 +1465,11 @@ sim::Duration DecisionPoint::replay_from_disk() {
             break;
           }
           default:
-            ++replay_mismatches_;
+            ++counters_.replay_mismatches;
             break;
         }
       });
-  if (scan.truncated) ++replay_truncations_;
+  if (scan.truncated) ++counters_.replay_truncations;
 
   // 3. I11 audit: every record committed (fsynced) before the crash and
   // still unexpired must be back. pre_crash_committed_ is observer state
@@ -1474,7 +1480,7 @@ sim::Duration DecisionPoint::replay_from_disk() {
     if (expiry <= now) continue;
     const auto it = applied_.find(origin);
     if (it == applied_.end() || it->second.count(seq) == 0) {
-      ++replay_mismatches_;
+      ++counters_.replay_mismatches;
     }
   }
   pre_crash_committed_.clear();
@@ -1484,7 +1490,8 @@ sim::Duration DecisionPoint::replay_from_disk() {
   // Accounted replay time: one sequential read of checkpoint + log, plus a
   // small per-frame CPU cost for decode/apply.
   return disk_->read_all_cost() +
-         sim::Duration::micros(20) * double(replay_frames_ - frames_before);
+         sim::Duration::micros(20) *
+             double(counters_.replay_frames - frames_before);
 }
 
 void DecisionPoint::inject_disk_tear() {
@@ -1532,7 +1539,7 @@ void DecisionPoint::check_saturation() {
     return;
   }
   last_signal_ = sim_.now();
-  ++saturation_signals_;
+  ++counters_.saturation_signals;
 
   if (auto* t = trace::current()) {
     t->instant(trace::Category::kDp, id_.value(), "dp.saturated", {},

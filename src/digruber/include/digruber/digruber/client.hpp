@@ -101,6 +101,65 @@ struct QueryOutcome {
   NodeId served_by;
 };
 
+/// Everything a client counts. Each scheduled query resolves exactly once,
+/// so queries == handled + fallbacks. Optional-mode counters stay zero
+/// while their mode is off.
+struct ClientCounters {
+  std::uint64_t queries = 0;
+  std::uint64_t handled = 0;
+  std::uint64_t fallbacks = 0;
+  std::uint64_t starvations = 0;
+  /// Attempts retried on another (or the same, after backoff) decision
+  /// point because an earlier attempt failed.
+  std::uint64_t failovers = 0;
+  /// Circuit-breaker transitions to open (including failed half-open probes).
+  std::uint64_t breaker_trips = 0;
+  /// Random-site fallbacks taken because no decision point was eligible.
+  std::uint64_t all_dps_down_fallbacks = 0;
+
+  // Overload-aware mode.
+  std::uint64_t overload_nacks = 0;  // typed overload rejections received
+  /// Retries whose delay was stretched to honor a server retry_after hint.
+  std::uint64_t retry_after_honored = 0;
+  /// Retries suppressed because the token bucket was empty.
+  std::uint64_t retries_budget_denied = 0;
+  /// Attempts routed by power-of-two-choices over DP load hints.
+  std::uint64_t p2c_decisions = 0;
+
+  // Market placement.
+  /// Attempts routed by minimizing quoted cost subject to the deadline.
+  std::uint64_t priced_dispatches = 0;
+  /// Market picks declined because the cheapest feasible quote exceeded
+  /// the job's budget (the job was placed by the load-based path instead).
+  std::uint64_t budget_rejections = 0;
+  /// Economic jobs routed by the load-based path because no decision
+  /// point had a usable (quoted, deadline-feasible) offer.
+  std::uint64_t market_fallbacks = 0;
+
+  // Membership-aware routing.
+  std::uint64_t membership_updates_applied = 0;
+  /// Decision points learned (joined mid-run) via membership updates.
+  std::uint64_t dps_added = 0;
+  /// Decision points quarantined because membership declared them dead or
+  /// left. Quarantined points get no probes — not even half-open ones.
+  std::uint64_t dps_quarantined = 0;
+  /// Attempts answered with a typed draining NACK and redirected.
+  std::uint64_t drain_redirects = 0;
+  /// Attempts answered with a typed degraded NACK (partition tolerance)
+  /// and rerouted. Unlike dead/left points, a degraded point is alive and
+  /// is NEVER quarantined — it recovers as soon as its partition heals.
+  std::uint64_t degraded_redirects = 0;
+  /// Replies that carried a degraded-mode hint (level >= 1).
+  std::uint64_t degraded_hints_seen = 0;
+
+  // Exactly-once dispatch.
+  /// Selection reports re-sent after a failed or timed-out attempt.
+  std::uint64_t report_retries = 0;
+  /// Report acks that returned the original decision from the decision
+  /// point's dedup window (the retry hit an already-committed dispatch).
+  std::uint64_t dedup_replies = 0;
+};
+
 /// A DI-GRUBER client: a submission host bound to a decision point — or,
 /// with failover enabled, to an ordered list of them. Runs the
 /// two-round-trip brokering query (fetch loads, report selection) with
@@ -133,77 +192,9 @@ class DiGruberClient {
   [[nodiscard]] NodeId node() const { return rpc_.node(); }
   [[nodiscard]] NodeId decision_point() const { return dps_.front(); }
   [[nodiscard]] const std::vector<NodeId>& decision_points() const { return dps_; }
-  [[nodiscard]] std::uint64_t queries() const { return queries_; }
-  [[nodiscard]] std::uint64_t handled() const { return handled_; }
-  [[nodiscard]] std::uint64_t fallbacks() const { return fallbacks_; }
-  [[nodiscard]] std::uint64_t starvations() const { return starvations_; }
-  /// Attempts retried on another (or the same, after backoff) decision
-  /// point because an earlier attempt failed.
-  [[nodiscard]] std::uint64_t failovers() const { return failovers_; }
-  /// Circuit-breaker transitions to open (including failed half-open probes).
-  [[nodiscard]] std::uint64_t breaker_trips() const { return breaker_trips_; }
-  /// Random-site fallbacks taken because no decision point was eligible.
-  [[nodiscard]] std::uint64_t all_dps_down_fallbacks() const {
-    return all_down_fallbacks_;
-  }
-  /// Typed overload rejections received from decision points.
-  [[nodiscard]] std::uint64_t overload_nacks() const { return overload_nacks_; }
-  /// Retries whose delay was stretched to honor a server retry_after hint.
-  [[nodiscard]] std::uint64_t retry_after_honored() const {
-    return retry_after_honored_;
-  }
-  /// Retries suppressed because the token bucket was empty.
-  [[nodiscard]] std::uint64_t retries_budget_denied() const {
-    return retries_budget_denied_;
-  }
-  /// Attempts routed by power-of-two-choices over DP load hints.
-  [[nodiscard]] std::uint64_t p2c_decisions() const { return p2c_decisions_; }
-
-  /// Market-placement telemetry (all zero unless market_placement is on).
-  /// Attempts routed by minimizing quoted cost subject to the deadline.
-  [[nodiscard]] std::uint64_t priced_dispatches() const {
-    return priced_dispatches_;
-  }
-  /// Market picks declined because the cheapest feasible quote exceeded
-  /// the job's budget (the job was placed by the load-based path instead).
-  [[nodiscard]] std::uint64_t budget_rejections() const {
-    return budget_rejections_;
-  }
-  /// Economic jobs routed by the load-based path because no decision
-  /// point had a usable (quoted, deadline-feasible) offer.
-  [[nodiscard]] std::uint64_t market_fallbacks() const {
-    return market_fallbacks_;
-  }
-
-  /// Membership-aware routing telemetry.
+  [[nodiscard]] const ClientCounters& counters() const { return counters_; }
+  /// Last membership epoch folded in (membership-aware routing).
   [[nodiscard]] std::uint64_t membership_epoch() const { return epoch_; }
-  [[nodiscard]] std::uint64_t membership_updates_applied() const {
-    return membership_updates_;
-  }
-  /// Decision points learned (joined mid-run) via membership updates.
-  [[nodiscard]] std::uint64_t dps_added() const { return dps_added_; }
-  /// Decision points quarantined because membership declared them dead or
-  /// left. Quarantined points get no probes — not even half-open ones.
-  [[nodiscard]] std::uint64_t dps_quarantined() const { return dps_quarantined_; }
-  /// Attempts answered with a typed draining NACK and redirected.
-  [[nodiscard]] std::uint64_t drain_redirects() const { return drain_redirects_; }
-  /// Attempts answered with a typed degraded NACK (partition tolerance)
-  /// and rerouted. Unlike dead/left points, a degraded point is alive and
-  /// is NEVER quarantined — it recovers as soon as its partition heals.
-  [[nodiscard]] std::uint64_t degraded_redirects() const {
-    return degraded_redirects_;
-  }
-  /// Replies that carried a degraded-mode hint (level >= 1).
-  [[nodiscard]] std::uint64_t degraded_hints_seen() const {
-    return degraded_hints_seen_;
-  }
-
-  /// Exactly-once telemetry (all zero unless request_ids is on).
-  /// Selection reports re-sent after a failed or timed-out attempt.
-  [[nodiscard]] std::uint64_t report_retries() const { return report_retries_; }
-  /// Report acks that returned the original decision from the decision
-  /// point's dedup window (the retry hit an already-committed dispatch).
-  [[nodiscard]] std::uint64_t dedup_replies() const { return dedup_replies_; }
   [[nodiscard]] bool is_quarantined(std::size_t idx) const {
     return idx < health_.size() && health_[idx].quarantined;
   }
@@ -280,36 +271,15 @@ class DiGruberClient {
   Rng rng_;
   ClientOptions options_;
 
-  std::uint64_t queries_ = 0;
-  std::uint64_t handled_ = 0;
-  std::uint64_t fallbacks_ = 0;
-  std::uint64_t starvations_ = 0;
-  std::uint64_t failovers_ = 0;
-  std::uint64_t breaker_trips_ = 0;
-  std::uint64_t all_down_fallbacks_ = 0;
-  std::uint64_t overload_nacks_ = 0;
-  std::uint64_t retry_after_honored_ = 0;
-  std::uint64_t retries_budget_denied_ = 0;
-  std::uint64_t p2c_decisions_ = 0;
-  std::uint64_t priced_dispatches_ = 0;
-  std::uint64_t budget_rejections_ = 0;
-  std::uint64_t market_fallbacks_ = 0;
+  ClientCounters counters_;
   /// Retry token bucket (overload-aware mode): refilled on schedule(),
   /// debited one token per retry attempt.
   double retry_tokens_ = 0.0;
-  /// Membership-aware routing state: last applied epoch + telemetry.
+  /// Membership-aware routing state: last applied epoch.
   std::uint64_t epoch_ = 0;
-  std::uint64_t membership_updates_ = 0;
-  std::uint64_t dps_added_ = 0;
-  std::uint64_t dps_quarantined_ = 0;
-  std::uint64_t drain_redirects_ = 0;
-  std::uint64_t degraded_redirects_ = 0;
-  std::uint64_t degraded_hints_seen_ = 0;
   /// Exactly-once dispatch state: next request id (assigned once per job,
-  /// stable across that job's report retries) + telemetry.
+  /// stable across that job's report retries).
   std::uint64_t next_request_seq_ = 1;
-  std::uint64_t report_retries_ = 0;
-  std::uint64_t dedup_replies_ = 0;
 };
 
 }  // namespace digruber::digruber

@@ -112,6 +112,108 @@ struct DecisionPointOptions {
   bool overlay_audit = false;
 };
 
+/// Everything a decision point counts. Increments are plain field bumps;
+/// the experiment harvest copies the whole struct into DpStats. Counters
+/// of an optional subsystem stay zero while it is off. Reads never feed a
+/// decision path.
+struct DpCounters {
+  std::uint64_t queries = 0;
+  std::uint64_t selections = 0;
+  /// Exchange frames sent, one per push target (the sum of per-round
+  /// push-set sizes: exchanges_sent / overlay_rounds = mean fan-out).
+  std::uint64_t exchanges_sent = 0;
+  std::uint64_t exchanges_received = 0;
+  std::uint64_t records_applied = 0;
+  std::uint64_t records_duplicate = 0;
+  std::uint64_t saturation_signals = 0;
+  std::uint64_t restarts = 0;
+  /// Catch-ups triggered by a flooding-round gap (partition/loss rejoin).
+  std::uint64_t gap_resyncs = 0;
+
+  /// Anti-entropy pulls, one set per reason. pull(kCatchUp).received is
+  /// the full-range transfer volume a restart pays (duplicates included),
+  /// the number durable replay and delta pulls exist to shrink.
+  struct PullCounts {
+    std::uint64_t sent = 0;
+    std::uint64_t served = 0;
+    std::uint64_t received = 0;  // records in replies, duplicates included
+    std::uint64_t applied = 0;
+  };
+  std::array<PullCounts, kPullReasons> pulls{};
+  [[nodiscard]] PullCounts& pull(PullReason reason) {
+    return pulls[std::size_t(reason)];
+  }
+  [[nodiscard]] const PullCounts& pull(PullReason reason) const {
+    return pulls[std::size_t(reason)];
+  }
+
+  // Dynamic membership.
+  std::uint64_t join_retries = 0;  // failed join pulls, seed rotated
+  /// Query requests refused at the door while joining, draining or
+  /// replaying. With degraded_refusals this sums every door refusal.
+  std::uint64_t drain_nacks = 0;
+
+  // Partition tolerance.
+  /// Exchange rounds whose piggybacked digest disagreed with the local view.
+  std::uint64_t digest_mismatches = 0;
+  /// (origin, seq) twins a pull brought that disagreed on content.
+  std::uint64_t delta_conflicts = 0;
+  /// Same logical work admitted by two origins across a split.
+  std::uint64_t double_commits = 0;
+  /// Delta pulls after which the local digest matched the peer's.
+  std::uint64_t delta_converged = 0;
+  /// Queries refused with kNackDegraded (quorum of peers stale).
+  std::uint64_t degraded_refusals = 0;
+  /// Replies that carried a degraded-mode hint (level >= 1).
+  std::uint64_t degraded_replies = 0;
+
+  // Economy.
+  /// Queries whose VO the karma gate refused to broker (empty candidates).
+  std::uint64_t credit_denials = 0;
+  /// Over-allowance queries grace-admitted (arbitration winner, idle grid).
+  std::uint64_t grace_admissions = 0;
+  std::uint64_t priced_replies = 0;     // query replies carrying price quotes
+  std::uint64_t priced_selections = 0;  // selections reported with a bid
+
+  // Durability.
+  std::uint64_t recoveries = 0;     // checkpoint+WAL replays at restart
+  std::uint64_t replay_frames = 0;  // WAL frames read back intact
+  /// Dispatch records re-applied to the view from local state (vs fetched
+  /// from peers through anti-entropy).
+  std::uint64_t replay_records = 0;
+  std::uint64_t replay_dedup_entries = 0;  // dedup entries rebuilt
+  /// Replays that hit a torn/corrupt WAL tail and truncated there.
+  std::uint64_t replay_truncations = 0;
+  /// Replays whose checkpoint slot was absent or failed its checksum.
+  std::uint64_t checkpoint_fallbacks = 0;
+  /// I11 audit: durably-committed records missing after a replay (always
+  /// zero unless a disk fault destroyed committed bytes).
+  std::uint64_t replay_mismatches = 0;
+  /// Retried reports collapsed by the dedup window to the original decision.
+  std::uint64_t dedup_hits = 0;
+  /// I12 audit: distinct dispatch records created for one request id
+  /// (ground truth across crashes; zero means exactly-once held).
+  std::uint64_t duplicate_dispatches = 0;
+
+  // Overlay (under the default mesh only rounds and bytes move).
+  /// Exchange rounds that actually pushed to at least one peer.
+  std::uint64_t overlay_rounds = 0;
+  /// Deepest relay depth observed on any received exchange frame (a
+  /// maximum, not a sum).
+  std::uint64_t overlay_max_hops = 0;
+  /// Fresh records not re-relayed because their frame hit the strategy TTL.
+  std::uint64_t overlay_relays_suppressed = 0;
+  /// Strategy structure rebuilds that changed this point's push set
+  /// (tree/super-peer repair under churn).
+  std::uint64_t overlay_rebuilds = 0;
+  /// Exchange frames copied to a rotating dead peer so a falsely-buried
+  /// point can learn the verdict and refute it (sparse overlays only).
+  std::uint64_t overlay_grave_probes = 0;
+  /// Exchange body bytes put on the wire, counting every copy sent (a mesh
+  /// broadcast is one encode but fan-out many sends).
+  std::uint64_t overlay_bytes_sent = 0;
+};
+
 /// A DI-GRUBER decision point: a GRUBER engine exposed as a Web service
 /// on a GT3/GT4-like container, loosely synchronized with its peers by a
 /// periodic flooding exchange of dispatch records.
@@ -129,6 +231,8 @@ class DecisionPoint {
   [[nodiscard]] gruber::GruberEngine& engine() { return engine_; }
   [[nodiscard]] const net::RpcServer& server() const { return server_; }
   [[nodiscard]] const DecisionPointOptions& options() const { return options_; }
+  /// Everything this point has counted; crash() and restart() keep it.
+  [[nodiscard]] const DpCounters& counters() const { return counters_; }
 
   /// Install complete static knowledge of the grid (strategy 2 premise).
   void bootstrap(const std::vector<grid::SiteSnapshot>& snapshots);
@@ -183,141 +287,18 @@ class DecisionPoint {
   /// called and when the point reached query-serving state.
   [[nodiscard]] sim::Time join_started_at() const { return join_started_; }
   [[nodiscard]] sim::Time serving_since() const { return serving_since_; }
-  [[nodiscard]] std::uint64_t join_retries() const { return join_retries_; }
-  /// Join pulls this point served.
-  [[nodiscard]] std::uint64_t snapshots_served() const {
-    return pulls(PullReason::kJoin).served;
-  }
-  /// Dispatch records applied from a join pull (vs full-history replay).
-  [[nodiscard]] std::uint64_t join_snapshot_records() const {
-    return pulls(PullReason::kJoin).applied;
-  }
-  /// Query requests refused at the door while joining or draining.
-  [[nodiscard]] std::uint64_t drain_nacks_sent() const {
-    return server_.requests_refused_by_gate();
-  }
 
-  /// Counters for the experiment harness.
-  [[nodiscard]] std::uint64_t queries_served() const { return queries_; }
-  [[nodiscard]] std::uint64_t selections_recorded() const { return selections_; }
-  [[nodiscard]] std::uint64_t exchanges_sent() const { return exchanges_sent_; }
-  [[nodiscard]] std::uint64_t exchanges_received() const { return exchanges_received_; }
-  [[nodiscard]] std::uint64_t records_applied() const { return records_applied_; }
-  [[nodiscard]] std::uint64_t records_duplicate() const { return records_duplicate_; }
-  [[nodiscard]] std::uint64_t saturation_signals() const { return saturation_signals_; }
-  [[nodiscard]] std::uint64_t restarts() const { return restarts_; }
-  /// Records re-learned from neighbors through catch-up pulls.
-  [[nodiscard]] std::uint64_t resync_records_applied() const {
-    return pulls(PullReason::kCatchUp).applied;
-  }
-  /// Catch-ups triggered by a flooding-round gap (partition/loss rejoin).
-  [[nodiscard]] std::uint64_t gap_resyncs() const { return gap_resyncs_; }
-  /// Catch-up pulls this point answered.
-  [[nodiscard]] std::uint64_t catchups_served() const {
-    return pulls(PullReason::kCatchUp).served;
-  }
-  /// Records shipped TO this point in catch-up replies (duplicates
-  /// included): the full-range anti-entropy transfer volume a restart
-  /// pays, and the number durable replay + delta pulls exist to shrink.
-  [[nodiscard]] std::uint64_t catchup_records_received() const {
-    return pulls(PullReason::kCatchUp).received;
-  }
-
-  /// --- Partition tolerance (all zero unless options.partition.enabled) ---
-
-  /// Exchange rounds whose piggybacked digest disagreed with the local view.
-  [[nodiscard]] std::uint64_t digest_mismatches() const { return digest_mismatches_; }
-  /// Targeted delta anti-entropy pulls issued / answered.
-  [[nodiscard]] std::uint64_t delta_pulls_sent() const {
-    return pulls(PullReason::kDelta).sent;
-  }
-  [[nodiscard]] std::uint64_t delta_pulls_served() const {
-    return pulls(PullReason::kDelta).served;
-  }
-  /// Records learned through delta pulls (vs full-range catch-ups).
-  [[nodiscard]] std::uint64_t delta_records_applied() const {
-    return pulls(PullReason::kDelta).applied;
-  }
-  /// (origin, seq) twins a pull brought that disagreed on content.
-  [[nodiscard]] std::uint64_t delta_conflicts() const { return delta_conflicts_; }
-  /// Same logical work admitted by two origins across a split.
-  [[nodiscard]] std::uint64_t double_commits() const { return double_commits_; }
-  /// Delta pulls after which the local digest matched the peer's.
-  [[nodiscard]] std::uint64_t delta_converged() const { return delta_converged_; }
-  /// Queries refused with kNackDegraded (quorum of peers stale).
-  [[nodiscard]] std::uint64_t degraded_refusals() const { return degraded_refusals_; }
-  /// Replies that carried a degraded-mode hint (level >= 1).
-  [[nodiscard]] std::uint64_t degraded_replies() const { return degraded_replies_; }
   /// Current degraded assessment (level 0 when healthy or PT disabled).
   [[nodiscard]] DegradedHint degraded_hint(sim::Time now) const;
-
-  /// --- Economy (all zero/null unless options.economy.enabled) ---
-
   /// The credit bank (nullptr unless the karma allocator is active).
   [[nodiscard]] const economy::CreditBank* bank() const { return bank_.get(); }
-  /// Queries whose VO the karma gate refused to broker (empty candidates).
-  [[nodiscard]] std::uint64_t credit_denials() const { return credit_denials_; }
-  /// Over-allowance queries grace-admitted (arbitration winner, idle grid).
-  [[nodiscard]] std::uint64_t grace_admissions() const { return grace_admissions_; }
-  /// Query replies that carried price quotes.
-  [[nodiscard]] std::uint64_t priced_replies() const { return priced_replies_; }
-  /// Selections reported with an economic bid attached.
-  [[nodiscard]] std::uint64_t priced_selections() const { return priced_selections_; }
-
-  /// --- Durability (all zero/null unless options.durability.enabled) ---
-
   /// The simulated storage device (nullptr when durability is off). The
   /// device survives crash() by design: crash models lost RAM, not lost
   /// disk.
   [[nodiscard]] const durable::SimDisk* disk() const { return disk_.get(); }
-  /// Checkpoint+WAL replays performed at restart.
-  [[nodiscard]] std::uint64_t recoveries() const { return recoveries_; }
-  /// WAL frames read back intact during replays.
-  [[nodiscard]] std::uint64_t replay_frames() const { return replay_frames_; }
-  /// Dispatch records re-applied to the view from local state (vs fetched
-  /// from peers through catch-up/delta anti-entropy).
-  [[nodiscard]] std::uint64_t replay_records() const { return replay_records_; }
-  /// Dedup-window entries rebuilt from checkpoint+WAL.
-  [[nodiscard]] std::uint64_t replay_dedup_entries() const { return replay_dedup_; }
-  /// Replays that hit a torn/corrupt WAL tail and truncated there.
-  [[nodiscard]] std::uint64_t replay_truncations() const { return replay_truncations_; }
-  /// Replays whose checkpoint slot was absent or failed its checksum.
-  [[nodiscard]] std::uint64_t checkpoint_fallbacks() const { return checkpoint_fallbacks_; }
-  /// I11 audit: durably-committed records missing after a replay (always
-  /// zero unless a disk fault destroyed committed bytes).
-  [[nodiscard]] std::uint64_t replay_mismatches() const { return replay_mismatches_; }
-  /// Retried reports collapsed by the dedup window to the original decision.
-  [[nodiscard]] std::uint64_t dedup_hits() const { return dedup_hits_; }
-  /// I12 audit: distinct dispatch records created for one request id
-  /// (ground truth across crashes; zero means exactly-once held).
-  [[nodiscard]] std::uint64_t duplicate_dispatches() const { return duplicate_dispatches_; }
   /// Accounted sim-time cost of the most recent recovery replay.
   [[nodiscard]] sim::Duration last_recovery_cost() const { return last_recovery_cost_; }
 
-  /// --- Overlay (mesh defaults: rounds and bytes count, rest stays zero) ---
-
-  /// Exchange rounds that actually pushed to at least one peer
-  /// (exchanges_sent / rounds = mean fan-out).
-  [[nodiscard]] std::uint64_t overlay_rounds() const { return overlay_rounds_; }
-  /// Deepest relay depth observed on any received exchange frame.
-  [[nodiscard]] std::uint64_t overlay_max_hops() const { return overlay_max_hops_; }
-  /// Fresh records not re-relayed because their frame hit the strategy TTL.
-  [[nodiscard]] std::uint64_t overlay_relays_suppressed() const {
-    return overlay_relays_suppressed_;
-  }
-  /// Strategy structure rebuilds that changed this point's push set
-  /// (tree/super-peer repair under churn).
-  [[nodiscard]] std::uint64_t overlay_rebuilds() const { return overlay_rebuilds_; }
-  /// Exchange frames copied to a rotating dead peer so a falsely-buried
-  /// point can learn the verdict and refute it (sparse overlays only).
-  [[nodiscard]] std::uint64_t overlay_grave_probes() const {
-    return overlay_grave_probes_;
-  }
-  /// Exchange body bytes this point put on the wire, counting every copy
-  /// sent (a mesh broadcast is one encode but fan-out many sends).
-  [[nodiscard]] std::uint64_t overlay_bytes_sent() const {
-    return overlay_bytes_sent_;
-  }
   /// I13 audit snapshots: every (origin, seq) this point has applied, and
   /// the (seq, accepted-at-seconds) log of its own records (only kept
   /// when options.overlay_audit; survives crash like the other audit
@@ -459,12 +440,6 @@ class DecisionPoint {
     std::uint32_t depth = 0;
   };
   std::vector<FreshMeta> fresh_meta_;
-  std::uint64_t overlay_rounds_ = 0;
-  std::uint64_t overlay_max_hops_ = 0;
-  std::uint64_t overlay_relays_suppressed_ = 0;
-  std::uint64_t overlay_rebuilds_ = 0;
-  std::uint64_t overlay_grave_probes_ = 0;
-  std::uint64_t overlay_bytes_sent_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t exchange_round_ = 0;
   /// Records learned since the last exchange tick (own + relayed).
@@ -497,32 +472,8 @@ class DecisionPoint {
   std::uint32_t join_attempt_ = 0;
   sim::Time join_started_;
   sim::Time serving_since_;
-  std::uint64_t join_retries_ = 0;
 
-  std::uint64_t queries_ = 0;
-  std::uint64_t selections_ = 0;
-  std::uint64_t exchanges_sent_ = 0;
-  std::uint64_t exchanges_received_ = 0;
-  std::uint64_t records_applied_ = 0;
-  std::uint64_t records_duplicate_ = 0;
-  std::uint64_t saturation_signals_ = 0;
-  std::uint64_t restarts_ = 0;
-  std::uint64_t gap_resyncs_ = 0;
-
-  /// Pull counters, one set per reason.
-  struct PullCounts {
-    std::uint64_t sent = 0;
-    std::uint64_t served = 0;
-    std::uint64_t received = 0;  // records in replies, duplicates included
-    std::uint64_t applied = 0;
-  };
-  std::array<PullCounts, kPullReasons> pulls_{};
-  [[nodiscard]] PullCounts& pulls(PullReason reason) {
-    return pulls_[std::size_t(reason)];
-  }
-  [[nodiscard]] const PullCounts& pulls(PullReason reason) const {
-    return pulls_[std::size_t(reason)];
-  }
+  DpCounters counters_;
   /// Keys a pull applied under a relaying (ttl > 0) strategy whose
   /// exchange copy has not arrived yet. A pulled record skips fresh_, so
   /// the first exchange copy is relayed instead of dropped as a duplicate:
@@ -535,22 +486,12 @@ class DecisionPoint {
   /// admission — and per-peer delta-pull throttle stamps. Volatile.
   std::unordered_map<DpId, sim::Time> peer_last_heard_;
   std::unordered_map<DpId, sim::Time> last_delta_pull_;
-  std::uint64_t digest_mismatches_ = 0;
-  std::uint64_t delta_conflicts_ = 0;
-  std::uint64_t double_commits_ = 0;
-  std::uint64_t delta_converged_ = 0;
-  std::uint64_t degraded_refusals_ = 0;
-  std::uint64_t degraded_replies_ = 0;
 
   /// Economy state (only touched when options.economy.enabled): the credit
   /// bank is created when the karma allocator is selected and survives
   /// crashes only as a fresh endowment (reset(), like the rest of the soft
   /// state).
   std::unique_ptr<economy::CreditBank> bank_;
-  std::uint64_t credit_denials_ = 0;
-  std::uint64_t grace_admissions_ = 0;
-  std::uint64_t priced_replies_ = 0;
-  std::uint64_t priced_selections_ = 0;
 
   /// Durable state (only when options.durability.enabled). The disk is
   /// deliberately *not* reset by crash(); everything else here is volatile
@@ -563,15 +504,6 @@ class DecisionPoint {
   /// bounded by options.durability.dedup_window, persisted through the WAL.
   std::map<std::pair<std::uint64_t, std::uint64_t>, SiteId> dedup_;
   std::deque<std::pair<std::uint64_t, std::uint64_t>> dedup_order_;
-  std::uint64_t recoveries_ = 0;
-  std::uint64_t replay_frames_ = 0;
-  std::uint64_t replay_records_ = 0;
-  std::uint64_t replay_dedup_ = 0;
-  std::uint64_t replay_truncations_ = 0;
-  std::uint64_t checkpoint_fallbacks_ = 0;
-  std::uint64_t replay_mismatches_ = 0;
-  std::uint64_t dedup_hits_ = 0;
-  std::uint64_t duplicate_dispatches_ = 0;
   sim::Duration last_recovery_cost_;
   /// Audit state for the I11/I12 invariants. Observer-only ground truth:
   /// intentionally NOT cleared by crash() (it survives the way an external

@@ -151,19 +151,10 @@ struct ScenarioConfig {
   trace::Tracer* tracer = nullptr;
 };
 
-struct DpStats {
-  std::uint64_t queries = 0;
-  std::uint64_t selections = 0;
-  std::uint64_t exchanges_sent = 0;
-  std::uint64_t exchanges_received = 0;
-  std::uint64_t records_applied = 0;
-  std::uint64_t records_duplicate = 0;
-  std::uint64_t saturation_signals = 0;
+/// One decision point at harvest: its counters plus snapshots of its
+/// container, membership table, disk, credit bank and audit notebooks.
+struct DpStats : digruber::DpCounters {
   std::uint64_t refused = 0;
-  std::uint64_t restarts = 0;
-  std::uint64_t resync_records = 0;
-  std::uint64_t catchups_served = 0;
-  std::uint64_t catchup_records_received = 0;
   double container_utilization = 0.0;
   double mean_sojourn_s = 0.0;
   /// Container admission accounting (chaos-harness conservation input:
@@ -181,8 +172,6 @@ struct DpStats {
   std::uint64_t suspicions = 0;
   std::uint64_t deaths_declared = 0;
   std::uint64_t refutations = 0;
-  std::uint64_t snapshots_served = 0;
-  std::uint64_t drain_nacks = 0;
   /// Join lifecycle (-1 for points that never joined at runtime).
   double join_started_s = -1.0;
   double serving_since_s = -1.0;
@@ -190,34 +179,12 @@ struct DpStats {
   /// (the churn soak and the bench derive time-to-detect from these).
   std::vector<digruber::MembershipTransition> membership_transitions;
 
-  // Partition tolerance (defaults with partition_tolerance off).
-  std::uint64_t digest_mismatches = 0;
-  std::uint64_t delta_pulls_sent = 0;
-  std::uint64_t delta_pulls_served = 0;
-  std::uint64_t delta_records_applied = 0;
-  std::uint64_t delta_conflicts = 0;
-  std::uint64_t double_commits = 0;
-  std::uint64_t delta_converged = 0;
-  std::uint64_t degraded_refusals = 0;
-  std::uint64_t degraded_replies = 0;
-
   // Economic brokering (defaults with the economy off). `economy` carries
   // this point's credit-bank ledgers; the chaos harness checks per-bank
   // conservation against it.
   economy::BankStats economy{};
-  std::uint64_t priced_replies = 0;
-  std::uint64_t priced_selections = 0;
 
   // Durability (defaults with durability off).
-  std::uint64_t recoveries = 0;
-  std::uint64_t replay_frames = 0;
-  std::uint64_t replay_records = 0;
-  std::uint64_t replay_dedup_entries = 0;
-  std::uint64_t replay_truncations = 0;
-  std::uint64_t checkpoint_fallbacks = 0;
-  std::uint64_t replay_mismatches = 0;   // I11: committed-but-lost records
-  std::uint64_t dedup_hits = 0;
-  std::uint64_t duplicate_dispatches = 0;  // I12: one request id, 2+ commits
   double last_recovery_s = 0.0;
   /// Device counters (copied from the point's SimDisk at harvest).
   std::uint64_t wal_appends = 0;
@@ -228,11 +195,6 @@ struct DpStats {
   std::uint64_t disk_torn_tails = 0;
   std::uint64_t disk_bit_flips = 0;
 
-  // Dissemination overlay (under the default mesh only rounds move).
-  std::uint64_t overlay_rounds = 0;
-  std::uint64_t overlay_max_hops = 0;
-  std::uint64_t overlay_relays_suppressed = 0;
-  std::uint64_t overlay_rebuilds = 0;
   /// Alive at harvest (crashed-and-not-restarted points report false).
   bool running = true;
   /// I13 audit payloads (filled only when config.overlay_audit): every

@@ -663,23 +663,14 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   result.all = accumulator.compute(metrics::Slice::kAll);
 
   for (const auto& dp : dps) {
+    const digruber::DpCounters& c = dp->counters();
     DpStats stats;
-    stats.queries = dp->queries_served();
-    stats.selections = dp->selections_recorded();
-    stats.exchanges_sent = dp->exchanges_sent();
-    stats.exchanges_received = dp->exchanges_received();
-    stats.records_applied = dp->records_applied();
-    stats.records_duplicate = dp->records_duplicate();
-    stats.saturation_signals = dp->saturation_signals();
-    stats.refused = dp->server().container().refused();
-    stats.restarts = dp->restarts();
-    stats.resync_records = dp->resync_records_applied();
-    stats.catchups_served = dp->catchups_served();
-    stats.catchup_records_received = dp->catchup_records_received();
-    stats.container_utilization =
-        dp->server().container().utilization(sim::Time::zero() + config.duration);
-    stats.mean_sojourn_s = dp->response_stats().mean();
+    static_cast<digruber::DpCounters&>(stats) = c;
     const net::ServiceContainer& container = dp->server().container();
+    stats.refused = container.refused();
+    stats.container_utilization =
+        container.utilization(sim::Time::zero() + config.duration);
+    stats.mean_sojourn_s = dp->response_stats().mean();
     stats.submitted = container.submitted();
     stats.completed = container.completed();
     stats.shed_deadline = container.shed_deadline();
@@ -693,8 +684,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
       stats.suspicions = table->counters().suspicions;
       stats.deaths_declared = table->counters().deaths;
       stats.refutations = table->counters().refutations;
-      stats.snapshots_served = dp->snapshots_served();
-      stats.drain_nacks = dp->drain_nacks_sent();
       if (dp->join_started_at().to_seconds() > 0.0) {
         stats.join_started_s = dp->join_started_at().to_seconds();
       }
@@ -703,30 +692,10 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
       }
       stats.membership_transitions = table->transitions();
     }
-    stats.digest_mismatches = dp->digest_mismatches();
-    stats.delta_pulls_sent = dp->delta_pulls_sent();
-    stats.delta_pulls_served = dp->delta_pulls_served();
-    stats.delta_records_applied = dp->delta_records_applied();
-    stats.delta_conflicts = dp->delta_conflicts();
-    stats.double_commits = dp->double_commits();
-    stats.delta_converged = dp->delta_converged();
-    stats.degraded_refusals = dp->degraded_refusals();
-    stats.degraded_replies = dp->degraded_replies();
     if (const economy::CreditBank* bank = dp->bank()) {
       stats.economy = bank->stats();
     }
-    stats.priced_replies = dp->priced_replies();
-    stats.priced_selections = dp->priced_selections();
     if (const durable::SimDisk* disk = dp->disk()) {
-      stats.recoveries = dp->recoveries();
-      stats.replay_frames = dp->replay_frames();
-      stats.replay_records = dp->replay_records();
-      stats.replay_dedup_entries = dp->replay_dedup_entries();
-      stats.replay_truncations = dp->replay_truncations();
-      stats.checkpoint_fallbacks = dp->checkpoint_fallbacks();
-      stats.replay_mismatches = dp->replay_mismatches();
-      stats.dedup_hits = dp->dedup_hits();
-      stats.duplicate_dispatches = dp->duplicate_dispatches();
       stats.last_recovery_s = dp->last_recovery_cost().to_seconds();
       const durable::DiskCounters& dc = disk->counters();
       stats.wal_appends = dc.appends;
@@ -737,23 +706,19 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
       stats.disk_torn_tails = dc.torn_tails;
       stats.disk_bit_flips = dc.bit_flips;
     }
-    stats.overlay_rounds = dp->overlay_rounds();
-    stats.overlay_max_hops = dp->overlay_max_hops();
-    stats.overlay_relays_suppressed = dp->overlay_relays_suppressed();
-    stats.overlay_rebuilds = dp->overlay_rebuilds();
     stats.running = dp->running();
     if (config.overlay_audit) {
       stats.applied_keys = dp->applied_keys();
       stats.own_records = dp->own_record_log();
     }
-    result.overlay.exchanges_sent += dp->exchanges_sent();
-    result.overlay.rounds += dp->overlay_rounds();
+    result.overlay.exchanges_sent += c.exchanges_sent;
+    result.overlay.rounds += c.overlay_rounds;
     result.overlay.max_hops =
-        std::max(result.overlay.max_hops, dp->overlay_max_hops());
-    result.overlay.relays_suppressed += dp->overlay_relays_suppressed();
-    result.overlay.rebuilds += dp->overlay_rebuilds();
-    result.overlay.grave_probes += dp->overlay_grave_probes();
-    result.overlay.bytes_sent += dp->overlay_bytes_sent();
+        std::max(result.overlay.max_hops, c.overlay_max_hops);
+    result.overlay.relays_suppressed += c.overlay_relays_suppressed;
+    result.overlay.rebuilds += c.overlay_rebuilds;
+    result.overlay.grave_probes += c.overlay_grave_probes;
+    result.overlay.bytes_sent += c.overlay_bytes_sent;
     result.dps.push_back(stats);
   }
 
@@ -795,30 +760,34 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
         eco.credits_expired_pool += stats.expired_pool;
         eco.credits_expired_cap += stats.expired_cap;
       }
-      eco.credit_denials += dp->credit_denials();
-      eco.grace_admissions += dp->grace_admissions();
-      eco.priced_replies += dp->priced_replies();
-      eco.priced_selections += dp->priced_selections();
+      const digruber::DpCounters& c = dp->counters();
+      eco.credit_denials += c.credit_denials;
+      eco.grace_admissions += c.grace_admissions;
+      eco.priced_replies += c.priced_replies;
+      eco.priced_selections += c.priced_selections;
     }
     for (const auto& client : clients) {
-      eco.priced_dispatches += client->priced_dispatches();
-      eco.budget_rejections += client->budget_rejections();
-      eco.market_fallbacks += client->market_fallbacks();
+      const digruber::ClientCounters& c = client->counters();
+      eco.priced_dispatches += c.priced_dispatches;
+      eco.budget_rejections += c.budget_rejections;
+      eco.market_fallbacks += c.market_fallbacks;
     }
   }
 
   {
     metrics::ResilienceCounters& res = result.resilience;
     for (const auto& client : clients) {
-      res.failovers += client->failovers();
-      res.breaker_trips += client->breaker_trips();
-      res.all_dps_down_fallbacks += client->all_dps_down_fallbacks();
+      const digruber::ClientCounters& c = client->counters();
+      res.failovers += c.failovers;
+      res.breaker_trips += c.breaker_trips;
+      res.all_dps_down_fallbacks += c.all_dps_down_fallbacks;
     }
     for (const auto& dp : dps) {
-      res.dp_restarts += dp->restarts();
-      res.resync_records += dp->resync_records_applied();
-      res.catchups_served += dp->catchups_served();
-      res.gap_resyncs += dp->gap_resyncs();
+      const digruber::DpCounters& c = dp->counters();
+      res.dp_restarts += c.restarts;
+      res.resync_records += c.pull(digruber::PullReason::kCatchUp).applied;
+      res.catchups_served += c.pull(digruber::PullReason::kCatchUp).served;
+      res.gap_resyncs += c.gap_resyncs;
     }
     res.drops_loss = transport.packets_dropped(net::DropCause::kLoss);
     res.drops_partition = transport.packets_dropped(net::DropCause::kPartition);
@@ -837,16 +806,17 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
       ov.aborted += container.aborted();
     }
     for (const auto& client : clients) {
-      ov.overload_nacks += client->overload_nacks();
-      ov.retry_after_honored += client->retry_after_honored();
-      ov.retries_budget_denied += client->retries_budget_denied();
-      ov.p2c_decisions += client->p2c_decisions();
-      result.clients.queries += client->queries();
-      result.clients.handled += client->handled();
-      result.clients.fallbacks += client->fallbacks();
-      result.clients.starvations += client->starvations();
-      result.clients.report_retries += client->report_retries();
-      result.clients.dedup_replies += client->dedup_replies();
+      const digruber::ClientCounters& c = client->counters();
+      ov.overload_nacks += c.overload_nacks;
+      ov.retry_after_honored += c.retry_after_honored;
+      ov.retries_budget_denied += c.retries_budget_denied;
+      ov.p2c_decisions += c.p2c_decisions;
+      result.clients.queries += c.queries;
+      result.clients.handled += c.handled;
+      result.clients.fallbacks += c.fallbacks;
+      result.clients.starvations += c.starvations;
+      result.clients.report_retries += c.report_retries;
+      result.clients.dedup_replies += c.dedup_replies;
     }
     for (const auto& site : grid.sites()) {
       if (site->free_cpus() < 0) ++result.sites_overcommitted;
@@ -866,19 +836,16 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
         dur.torn_tails += dc.torn_tails;
         dur.bit_flips += dc.bit_flips;
       }
-      dur.recoveries += dp->recoveries();
-      dur.replay_frames += dp->replay_frames();
-      dur.replay_records += dp->replay_records();
-      dur.replay_dedup_entries += dp->replay_dedup_entries();
-      dur.replay_truncations += dp->replay_truncations();
-      dur.checkpoint_fallbacks += dp->checkpoint_fallbacks();
-      dur.replay_mismatches += dp->replay_mismatches();
-      dur.dedup_hits += dp->dedup_hits();
-      dur.duplicate_dispatches += dp->duplicate_dispatches();
-    }
-    for (const auto& client : clients) {
-      dur.client_report_retries += client->report_retries();
-      dur.client_dedup_replies += client->dedup_replies();
+      const digruber::DpCounters& c = dp->counters();
+      dur.recoveries += c.recoveries;
+      dur.replay_frames += c.replay_frames;
+      dur.replay_records += c.replay_records;
+      dur.replay_dedup_entries += c.replay_dedup_entries;
+      dur.replay_truncations += c.replay_truncations;
+      dur.checkpoint_fallbacks += c.checkpoint_fallbacks;
+      dur.replay_mismatches += c.replay_mismatches;
+      dur.dedup_hits += c.dedup_hits;
+      dur.duplicate_dispatches += c.duplicate_dispatches;
     }
   }
 
@@ -896,16 +863,18 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
         ++mem.joins_started;
         if (dp->serving_since().to_seconds() > 0.0) ++mem.joins_completed;
       }
-      mem.join_snapshot_retries += dp->join_retries();
-      mem.join_snapshot_records += dp->join_snapshot_records();
-      mem.snapshots_served += dp->snapshots_served();
-      mem.drain_nacks += dp->drain_nacks_sent();
+      const digruber::DpCounters& c = dp->counters();
+      mem.join_snapshot_retries += c.join_retries;
+      mem.join_snapshot_records += c.pull(digruber::PullReason::kJoin).applied;
+      mem.snapshots_served += c.pull(digruber::PullReason::kJoin).served;
+      mem.drain_nacks += c.drain_nacks;
     }
     for (const auto& client : clients) {
-      mem.client_updates_applied += client->membership_updates_applied();
-      mem.client_dps_added += client->dps_added();
-      mem.client_dps_quarantined += client->dps_quarantined();
-      mem.client_drain_redirects += client->drain_redirects();
+      const digruber::ClientCounters& c = client->counters();
+      mem.client_updates_applied += c.membership_updates_applied;
+      mem.client_dps_added += c.dps_added;
+      mem.client_dps_quarantined += c.dps_quarantined;
+      mem.client_drain_redirects += c.drain_redirects;
     }
   }
 
@@ -913,9 +882,11 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
     metrics::PartitionCounters& pt = result.partition;
     for (const DpStats& stats : result.dps) {
       pt.digest_mismatches += stats.digest_mismatches;
-      pt.delta_pulls_sent += stats.delta_pulls_sent;
-      pt.delta_pulls_served += stats.delta_pulls_served;
-      pt.delta_records_applied += stats.delta_records_applied;
+      const digruber::DpCounters::PullCounts& delta =
+          stats.pull(digruber::PullReason::kDelta);
+      pt.delta_pulls_sent += delta.sent;
+      pt.delta_pulls_served += delta.served;
+      pt.delta_records_applied += delta.applied;
       pt.delta_conflicts += stats.delta_conflicts;
       pt.double_commits += stats.double_commits;
       pt.delta_converged += stats.delta_converged;
@@ -923,8 +894,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
       pt.degraded_replies += stats.degraded_replies;
     }
     for (const auto& client : clients) {
-      pt.client_degraded_redirects += client->degraded_redirects();
-      pt.client_degraded_hints += client->degraded_hints_seen();
+      pt.client_degraded_redirects += client->counters().degraded_redirects;
+      pt.client_degraded_hints += client->counters().degraded_hints_seen;
     }
     for (const auto& dp : dps) {
       pt.frames_bad_checksum +=

@@ -249,10 +249,8 @@ struct DurabilityCounters {
   std::uint64_t replay_mismatches = 0;     // I11 violations: committed-but-lost
 
   // Exactly-once dispatch.
-  std::uint64_t dedup_hits = 0;             // retries answered from the window
-  std::uint64_t duplicate_dispatches = 0;   // I12 violations: one id, 2+ commits
-  std::uint64_t client_report_retries = 0;  // report re-sends attempted
-  std::uint64_t client_dedup_replies = 0;   // acks carrying the original decision
+  std::uint64_t dedup_hits = 0;            // retries answered from the window
+  std::uint64_t duplicate_dispatches = 0;  // I12 violations: one id, 2+ commits
 };
 
 /// Dissemination-overlay counters aggregated across a scenario run (the

@@ -89,9 +89,6 @@ class RpcServer : public Endpoint {
   using RefusalGate =
       std::function<bool(std::uint16_t method, wire::OverloadNack& nack)>;
   void set_refusal_gate(RefusalGate gate) { gate_ = std::move(gate); }
-  [[nodiscard]] std::uint64_t requests_refused_by_gate() const {
-    return gate_refused_;
-  }
 
   /// Convenience: register a typed handler `Reply(const Request&, NodeId)`
   /// with a fixed-or-computed handler cost returned alongside the reply.
@@ -139,7 +136,6 @@ class RpcServer : public Endpoint {
   bool attached_ = true;
   bool checksums_ = false;
   std::uint64_t received_ = 0;
-  std::uint64_t gate_refused_ = 0;
   std::uint64_t bad_ = 0;
   std::array<std::uint64_t, std::size_t(BadFrameCause::kCount)> bad_by_cause_{};
 };

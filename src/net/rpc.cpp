@@ -135,9 +135,10 @@ void RpcServer::on_packet(Packet packet) {
     wire::OverloadNack nack;
     nack.reason = kNackDraining;
     if (gate_(method, nack)) {
-      ++gate_refused_;
       if (auto* t = trace::current()) {
-        t->instant(trace::Category::kRpc, node_.value(), "rpc.drain_nack",
+        t->instant(trace::Category::kRpc, node_.value(),
+                   nack.reason == kNackDegraded ? "rpc.degraded_nack"
+                                                : "rpc.drain_nack",
                    t->take_rpc(from.value(), correlation),
                    std::int64_t(method), nack.retry_after_us);
       }

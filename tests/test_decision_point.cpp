@@ -80,7 +80,7 @@ TEST(DecisionPoint, AnswersSiteLoadQueries) {
       });
   f.sim.run_until(sim::Time::from_seconds(30));
   EXPECT_TRUE(got);
-  EXPECT_EQ(dp.queries_served(), 1u);
+  EXPECT_EQ(dp.counters().queries, 1u);
   dp.stop();
 }
 
@@ -104,7 +104,7 @@ TEST(DecisionPoint, ReportedSelectionsSteerLaterQueries) {
                                           [&](Result<Ack> a) { acked = a.ok(); });
   f.sim.run_until(sim::Time::from_seconds(10));
   ASSERT_TRUE(acked);
-  EXPECT_EQ(dp.selections_recorded(), 1u);
+  EXPECT_EQ(dp.counters().selections, 1u);
 
   bool checked = false;
   f.rpc.call<GetSiteLoadsRequest, GetSiteLoadsReply>(
@@ -141,15 +141,15 @@ TEST(DecisionPoint, ExchangePropagatesDispatchRecords) {
 
   // Before the first exchange tick, b knows nothing.
   f.sim.run_until(sim::Time::from_seconds(30));
-  EXPECT_EQ(b.records_applied(), 0u);
+  EXPECT_EQ(b.counters().records_applied, 0u);
   EXPECT_EQ(b.engine().view().estimated_free(SiteId(1), f.sim.now()), 90);
 
   // After the 1-minute exchange interval, b has learned a's dispatch.
   f.sim.run_until(sim::Time::from_seconds(90));
-  EXPECT_EQ(b.records_applied(), 1u);
+  EXPECT_EQ(b.counters().records_applied, 1u);
   EXPECT_EQ(b.engine().view().estimated_free(SiteId(1), f.sim.now()), 65);
-  EXPECT_GE(a.exchanges_sent(), 1u);
-  EXPECT_GE(b.exchanges_received(), 1u);
+  EXPECT_GE(a.counters().exchanges_sent, 1u);
+  EXPECT_GE(b.counters().exchanges_received, 1u);
   a.stop();
   b.stop();
 }
@@ -187,8 +187,8 @@ TEST(DecisionPoint, ExchangeRoundEncodesOnceRegardlessOfPeerCount) {
   EXPECT_GT(stats.bytes(net::wire::MsgCategory::kStateExchange), bytes_before);
   // Every peer still got its copy: deliveries scale with the mesh degree.
   for (DecisionPoint* dp : raw) {
-    EXPECT_EQ(dp->exchanges_sent(), 3u);
-    EXPECT_EQ(dp->exchanges_received(), 3u);
+    EXPECT_EQ(dp->counters().exchanges_sent, 3u);
+    EXPECT_EQ(dp->counters().exchanges_received, 3u);
     dp->stop();
   }
 }
@@ -216,9 +216,11 @@ TEST(DecisionPoint, FloodingDedupsAcrossMesh) {
   // Several exchange rounds: b and c each apply the record exactly once
   // even though the mesh relays it from multiple directions.
   f.sim.run_until(sim::Time::from_seconds(300));
-  EXPECT_EQ(b.records_applied(), 1u);
-  EXPECT_EQ(c.records_applied(), 1u);
-  EXPECT_GT(b.records_duplicate() + c.records_duplicate() + a.records_duplicate(), 0u);
+  EXPECT_EQ(b.counters().records_applied, 1u);
+  EXPECT_EQ(c.counters().records_applied, 1u);
+  EXPECT_GT(b.counters().records_duplicate + c.counters().records_duplicate +
+                a.counters().records_duplicate,
+            0u);
   // The view is not double-counted.
   EXPECT_EQ(b.engine().view().estimated_free(SiteId(0), f.sim.now()), 90);
   for (DecisionPoint* dp : {&a, &b, &c}) dp->stop();
@@ -251,13 +253,13 @@ TEST(DecisionPoint, LineOverlayRelaysAcrossHops) {
 
   // One hop per exchange round along the line.
   f.sim.run_until(sim::Time::from_seconds(70));
-  EXPECT_EQ(dps[1]->records_applied(), 1u);
-  EXPECT_EQ(dps[2]->records_applied(), 0u);
+  EXPECT_EQ(dps[1]->counters().records_applied, 1u);
+  EXPECT_EQ(dps[2]->counters().records_applied, 0u);
   f.sim.run_until(sim::Time::from_seconds(130));
-  EXPECT_EQ(dps[2]->records_applied(), 1u);
-  EXPECT_EQ(dps[3]->records_applied(), 0u);
+  EXPECT_EQ(dps[2]->counters().records_applied, 1u);
+  EXPECT_EQ(dps[3]->counters().records_applied, 0u);
   f.sim.run_until(sim::Time::from_seconds(190));
-  EXPECT_EQ(dps[3]->records_applied(), 1u);
+  EXPECT_EQ(dps[3]->counters().records_applied, 1u);
   for (auto& dp : dps) dp->stop();
 }
 
@@ -293,8 +295,8 @@ TEST(DecisionPoint, ForgedHopDepthIsAppliedButNotRelayed) {
                     [&] { f.rpc.notify(dps[1]->node(), kExchange, forged); });
 
   f.sim.run_until(sim::Time::from_seconds(200));
-  EXPECT_EQ(dps[1]->records_applied(), 1u);
-  EXPECT_EQ(dps[1]->overlay_relays_suppressed(), 1u);
+  EXPECT_EQ(dps[1]->counters().records_applied, 1u);
+  EXPECT_EQ(dps[1]->counters().overlay_relays_suppressed, 1u);
   EXPECT_TRUE(dps[2]->applied_keys().empty());
   for (auto& dp : dps) dp->stop();
 }
@@ -330,18 +332,18 @@ TEST(DecisionPoint, TreeSplitHorizonAndOneEncodePerExclusion) {
   f.sim.run_until(sim::Time::from_seconds(70));
   EXPECT_EQ(stats.encodes(net::wire::MsgCategory::kStateExchange) - encodes_before,
             4u);
-  EXPECT_EQ(parent.exchanges_sent(), 1u);
-  EXPECT_EQ(middle.exchanges_sent(), 2u);
-  EXPECT_EQ(leaf.exchanges_sent(), 1u);
+  EXPECT_EQ(parent.counters().exchanges_sent, 1u);
+  EXPECT_EQ(middle.counters().exchanges_sent, 2u);
+  EXPECT_EQ(leaf.counters().exchanges_sent, 1u);
 
   // The middle point relays the parent's record to the leaf in round two
   // but never back to the parent, and the leaf never echoes it to the
   // middle point: no duplicate arrives anywhere.
   f.sim.run_until(sim::Time::from_seconds(250));
-  EXPECT_EQ(middle.records_applied(), 1u);
-  EXPECT_EQ(leaf.records_applied(), 1u);
-  EXPECT_EQ(parent.records_duplicate(), 0u);
-  EXPECT_EQ(middle.records_duplicate(), 0u);
+  EXPECT_EQ(middle.counters().records_applied, 1u);
+  EXPECT_EQ(leaf.counters().records_applied, 1u);
+  EXPECT_EQ(parent.counters().records_duplicate, 0u);
+  EXPECT_EQ(middle.counters().records_duplicate, 0u);
   for (DecisionPoint* dp : {&parent, &middle, &leaf}) dp->stop();
 }
 
@@ -366,8 +368,8 @@ TEST(DecisionPoint, DisseminationNoneNeverExchanges) {
                                           sim::Duration::seconds(30),
                                           [](Result<Ack>) {});
   f.sim.run_until(sim::Time::from_seconds(600));
-  EXPECT_EQ(a.exchanges_sent(), 0u);
-  EXPECT_EQ(b.records_applied(), 0u);
+  EXPECT_EQ(a.counters().exchanges_sent, 0u);
+  EXPECT_EQ(b.counters().records_applied, 0u);
   a.stop();
   b.stop();
 }
@@ -387,7 +389,7 @@ TEST(DecisionPoint, RefusesSiteLoadQueriesForUnderOneCpu) {
   }
   f.sim.run_until(sim::Time::from_seconds(30));
   EXPECT_EQ(refused, 2);
-  EXPECT_EQ(dp.queries_served(), 0u);
+  EXPECT_EQ(dp.counters().queries, 0u);
   dp.stop();
 }
 
@@ -414,9 +416,9 @@ TEST(DecisionPoint, RefusesSelectionReportsForUnderOneCpu) {
   }
   // Several exchange rounds: nothing was recorded, so nothing floods.
   f.sim.run_until(sim::Time::from_seconds(300));
-  EXPECT_EQ(a.selections_recorded(), 0u);
+  EXPECT_EQ(a.counters().selections, 0u);
   EXPECT_EQ(a.engine().view().estimated_free(SiteId(0), f.sim.now()), 100);
-  EXPECT_EQ(b.records_applied(), 0u);
+  EXPECT_EQ(b.counters().records_applied, 0u);
   EXPECT_EQ(b.engine().view().estimated_free(SiteId(0), f.sim.now()), 100);
   a.stop();
   b.stop();
@@ -444,8 +446,8 @@ TEST(DecisionPoint, DropsLearnedRecordsForUnderOneCpu) {
   }
   f.rpc.notify(dp.node(), kExchange, message);
   f.sim.run_until(sim::Time::from_seconds(30));
-  EXPECT_EQ(dp.exchanges_received(), 1u);
-  EXPECT_EQ(dp.records_applied(), 1u);
+  EXPECT_EQ(dp.counters().exchanges_received, 1u);
+  EXPECT_EQ(dp.counters().records_applied, 1u);
   EXPECT_EQ(dp.engine().view().estimated_free(SiteId(0), f.sim.now()), 90);
   dp.stop();
 }
@@ -473,7 +475,7 @@ TEST(DecisionPoint, SaturationSignalsReachMonitor) {
         [](Result<GetSiteLoadsReply>) {});
   }
   f.sim.run_until(sim::Time::from_seconds(600));
-  EXPECT_GE(dp.saturation_signals(), 1u);
+  EXPECT_GE(dp.counters().saturation_signals, 1u);
   EXPECT_GE(monitor.signals_received(), 1u);
   EXPECT_GE(provisions, 1);
   dp.stop();

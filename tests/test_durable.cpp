@@ -199,7 +199,7 @@ TEST(DurableDp, ReplaysCommittedDecisionsAfterCrash) {
 
   f.send_report(dp, f.report());
   f.sim.run_until(sim::Time::from_seconds(10));
-  ASSERT_EQ(dp.selections_recorded(), 1u);
+  ASSERT_EQ(dp.counters().selections, 1u);
   ASSERT_GE(dp.disk()->counters().appends, 1u);
   ASSERT_GE(dp.disk()->counters().fsyncs, 1u);
 
@@ -207,12 +207,12 @@ TEST(DurableDp, ReplaysCommittedDecisionsAfterCrash) {
   dp.restart(f.snapshots());
   f.sim.run_until(f.sim.now() + sim::Duration::seconds(5));
 
-  EXPECT_EQ(dp.recoveries(), 1u);
-  EXPECT_GE(dp.replay_records(), 1u);
-  EXPECT_EQ(dp.replay_mismatches(), 0u);
+  EXPECT_EQ(dp.counters().recoveries, 1u);
+  EXPECT_GE(dp.counters().replay_records, 1u);
+  EXPECT_EQ(dp.counters().replay_mismatches, 0u);
   // No checkpoint had been written yet: an absent image is the normal
   // WAL-only path, not a fallback (fallbacks count *damaged* images).
-  EXPECT_EQ(dp.checkpoint_fallbacks(), 0u);
+  EXPECT_EQ(dp.counters().checkpoint_fallbacks, 0u);
   // The crashed-and-replayed broker still remembers the 40-CPU placement
   // without any peer to resync from.
   EXPECT_EQ(f.free_estimate(dp), 60);
@@ -229,12 +229,12 @@ TEST(DurableDp, RetryAfterCrashReturnsOriginalDecision) {
   f.sim.run_until(sim::Time::from_seconds(10));
   ASSERT_TRUE(first.ok);
   EXPECT_FALSE(first.original_site);
-  ASSERT_EQ(dp.selections_recorded(), 1u);
+  ASSERT_EQ(dp.counters().selections, 1u);
 
   dp.crash();
   dp.restart(f.snapshots());
   f.sim.run_until(f.sim.now() + sim::Duration::seconds(5));
-  ASSERT_GE(dp.replay_dedup_entries(), 1u);
+  ASSERT_GE(dp.counters().replay_dedup_entries, 1u);
 
   // The client's retry of the same (client, seq) after the crash must not
   // double-book: the replayed dedup window answers with the original site.
@@ -243,9 +243,9 @@ TEST(DurableDp, RetryAfterCrashReturnsOriginalDecision) {
   f.sim.run_until(f.sim.now() + sim::Duration::seconds(10));
   ASSERT_TRUE(retry.ok);
   EXPECT_EQ(retry.original_site, SiteId(0));
-  EXPECT_EQ(dp.dedup_hits(), 1u);
-  EXPECT_EQ(dp.selections_recorded(), 1u);
-  EXPECT_EQ(dp.duplicate_dispatches(), 0u);
+  EXPECT_EQ(dp.counters().dedup_hits, 1u);
+  EXPECT_EQ(dp.counters().selections, 1u);
+  EXPECT_EQ(dp.counters().duplicate_dispatches, 0u);
   EXPECT_EQ(f.free_estimate(dp), 60);  // booked once, not twice
   dp.stop();
 }
@@ -274,16 +274,16 @@ TEST(DurableDp, RetryDoubleCountsWithoutDedupAndCollapsesWithIt) {
     const double metered = dp.bank()->stats().ledgers.at(0).used_epoch;
     const double once = 40.0 * 5000.0;
     if (durable) {
-      EXPECT_EQ(dp.selections_recorded(), 1u);
-      EXPECT_EQ(dp.dedup_hits(), 1u);
-      EXPECT_EQ(dp.duplicate_dispatches(), 0u);
+      EXPECT_EQ(dp.counters().selections, 1u);
+      EXPECT_EQ(dp.counters().dedup_hits, 1u);
+      EXPECT_EQ(dp.counters().duplicate_dispatches, 0u);
       // Query as the idle VO: the karma gate has (rightly) cut off the
       // over-spent VO 0, but site load is global either way.
       EXPECT_EQ(f.free_estimate(dp, /*vo=*/1), 60);
       EXPECT_DOUBLE_EQ(metered, once);
     } else {
-      EXPECT_EQ(dp.selections_recorded(), 2u);
-      EXPECT_EQ(dp.duplicate_dispatches(), 1u);  // I12 audit sees the bug
+      EXPECT_EQ(dp.counters().selections, 2u);
+      EXPECT_EQ(dp.counters().duplicate_dispatches, 1u);  // I12 audit sees the bug
       EXPECT_EQ(f.free_estimate(dp, /*vo=*/1), 20);
       EXPECT_DOUBLE_EQ(metered, 2 * once);
     }
@@ -317,14 +317,14 @@ TEST(DurableDp, LearnedRecordsLogDispatchBeforeEpochSettle) {
   // b learns a's records through the exchange rounds at 60, 120 and 180 s
   // (the 120 s round crosses the first 2-minute epoch boundary)...
   report_every_40s_until(200);
-  ASSERT_GT(b.records_applied(), 0u);
+  ASSERT_GT(b.counters().records_applied, 0u);
   b.crash();
   // ...then misses a round while down and catches up after the restart,
   // in the third epoch.
   report_every_40s_until(300);
   b.restart(f.snapshots());
   f.sim.run_until(sim::Time::from_seconds(340));
-  ASSERT_GT(b.resync_records_applied(), 0u);
+  ASSERT_GT(b.counters().pull(PullReason::kCatchUp).applied, 0u);
 
   struct Frame {
     WalRecordType type;
@@ -360,8 +360,8 @@ TEST(DurableDp, LearnedRecordsLogDispatchBeforeEpochSettle) {
   b.crash();
   b.restart(f.snapshots());
   f.sim.run_until(f.sim.now() + sim::Duration::seconds(5));
-  EXPECT_EQ(b.recoveries(), 2u);
-  EXPECT_EQ(b.replay_mismatches(), 0u);
+  EXPECT_EQ(b.counters().recoveries, 2u);
+  EXPECT_EQ(b.counters().replay_mismatches, 0u);
   a.stop();
   b.stop();
 }
@@ -381,9 +381,9 @@ TEST(DurableDp, CheckpointTruncatesLogAndServesRecovery) {
   dp.crash();
   dp.restart(f.snapshots());
   f.sim.run_until(f.sim.now() + sim::Duration::seconds(5));
-  EXPECT_EQ(dp.recoveries(), 1u);
-  EXPECT_EQ(dp.checkpoint_fallbacks(), 0u);  // image restored, no fallback
-  EXPECT_EQ(dp.replay_mismatches(), 0u);
+  EXPECT_EQ(dp.counters().recoveries, 1u);
+  EXPECT_EQ(dp.counters().checkpoint_fallbacks, 0u);  // image restored, no fallback
+  EXPECT_EQ(dp.counters().replay_mismatches, 0u);
   EXPECT_EQ(f.free_estimate(dp), 60);
   dp.stop();
 }
@@ -400,8 +400,8 @@ TEST(DurableDp, TornTailTruncatesReplayButKeepsServing) {
   dp.restart(f.snapshots());
   f.sim.run_until(f.sim.now() + sim::Duration::seconds(5));
 
-  EXPECT_EQ(dp.recoveries(), 1u);
-  EXPECT_EQ(dp.replay_truncations(), 1u);
+  EXPECT_EQ(dp.counters().recoveries, 1u);
+  EXPECT_EQ(dp.counters().replay_truncations, 1u);
   EXPECT_GE(f.free_estimate(dp), 60);  // serves either way; lost tail is
                                        // anti-entropy's job in a mesh
   dp.stop();
@@ -423,7 +423,7 @@ TEST(DurableDp, IncarnationAdvancesMonotonicallyAcrossRecoveries) {
   dp.restart(f.snapshots());
   f.sim.run_until(f.sim.now() + sim::Duration::seconds(5));
   EXPECT_GT(dp.incarnation(), second);
-  EXPECT_EQ(dp.recoveries(), 2u);
+  EXPECT_EQ(dp.counters().recoveries, 2u);
   dp.stop();
 }
 
@@ -440,23 +440,23 @@ TEST(DurableDp, DedupWindowStaysBounded) {
     f.send_report(dp, r);
     f.sim.run_until(f.sim.now() + sim::Duration::seconds(2));
   }
-  ASSERT_EQ(dp.selections_recorded(), 8u);
+  ASSERT_EQ(dp.counters().selections, 8u);
 
   // seq=1 was evicted (window holds the last 4): a late retry re-books.
   ReportSelectionRequest old = f.report(1);
   old.cpus = 1;
   f.send_report(dp, old);
   f.sim.run_until(f.sim.now() + sim::Duration::seconds(5));
-  EXPECT_EQ(dp.dedup_hits(), 0u);
-  EXPECT_EQ(dp.selections_recorded(), 9u);
+  EXPECT_EQ(dp.counters().dedup_hits, 0u);
+  EXPECT_EQ(dp.counters().selections, 9u);
 
   // seq=8 is still inside the window: the retry is collapsed.
   ReportSelectionRequest fresh = f.report(8);
   fresh.cpus = 1;
   f.send_report(dp, fresh);
   f.sim.run_until(f.sim.now() + sim::Duration::seconds(5));
-  EXPECT_EQ(dp.dedup_hits(), 1u);
-  EXPECT_EQ(dp.selections_recorded(), 9u);
+  EXPECT_EQ(dp.counters().dedup_hits, 1u);
+  EXPECT_EQ(dp.counters().selections, 9u);
   dp.stop();
 }
 
@@ -469,8 +469,8 @@ TEST(DurableDp, DisabledDurabilityKeepsLegacyBehaviour) {
 
   f.send_report(dp, f.report());
   f.sim.run_until(sim::Time::from_seconds(10));
-  EXPECT_EQ(dp.selections_recorded(), 1u);
-  EXPECT_EQ(dp.recoveries(), 0u);
+  EXPECT_EQ(dp.counters().selections, 1u);
+  EXPECT_EQ(dp.counters().recoveries, 0u);
   dp.stop();
 }
 

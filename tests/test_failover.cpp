@@ -98,9 +98,9 @@ TEST(Failover, CrashedPrimaryFailsOverToBackupWithinDeadline) {
   });
   f.sim.run_until(sim::Time::from_seconds(120));
   EXPECT_TRUE(done);
-  EXPECT_GE(client->failovers(), 1u);
-  EXPECT_EQ(client->fallbacks(), 0u);
-  EXPECT_EQ(b.queries_served(), 1u);
+  EXPECT_GE(client->counters().failovers, 1u);
+  EXPECT_EQ(client->counters().fallbacks, 0u);
+  EXPECT_EQ(b.counters().queries, 1u);
   b.stop();
 }
 
@@ -128,9 +128,9 @@ TEST(Failover, BreakerTripsThenHalfOpenProbeRecovers) {
   });
   f.sim.run_until(sim::Time::from_seconds(20));
   ASSERT_TRUE(first_done);
-  EXPECT_EQ(client->breaker_trips(), 1u);
-  EXPECT_EQ(client->all_dps_down_fallbacks(), 1u);
-  EXPECT_EQ(client->fallbacks(), 1u);
+  EXPECT_EQ(client->counters().breaker_trips, 1u);
+  EXPECT_EQ(client->counters().all_dps_down_fallbacks, 1u);
+  EXPECT_EQ(client->counters().fallbacks, 1u);
 
   // Bring the decision point back; once the cooldown has elapsed, the next
   // query rides the half-open probe and closes the breaker again.
@@ -147,7 +147,7 @@ TEST(Failover, BreakerTripsThenHalfOpenProbeRecovers) {
   });
   f.sim.run_until(sim::Time::from_seconds(150));
   EXPECT_TRUE(second_done);
-  EXPECT_EQ(client->breaker_trips(), 1u);  // no re-trip: probe succeeded
+  EXPECT_EQ(client->counters().breaker_trips, 1u);  // no re-trip: probe succeeded
 
   // Breaker closed: a third query goes straight through.
   bool third_done = false;
@@ -182,7 +182,7 @@ TEST(Failover, RestartRunsCatchUpAndReconverges) {
 
   // One exchange round: b has learned a's dispatch.
   f.sim.run_until(sim::Time::from_seconds(90));
-  ASSERT_EQ(b.records_applied(), 1u);
+  ASSERT_EQ(b.counters().records_applied, 1u);
 
   // Crash wipes a's volatile state; restart re-bootstraps and re-learns
   // the still-active record from b via the catch-up exchange.
@@ -190,10 +190,10 @@ TEST(Failover, RestartRunsCatchUpAndReconverges) {
   f.sim.schedule_at(sim::Time::from_seconds(110), [&] { a.restart(f.snapshots()); });
   f.sim.run_until(sim::Time::from_seconds(140));
 
-  EXPECT_EQ(a.restarts(), 1u);
+  EXPECT_EQ(a.counters().restarts, 1u);
   EXPECT_EQ(a.incarnation(), 1u);
-  EXPECT_EQ(a.resync_records_applied(), 1u);
-  EXPECT_GE(b.catchups_served(), 1u);
+  EXPECT_EQ(a.counters().pull(PullReason::kCatchUp).applied, 1u);
+  EXPECT_GE(b.counters().pull(PullReason::kCatchUp).served, 1u);
   EXPECT_EQ(a.engine().view().estimated_free(SiteId(0), f.sim.now()), 60);
 
   // Post-restart selections use a fresh sequence epoch, so b applies them
@@ -204,7 +204,7 @@ TEST(Failover, RestartRunsCatchUpAndReconverges) {
                                         sim::Duration::seconds(30),
                                         [](Result<Ack>) {});
   f.sim.run_until(sim::Time::from_seconds(260));
-  EXPECT_EQ(b.records_applied(), 2u);
+  EXPECT_EQ(b.counters().records_applied, 2u);
   EXPECT_EQ(b.engine().view().estimated_free(SiteId(0), f.sim.now()), 50);
   a.stop();
   b.stop();
@@ -237,7 +237,7 @@ TEST(Failover, PartitionDropsExchangeTrafficUntilHealed) {
   });
   f.sim.run_until(sim::Time::from_seconds(90));
   EXPECT_TRUE(f.transport.partitioned(a.peer_node(), b.node()));
-  EXPECT_EQ(b.records_applied(), 0u);
+  EXPECT_EQ(b.counters().records_applied, 0u);
   EXPECT_GE(f.transport.packets_dropped(net::DropCause::kPartition), 1u);
 
   // Heal; flooding does not retransmit the lost round, but records
@@ -252,7 +252,7 @@ TEST(Failover, PartitionDropsExchangeTrafficUntilHealed) {
   });
   f.sim.run_until(sim::Time::from_seconds(240));
   EXPECT_FALSE(f.transport.partitioned(a.peer_node(), b.node()));
-  EXPECT_EQ(b.records_applied(), 1u);
+  EXPECT_EQ(b.counters().records_applied, 1u);
   a.stop();
   b.stop();
 }
@@ -315,9 +315,11 @@ TEST(Failover, RoundGapCatchUpRacingDeltaPullLosesNothingDoublesNothing) {
 
   // The race actually happened: a round gap fired a catch-up somewhere,
   // and at least one digest mismatch fired a targeted pull.
-  EXPECT_GE(a.gap_resyncs() + b.gap_resyncs(), 1u);
-  EXPECT_GE(a.digest_mismatches() + b.digest_mismatches(), 1u);
-  EXPECT_GE(a.delta_pulls_sent() + b.delta_pulls_sent(), 1u);
+  EXPECT_GE(a.counters().gap_resyncs + b.counters().gap_resyncs, 1u);
+  EXPECT_GE(a.counters().digest_mismatches + b.counters().digest_mismatches, 1u);
+  EXPECT_GE(a.counters().pull(PullReason::kDelta).sent +
+                b.counters().pull(PullReason::kDelta).sent,
+            1u);
 
   // Exactly-once accounting: every record (40 + 10 + 5 CPUs, all still
   // running) is counted once on both sides — a lost record would leave
@@ -376,10 +378,11 @@ TEST(Failover, DegradedNackRedirectsWithoutQuarantine) {
   // The refused query retries inside its 60 s budget, then falls back.
   f.sim.run_until(sim::Time::from_seconds(190));
   ASSERT_TRUE(split_done);
-  EXPECT_GE(a.degraded_refusals(), 1u);
-  EXPECT_GE(client->degraded_redirects(), 1u);
-  EXPECT_EQ(client->dps_quarantined(), 0u) << "degraded NACK must not "
-                                              "quarantine a live point";
+  EXPECT_GE(a.counters().degraded_refusals, 1u);
+  EXPECT_EQ(a.counters().drain_nacks, 0u);
+  EXPECT_GE(client->counters().degraded_redirects, 1u);
+  EXPECT_EQ(client->counters().dps_quarantined, 0u)
+      << "degraded NACK must not quarantine a live point";
 
   // Heal; the next exchange round refreshes a's staleness clock and the
   // same client must be able to route to a again with no membership event.
@@ -395,7 +398,7 @@ TEST(Failover, DegradedNackRedirectsWithoutQuarantine) {
   });
   f.sim.run_until(sim::Time::from_seconds(400));
   ASSERT_TRUE(healed_done);
-  EXPECT_EQ(client->dps_quarantined(), 0u);
+  EXPECT_EQ(client->counters().dps_quarantined, 0u);
   a.stop();
   b.stop();
 }

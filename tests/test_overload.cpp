@@ -183,7 +183,7 @@ TEST(Overload, WireDeadlineShedsDoomedRequestAtAdmission) {
   EXPECT_TRUE(first_ok);
   EXPECT_TRUE(doomed_overloaded);
   EXPECT_EQ(a.server().container().shed_deadline(), 1u);
-  EXPECT_EQ(a.queries_served(), 1u);
+  EXPECT_EQ(a.counters().queries, 1u);
   a.stop();
 }
 
@@ -217,11 +217,11 @@ TEST(Overload, EmptyRetryBudgetDegradesToFallbackWithoutTrippingBreaker) {
   });
   f.sim.run_until(sim::Time::from_seconds(120));
   ASSERT_TRUE(done);
-  EXPECT_EQ(client->overload_nacks(), 1u);
-  EXPECT_EQ(client->retries_budget_denied(), 1u);
-  EXPECT_EQ(client->fallbacks(), 1u);
+  EXPECT_EQ(client->counters().overload_nacks, 1u);
+  EXPECT_EQ(client->counters().retries_budget_denied, 1u);
+  EXPECT_EQ(client->counters().fallbacks, 1u);
   // The NACK proves the decision point is alive: no breaker trip.
-  EXPECT_EQ(client->breaker_trips(), 0u);
+  EXPECT_EQ(client->counters().breaker_trips, 0u);
   a.stop();
 }
 
@@ -258,9 +258,9 @@ TEST(Overload, RetryAfterHintDelaysRetryUntilQueueDrains) {
   });
   f.sim.run_until(sim::Time::from_seconds(120));
   ASSERT_TRUE(done);
-  EXPECT_EQ(client->overload_nacks(), 1u);
-  EXPECT_EQ(client->retry_after_honored(), 1u);
-  EXPECT_EQ(client->fallbacks(), 0u);
+  EXPECT_EQ(client->counters().overload_nacks, 1u);
+  EXPECT_EQ(client->counters().retry_after_honored, 1u);
+  EXPECT_EQ(client->counters().fallbacks, 0u);
   a.stop();
 }
 
@@ -309,11 +309,11 @@ TEST(Overload, PowerOfTwoChoicesRoutesAroundSaturatedDp) {
   // its score and the (budgeted) retry went to b.
   EXPECT_EQ(issued, 5);
   EXPECT_EQ(handled, 5);
-  EXPECT_GE(client->p2c_decisions(), 5u);
-  EXPECT_EQ(b.queries_served(), 5u);
+  EXPECT_GE(client->counters().p2c_decisions, 5u);
+  EXPECT_EQ(b.counters().queries, 5u);
   // a served only the wedge's own first raw request, none of the client's.
-  EXPECT_EQ(a.queries_served(), 1u);
-  EXPECT_EQ(client->fallbacks(), 0u);
+  EXPECT_EQ(a.counters().queries, 1u);
+  EXPECT_EQ(client->counters().fallbacks, 0u);
   a.stop();
   b.stop();
 }

@@ -156,12 +156,13 @@ TEST_P(PullRule, SkipsExpiredResolvesTwinsAndCountsDoubleCommits) {
   }
   // A double commit keeps both records and is counted.
   EXPECT_EQ(view.estimated_free(SiteId(2), now), 80 - 4 - 4);
-  EXPECT_EQ(dp.delta_conflicts(), 3u);
-  EXPECT_EQ(dp.double_commits(), 1u);
+  EXPECT_EQ(dp.counters().delta_conflicts, 3u);
+  EXPECT_EQ(dp.counters().double_commits, 1u);
   // Applied: the two winning twins and the second origin's record,
   // counted under the pull's reason.
-  EXPECT_EQ(GetParam() == PullReason::kCatchUp ? dp.resync_records_applied()
-                                               : dp.delta_records_applied(),
+  EXPECT_EQ(GetParam() == PullReason::kCatchUp
+                ? dp.counters().pull(PullReason::kCatchUp).applied
+                : dp.counters().pull(PullReason::kDelta).applied,
             3u);
   dp.stop();
 }
@@ -219,16 +220,18 @@ TEST(Pull, RefusedRequestsGetNoReplyAndMoveNoCounter) {
   f.sim.run_until(at(30));
   EXPECT_EQ(refused, 4);
   EXPECT_EQ(answered, 0);
-  EXPECT_EQ(dp.catchups_served() + dp.snapshots_served() + dp.delta_pulls_served(),
+  EXPECT_EQ(dp.counters().pull(PullReason::kCatchUp).served +
+                dp.counters().pull(PullReason::kJoin).served +
+                dp.counters().pull(PullReason::kDelta).served,
             0u);
   EXPECT_FALSE(joiner.serving());
-  EXPECT_EQ(joiner.snapshots_served(), 0u);
+  EXPECT_EQ(joiner.counters().pull(PullReason::kJoin).served, 0u);
 
   // A catch-up is served.
   pull(dp.node(), PullReason::kCatchUp);
   f.sim.run_until(at(40));
   EXPECT_EQ(answered, 1);
-  EXPECT_EQ(dp.catchups_served(), 1u);
+  EXPECT_EQ(dp.counters().pull(PullReason::kCatchUp).served, 1u);
   dp.stop();
   joiner.stop();
 }
@@ -265,7 +268,7 @@ TEST(Pull, PulledRecordRelaysOnItsFirstExchangeCopy) {
   f.sim.schedule_at(at(3), [&] { dp1.restart(f.snapshots()); });
   f.sim.run_until(at(200));
 
-  EXPECT_EQ(dp1.resync_records_applied(), 1u);
+  EXPECT_EQ(dp1.counters().pull(PullReason::kCatchUp).applied, 1u);
   EXPECT_TRUE(holds_key(dp2, 0, 1));
   EXPECT_EQ(dp2.engine().view().estimated_free(SiteId(0), f.sim.now()), 90);
   for (DecisionPoint* dp : {&dp0, &dp1, &dp2}) dp->stop();

@@ -40,8 +40,8 @@
 //       conservation invariants I1-I3 still hold with corruption live
 //       (no corrupted frame poisons broker state),
 //   I9  degraded points are not quarantined: a decision point that NACKs
-//       degraded during a partition stays routable — without churn the
-//       client fleet performs zero quarantines.
+//       degraded during a partition stays routable — without membership
+//       the client fleet performs zero quarantines.
 //
 // `--partition --churn` composes both schedules and both invariant sets.
 //
@@ -486,13 +486,14 @@ SeedReport run_seed(std::uint64_t seed, bool quick, bool verbose, bool churn,
     }
 
     // I9: degraded NACKs never quarantine. Quarantine is reserved for
-    // membership-declared dead/left points, so without churn the client
-    // fleet must perform zero quarantines no matter how many degraded
-    // redirects the partitions caused.
-    if (!churn && result.membership.client_dps_quarantined != 0) {
+    // membership-declared dead/left points, so without membership (which
+    // --churn and --overlay turn on) the client fleet must perform zero
+    // quarantines no matter how many degraded redirects the partitions
+    // caused.
+    if (!config.membership && result.membership.client_dps_quarantined != 0) {
       std::ostringstream os;
       os << "I9 " << result.membership.client_dps_quarantined
-         << " client quarantine(s) without membership churn (degraded "
+         << " client quarantine(s) without membership (degraded "
          << "points must stay routable)";
       violate(os.str());
     }
@@ -534,7 +535,7 @@ SeedReport run_seed(std::uint64_t seed, bool quick, bool verbose, bool churn,
   if (recovery) {
     report.recoveries = result.durability.recoveries;
     report.replayed = result.durability.replay_records;
-    report.retries = result.durability.client_report_retries;
+    report.retries = result.clients.report_retries;
     report.dedup_hits = result.durability.dedup_hits;
 
     // I11/I12 are gated per decision point on a clean disk: a schedule
