@@ -1017,7 +1017,8 @@ std::vector<std::pair<std::uint64_t, std::uint64_t>>
 DecisionPoint::applied_keys() const {
   std::vector<std::pair<std::uint64_t, std::uint64_t>> keys;
   for (const auto& [origin, seqs] : applied_) {
-    for (const std::uint64_t seq : seqs) keys.emplace_back(origin.value(), seq);
+    seqs.for_each(
+        [&](std::uint64_t seq) { keys.emplace_back(origin.value(), seq); });
   }
   std::sort(keys.begin(), keys.end());
   return keys;
@@ -1089,7 +1090,7 @@ bool DecisionPoint::apply_record(const gruber::DispatchRecord& record, Via via,
       pulled_.emplace(record.origin.value(), record.seq);
     }
   } else {
-    if (!applied_[record.origin].insert(record.seq).second) {
+    if (!applied_[record.origin].insert(record.seq)) {
       ++counters_.records_duplicate;
       return false;
     }
@@ -1422,7 +1423,7 @@ sim::Duration DecisionPoint::replay_from_disk() {
               return;
             }
             const gruber::DispatchRecord& record = frame.record;
-            if (applied_[record.origin].insert(record.seq).second) {
+            if (applied_[record.origin].insert(record.seq)) {
               if (record.when + record.est_runtime > now) {
                 engine_.record(record);
               }
@@ -1479,7 +1480,7 @@ sim::Duration DecisionPoint::replay_from_disk() {
   for (const auto& [origin, seq, expiry] : pre_crash_committed_) {
     if (expiry <= now) continue;
     const auto it = applied_.find(origin);
-    if (it == applied_.end() || it->second.count(seq) == 0) {
+    if (it == applied_.end() || !it->second.contains(seq)) {
       ++counters_.replay_mismatches;
     }
   }

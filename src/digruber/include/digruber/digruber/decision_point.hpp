@@ -5,7 +5,6 @@
 #include <memory>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include <map>
@@ -16,6 +15,7 @@
 #include "digruber/digruber/durability.hpp"
 #include "digruber/digruber/membership.hpp"
 #include "digruber/digruber/protocol.hpp"
+#include "digruber/digruber/seq_ranges.hpp"
 #include "digruber/economy/economy.hpp"
 #include "digruber/grid/topology.hpp"
 #include "digruber/gruber/engine.hpp"
@@ -444,8 +444,9 @@ class DecisionPoint {
   std::uint64_t exchange_round_ = 0;
   /// Records learned since the last exchange tick (own + relayed).
   std::vector<gruber::DispatchRecord> fresh_;
-  /// Dedup for flooding: per-origin applied sequence numbers.
-  std::unordered_map<DpId, std::unordered_set<std::uint64_t>> applied_;
+  /// Dedup for flooding: per-origin applied sequence numbers, exact (a
+  /// seq a pull skipped stays absent), as ranges of consecutive seqs.
+  std::unordered_map<DpId, SeqRanges> applied_;
   /// Last exchange round seen per peer. A jump of more than one means
   /// flooding rounds were lost (partition, loss) — since flooding never
   /// retransmits, the gap triggers an anti-entropy catch-up.

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "digruber/digruber/infrastructure_monitor.hpp"
 #include "digruber/net/sim_transport.hpp"
@@ -449,6 +452,48 @@ TEST(DecisionPoint, DropsLearnedRecordsForUnderOneCpu) {
   EXPECT_EQ(dp.counters().exchanges_received, 1u);
   EXPECT_EQ(dp.counters().records_applied, 1u);
   EXPECT_EQ(dp.engine().view().estimated_free(SiteId(0), f.sim.now()), 90);
+  dp.stop();
+}
+
+TEST(DecisionPoint, DedupsForgedExtremeSeqsExactlyOnce) {
+  // Seqs come off the wire as arbitrary u64s: the flooding dedup set must
+  // hold 0 and the top of the range as exactly as an ordinary seq.
+  Fixture f;
+  DecisionPoint dp(f.sim, f.transport, DpId(0), f.catalog, f.tree, f.options());
+  dp.bootstrap(f.snapshots());
+
+  constexpr std::uint64_t kMax = UINT64_MAX;
+  ExchangeMessage message;
+  message.from = DpId(7);
+  message.exchange_round = 1;
+  for (const std::uint64_t seq : {kMax - 1, std::uint64_t{0}, kMax,
+                                  std::uint64_t{42}}) {
+    gruber::DispatchRecord r;
+    r.origin = DpId(7);
+    r.seq = seq;
+    r.site = SiteId(0);
+    r.vo = VoId(0);
+    r.group = GroupId(0);
+    r.user = UserId(0);
+    r.cpus = 1;
+    r.est_runtime = sim::Duration::minutes(60);
+    message.dispatches.push_back(r);
+  }
+  f.rpc.notify(dp.node(), kExchange, message);
+  f.sim.run_until(sim::Time::from_seconds(10));
+  EXPECT_EQ(dp.counters().records_applied, 4u);
+  EXPECT_EQ(dp.counters().records_duplicate, 0u);
+  using Key = std::pair<std::uint64_t, std::uint64_t>;
+  EXPECT_EQ(dp.applied_keys(),
+            (std::vector<Key>{{7, 0}, {7, 42}, {7, kMax - 1}, {7, kMax}}));
+
+  // The same frame again is all duplicates.
+  f.rpc.notify(dp.node(), kExchange, message);
+  f.sim.run_until(sim::Time::from_seconds(20));
+  EXPECT_EQ(dp.counters().exchanges_received, 2u);
+  EXPECT_EQ(dp.counters().records_applied, 4u);
+  EXPECT_EQ(dp.counters().records_duplicate, 4u);
+  EXPECT_EQ(dp.applied_keys().size(), 4u);
   dp.stop();
 }
 
