@@ -96,12 +96,11 @@ BENCHMARK(BM_Arbitrate)->Arg(5)->Arg(50)->Arg(500);
 
 // The congestion price attached to every site-loads reply.
 void BM_QuotePrice(benchmark::State& state) {
-  const economy::EconomyOptions options = make_options(120.0);
   double u = 0.0;
   for (auto _ : state) {
     u += 0.001;
     if (u > 1.0) u = 0.0;
-    benchmark::DoNotOptimize(economy::quote_price(options, u, u * 40.0));
+    benchmark::DoNotOptimize(economy::quote_price(u, u * 40.0));
   }
 }
 BENCHMARK(BM_QuotePrice);

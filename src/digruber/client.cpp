@@ -5,6 +5,23 @@
 #include <utility>
 
 namespace digruber::digruber {
+namespace {
+
+/// Decorrelated-jitter backoff between failover attempts:
+/// delay = min(kBackoffMaxS, U[kBackoffBaseS, 3 * previous delay)). Unlike
+/// jittered exponential, consecutive retries across a fleet desynchronize
+/// instead of phase-locking into retry waves. One rng draw per retry, and
+/// only when a retry actually happens, so fault-free runs consume no extra
+/// randomness.
+constexpr double kBackoffBaseS = 0.5;
+constexpr double kBackoffMaxS = 8.0;
+
+/// Exactly-once dispatch: a failed selection report is re-sent to the same
+/// decision point at most this many times, this far apart.
+constexpr std::uint32_t kReportMaxRetries = 3;
+constexpr sim::Duration kReportRetryBackoff = sim::Duration::seconds(2);
+
+}  // namespace
 
 DiGruberClient::DiGruberClient(sim::Simulation& sim, net::Transport& transport,
                                ClientId id, NodeId decision_point,
@@ -22,28 +39,27 @@ DiGruberClient::DiGruberClient(sim::Simulation& sim, net::Transport& transport,
     : sim_(sim),
       rpc_(sim, transport),
       id_(id),
-      dps_(std::move(decision_points)),
-      health_(dps_.size()),
       all_sites_(std::move(all_sites)),
       selector_(std::move(selector)),
       rng_(rng),
       options_(options) {
-  assert(!dps_.empty());
+  assert(!decision_points.empty());
   assert(!all_sites_.empty());
   install_wire_categorizer();
   if (options_.frame_checksums) rpc_.set_frame_checksums(true);
-  dp_score_.assign(dps_.size(), 0.0);
-  dp_price_.assign(dps_.size(), 0.0);
-  dp_wait_.assign(dps_.size(), 0.0);
-  retry_tokens_ = options_.retry_budget_capacity;
+  targets_.reserve(decision_points.size());
+  for (const NodeId dp : decision_points) targets_.emplace_back(dp);
+}
+
+std::vector<NodeId> DiGruberClient::decision_points() const {
+  std::vector<NodeId> out;
+  out.reserve(targets_.size());
+  for (const Target& t : targets_) out.push_back(t.node);
+  return out;
 }
 
 void DiGruberClient::rebind(NodeId decision_point) {
-  dps_.front() = decision_point;
-  health_.front() = DpHealth{};
-  dp_score_.front() = 0.0;
-  dp_price_.front() = 0.0;
-  dp_wait_.front() = 0.0;
+  targets_.front() = Target{decision_point};
 }
 
 void DiGruberClient::apply_load_hints(const GetSiteLoadsReply& reply) {
@@ -53,16 +69,16 @@ void DiGruberClient::apply_load_hints(const GetSiteLoadsReply& reply) {
   const std::size_t quoted = reply.dp_prices ? reply.dp_prices->size() : 0;
   for (std::size_t k = 0; k < hints.size(); ++k) {
     const DpLoadHint& hint = hints[k];
-    for (std::size_t i = 0; i < dps_.size(); ++i) {
-      if (dps_[i].value() == hint.node) {
+    for (Target& target : targets_) {
+      if (target.node.value() == hint.node) {
         if (options_.overload_aware) {
-          dp_score_[i] = hint.est_wait_s + 0.01 * double(hint.queue_depth);
+          target.score = hint.est_wait_s + 0.01 * double(hint.queue_depth);
         }
         if (options_.market_placement) {
-          dp_wait_[i] = hint.est_wait_s;
+          target.wait_s = hint.est_wait_s;
           // Quotes align index-wise with the hints; a missing or zero
           // entry means "no quote", which keeps the point p2c-only.
-          if (k < quoted) dp_price_[i] = (*reply.dp_prices)[k];
+          if (k < quoted) target.price = (*reply.dp_prices)[k];
         }
         break;
       }
@@ -71,17 +87,14 @@ void DiGruberClient::apply_load_hints(const GetSiteLoadsReply& reply) {
 }
 
 void DiGruberClient::quarantine(std::size_t idx) {
-  DpHealth& h = health_[idx];
-  h = DpHealth{};
-  h.quarantined = true;
-  dp_score_[idx] = 0.0;
-  dp_price_[idx] = 0.0;
-  dp_wait_[idx] = 0.0;
+  Target& target = targets_[idx];
+  target = Target{target.node};
+  target.health.quarantined = true;
   ++counters_.dps_quarantined;
   if (auto* t = trace::current()) {
     t->instant(trace::Category::kClient, id_.value(), "membership.quarantine",
                t->ambient(), std::int64_t(idx),
-               std::int64_t(dps_[idx].value()));
+               std::int64_t(target.node.value()));
   }
 }
 
@@ -91,25 +104,21 @@ void DiGruberClient::apply_membership(const MembershipUpdate& update) {
   ++counters_.membership_updates_applied;
   for (const MemberInfo& member : update.members) {
     if (member.node == 0) continue;
-    std::size_t idx = dps_.size();
-    for (std::size_t i = 0; i < dps_.size(); ++i) {
-      if (dps_[i].value() == member.node) {
+    std::size_t idx = targets_.size();
+    for (std::size_t i = 0; i < targets_.size(); ++i) {
+      if (targets_[i].node.value() == member.node) {
         idx = i;
         break;
       }
     }
-    const bool known = idx < dps_.size();
+    const bool known = idx < targets_.size();
     switch (member.state) {
       case MemberState::kAlive:
         if (!known) {
           // A point that joined mid-run: append as a live routing target
           // with a fresh breaker. p2c and the failover scans pick it up
           // on the next attempt.
-          dps_.push_back(NodeId(member.node));
-          health_.push_back(DpHealth{});
-          dp_score_.push_back(0.0);
-          dp_price_.push_back(0.0);
-          dp_wait_.push_back(0.0);
+          targets_.emplace_back(NodeId(member.node));
           ++counters_.dps_added;
           if (auto* t = trace::current()) {
             t->instant(trace::Category::kClient, id_.value(),
@@ -117,13 +126,10 @@ void DiGruberClient::apply_membership(const MembershipUpdate& update) {
                        std::int64_t(member.node),
                        std::int64_t(update.epoch));
           }
-        } else if (health_[idx].quarantined) {
+        } else if (targets_[idx].health.quarantined) {
           // Resurrected (restarted under a newer incarnation): lift the
           // quarantine with a clean bill of health.
-          health_[idx] = DpHealth{};
-          dp_score_[idx] = 0.0;
-          dp_price_[idx] = 0.0;
-          dp_wait_[idx] = 0.0;
+          targets_[idx] = Target{targets_[idx].node};
         }
         break;
       case MemberState::kSuspect:
@@ -131,7 +137,7 @@ void DiGruberClient::apply_membership(const MembershipUpdate& update) {
         break;
       case MemberState::kDead:
       case MemberState::kLeft:
-        if (known && !health_[idx].quarantined) quarantine(idx);
+        if (known && !targets_[idx].health.quarantined) quarantine(idx);
         break;
     }
   }
@@ -164,13 +170,14 @@ int DiGruberClient::pick_dp(const grid::Job& job) {
     int best = -1;
     double best_cost = 0;
     const double runtime_s = job.runtime.to_seconds();
-    for (std::size_t i = 0; i < dps_.size(); ++i) {
-      if (health_[i].open || health_[i].quarantined) continue;
-      if (dp_price_[i] <= 0) continue;  // no quote heard yet
-      if (job.deadline_s > 0 && dp_wait_[i] + runtime_s > job.deadline_s) {
+    for (std::size_t i = 0; i < targets_.size(); ++i) {
+      const Target& target = targets_[i];
+      if (target.health.open || target.health.quarantined) continue;
+      if (target.price <= 0) continue;  // no quote heard yet
+      if (job.deadline_s > 0 && target.wait_s + runtime_s > job.deadline_s) {
         continue;  // cannot meet the deadline through this point
       }
-      const double cost = dp_price_[i] * double(job.cpus) * runtime_s;
+      const double cost = target.price * double(job.cpus) * runtime_s;
       if (best < 0 || cost < best_cost) {
         best = int(i);
         best_cost = cost;
@@ -197,26 +204,28 @@ int DiGruberClient::pick_dp(const grid::Job& job) {
     // unlike "everyone picks the least loaded", which stampedes the
     // momentarily-idlest decision point.
     std::vector<std::size_t> closed;
-    closed.reserve(dps_.size());
-    for (std::size_t i = 0; i < dps_.size(); ++i) {
-      if (!health_[i].open && !health_[i].quarantined) closed.push_back(i);
+    closed.reserve(targets_.size());
+    for (std::size_t i = 0; i < targets_.size(); ++i) {
+      const DpHealth& h = targets_[i].health;
+      if (!h.open && !h.quarantined) closed.push_back(i);
     }
     if (closed.size() >= 2) {
       const std::size_t a = closed[rng_.uniform_index(closed.size())];
       std::size_t b = a;
       while (b == a) b = closed[rng_.uniform_index(closed.size())];
       ++counters_.p2c_decisions;
-      return int(dp_score_[a] <= dp_score_[b] ? a : b);
+      return int(targets_[a].score <= targets_[b].score ? a : b);
     }
     if (closed.size() == 1) return int(closed.front());
     // All breakers open: fall through to the half-open probe scan.
   } else {
-    for (std::size_t i = 0; i < dps_.size(); ++i) {
-      if (!health_[i].open && !health_[i].quarantined) return int(i);
+    for (std::size_t i = 0; i < targets_.size(); ++i) {
+      const DpHealth& h = targets_[i].health;
+      if (!h.open && !h.quarantined) return int(i);
     }
   }
-  for (std::size_t i = 0; i < dps_.size(); ++i) {
-    DpHealth& h = health_[i];
+  for (std::size_t i = 0; i < targets_.size(); ++i) {
+    DpHealth& h = targets_[i].health;
     // Quarantined points are exempt from half-open probing: membership
     // declared them dead/left, so probes would re-discover a permanent
     // failure one timeout at a time, forever.
@@ -230,12 +239,12 @@ int DiGruberClient::pick_dp(const grid::Job& job) {
 }
 
 void DiGruberClient::on_dp_failure(std::size_t idx) {
-  DpHealth& h = health_[idx];
+  DpHealth& h = targets_[idx].health;
   ++h.consecutive_failures;
   if (h.half_open) {
     // Failed probe: back to open for another cooldown.
     h.half_open = false;
-    h.open_until = sim_.now() + options_.breaker_cooldown;
+    h.open_until = sim_.now() + kBreakerCooldown;
     ++counters_.breaker_trips;
     if (auto* t = trace::current()) {
       t->instant(trace::Category::kClient, id_.value(), "breaker.probe_failed",
@@ -243,9 +252,9 @@ void DiGruberClient::on_dp_failure(std::size_t idx) {
     }
     return;
   }
-  if (!h.open && h.consecutive_failures >= options_.breaker_threshold) {
+  if (!h.open && h.consecutive_failures >= kBreakerThreshold) {
     h.open = true;
-    h.open_until = sim_.now() + options_.breaker_cooldown;
+    h.open_until = sim_.now() + kBreakerCooldown;
     ++counters_.breaker_trips;
     if (auto* t = trace::current()) {
       t->instant(trace::Category::kClient, id_.value(), "breaker.open",
@@ -254,7 +263,9 @@ void DiGruberClient::on_dp_failure(std::size_t idx) {
   }
 }
 
-void DiGruberClient::on_dp_success(std::size_t idx) { health_[idx] = DpHealth{}; }
+void DiGruberClient::on_dp_success(std::size_t idx) {
+  targets_[idx].health = DpHealth{};
+}
 
 void DiGruberClient::complete_with_reply(grid::Job job, Done done, sim::Time t0,
                                          NodeId dp, const GetSiteLoadsReply& reply,
@@ -267,9 +278,9 @@ void DiGruberClient::complete_with_reply(grid::Job job, Done done, sim::Time t0,
     // toward fresher peers for the next queries.
     ++counters_.degraded_hints_seen;
     if (options_.overload_aware) {
-      for (std::size_t i = 0; i < dps_.size(); ++i) {
-        if (dps_[i] == dp) {
-          dp_score_[i] += double(reply.degraded->level);
+      for (Target& target : targets_) {
+        if (target.node == dp) {
+          target.score += double(reply.degraded->level);
           break;
         }
       }
@@ -336,9 +347,8 @@ void DiGruberClient::send_report(ReportSelectionRequest report, grid::Job job,
       dp, kReportSelection, report, remaining, copts,
       [this, report, job = std::move(job), done = std::move(done), t0, site,
        believed_free, dp, qctx, rctx, attempt_n](Result<Ack> ack) mutable {
-        if (!ack.ok() && options_.request_ids &&
-            attempt_n < options_.report_max_retries &&
-            sim_.now() + options_.report_retry_backoff < t0 + options_.timeout) {
+        if (!ack.ok() && options_.request_ids && attempt_n < kReportMaxRetries &&
+            sim_.now() + kReportRetryBackoff < t0 + options_.timeout) {
           // Re-send to the SAME decision point after a fixed (rng-free)
           // backoff: the point may have crashed with the dispatch already
           // on disk, and only it can answer from its dedup window. A
@@ -351,7 +361,7 @@ void DiGruberClient::send_report(ReportSelectionRequest report, grid::Job job,
                        std::int64_t(report.request_id->seq));
           }
           sim_.schedule_after(
-              options_.report_retry_backoff,
+              kReportRetryBackoff,
               [this, report = std::move(report), job = std::move(job),
                done = std::move(done), t0, dp, site, believed_free, qctx, rctx,
                attempt_n]() mutable {
@@ -412,12 +422,11 @@ void DiGruberClient::schedule(grid::Job job, Done done) {
   if (options_.overload_aware) {
     // Refill the retry bucket per scheduled query: sustained retry rate is
     // bounded at `refill` retries per query, bursts at `capacity`.
-    retry_tokens_ = std::min(options_.retry_budget_capacity,
-                             retry_tokens_ + options_.retry_budget_refill);
+    retry_tokens_ = std::min(kRetryBudgetCapacity, retry_tokens_ + kRetryBudgetRefill);
   }
 
   if (failover_active()) {
-    attempt(std::move(job), std::move(done), t0, 0, options_.backoff_base_s, qctx);
+    attempt(std::move(job), std::move(done), t0, 0, kBackoffBaseS, qctx);
     return;
   }
 
@@ -428,11 +437,11 @@ void DiGruberClient::schedule(grid::Job job, Done done) {
   trace::SpanContext actx;
   if (auto* t = trace::current()) {
     actx = t->begin(trace::Category::kClient, id_.value(), "query.attempt", qctx,
-                    0, std::int64_t(dps_.front().value()));
+                    0, std::int64_t(decision_point().value()));
   }
   trace::ContextGuard guard(actx);
   rpc_.call<GetSiteLoadsRequest, GetSiteLoadsReply>(
-      dps_.front(), kGetSiteLoads, request, options_.timeout,
+      decision_point(), kGetSiteLoads, request, options_.timeout,
       [this, job = std::move(job), done = std::move(done), t0, qctx,
        actx](Result<GetSiteLoadsReply> result) mutable {
         if (auto* t = trace::current()) {
@@ -443,9 +452,9 @@ void DiGruberClient::schedule(grid::Job job, Done done) {
           finish_with_fallback(std::move(job), std::move(done), t0, false, qctx);
           return;
         }
-        // dps_.front() re-read here: a mid-query rebind directs the
+        // The primary is re-read here: a mid-query rebind directs the
         // report to the new primary, as the pre-failover client did.
-        complete_with_reply(std::move(job), std::move(done), t0, dps_.front(),
+        complete_with_reply(std::move(job), std::move(done), t0, decision_point(),
                             result.value(), qctx);
       });
 }
@@ -478,7 +487,7 @@ void DiGruberClient::attempt(grid::Job job, Done done, sim::Time t0,
 
   const GetSiteLoadsRequest request = site_loads_request(job);
 
-  const NodeId dp = dps_[std::size_t(idx)];
+  const NodeId dp = targets_[std::size_t(idx)].node;
   trace::SpanContext actx;
   if (auto* t = trace::current()) {
     actx = t->begin(trace::Category::kClient, id_.value(), "query.attempt", qctx,
@@ -529,7 +538,7 @@ void DiGruberClient::attempt(grid::Job job, Done done, sim::Time t0,
             // points, and a quarantined entry would stay unroutable until
             // a membership epoch bump that a mere heal does not produce.
             ++counters_.degraded_redirects;
-            dp_score_[std::size_t(idx)] += retry_after.to_seconds() + 1.0;
+            targets_[std::size_t(idx)].score += retry_after.to_seconds() + 1.0;
             if (auto* t = trace::current()) {
               t->instant(trace::Category::kClient, id_.value(),
                          "query.degraded_redirect", qctx,
@@ -540,7 +549,7 @@ void DiGruberClient::attempt(grid::Job job, Done done, sim::Time t0,
             ++counters_.drain_redirects;
             quarantine(std::size_t(idx));
           } else {
-            dp_score_[std::size_t(idx)] += retry_after.to_seconds() + 1.0;
+            targets_[std::size_t(idx)].score += retry_after.to_seconds() + 1.0;
           }
         } else {
           on_dp_failure(std::size_t(idx));
@@ -565,10 +574,8 @@ void DiGruberClient::attempt(grid::Job job, Done done, sim::Time t0,
 
         // Decorrelated jitter: spread the next attempt uniformly over
         // [base, 3 * previous delay), capped. One draw per retry.
-        const double hi =
-            std::max(options_.backoff_base_s * 1.001, 3.0 * prev_delay_s);
-        double delay_s = std::min(options_.backoff_max_s,
-                                  rng_.uniform(options_.backoff_base_s, hi));
+        const double hi = std::max(kBackoffBaseS * 1.001, 3.0 * prev_delay_s);
+        double delay_s = std::min(kBackoffMaxS, rng_.uniform(kBackoffBaseS, hi));
         // Honor the server's own drain estimate: retrying sooner than
         // retry_after is guaranteed wasted work.
         if (overloaded && retry_after.to_seconds() > delay_s) {

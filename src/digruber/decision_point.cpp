@@ -14,6 +14,17 @@ namespace {
 /// Deadline of a catch-up or delta pull (a join uses its own).
 constexpr sim::Duration kPullTimeout = sim::Duration::seconds(30);
 
+/// Saturation detection (Section 5): the windowed mean response time is
+/// first checked this long after start, and signals to the infrastructure
+/// monitor are spaced at least the cooldown apart.
+constexpr sim::Duration kSaturationWindow = sim::Duration::seconds(60);
+constexpr sim::Duration kSaturationCooldown = sim::Duration::minutes(2);
+
+/// Fraction of believed-free capacity discounted in query replies while
+/// degraded (level 1): stale peers may have committed part of that
+/// capacity on the other side of the split.
+constexpr double kStaleDiscount = 0.5;
+
 /// Trace-instant names per membership transition target (TraceEvent keeps
 /// a `const char*`, so the names must be literals).
 const char* transition_instant_name(MemberState state) {
@@ -320,7 +331,7 @@ void DecisionPoint::start_timers() {
   if (options_.infrastructure_monitor) {
     saturation_timer_ = std::make_unique<sim::PeriodicTimer>(
         sim_, sim::Duration::seconds(30), [this] { check_saturation(); },
-        options_.saturation_window);
+        kSaturationWindow);
   }
   if (disk_) {
     checkpoint_timer_ = std::make_unique<sim::PeriodicTimer>(
@@ -762,15 +773,15 @@ net::Served DecisionPoint::handle_get_site_loads(std::span<const std::uint8_t> b
   // the refusal gate NACKs the query as degraded first.)
   const DegradedHint degraded =
       options_.partition.enabled ? degraded_hint(sim_.now()) : DegradedHint{};
-  if (degraded.level >= 1 && options_.partition.stale_discount > 0.0) {
-    const double keep = 1.0 - options_.partition.stale_discount;
+  if (degraded.level >= 1) {
+    const double keep = 1.0 - kStaleDiscount;
     for (gruber::SiteLoad& load : reply.candidates) {
       load.free_estimate = std::int32_t(double(load.free_estimate) * keep);
     }
   }
   // Each extension rides exactly when its own condition holds. Prices
   // align index-wise with the hint table, so economy attaches both.
-  if (options_.advertise_load || options_.economy.enabled) {
+  if (options_.profile.overload_control || options_.economy.enabled) {
     reply.dp_loads = known_hints();
   }
   // Membership piggyback: the client told us its epoch; attach the view
@@ -1049,8 +1060,7 @@ std::vector<DpLoadHint> DecisionPoint::known_hints() const {
 
 double DecisionPoint::self_price() const {
   const DpLoadHint hint = self_hint();
-  return economy::quote_price(options_.economy, hint.utilization,
-                              hint.est_wait_s);
+  return economy::quote_price(hint.utilization, hint.est_wait_s);
 }
 
 double DecisionPoint::free_fraction(sim::Time now) const {
@@ -1179,7 +1189,7 @@ void DecisionPoint::run_exchange(bool final_flush) {
   // Each extension rides exactly when its own condition holds. The load
   // hint also goes wherever a receiver needs the sender's address: prices
   // and delta pulls are keyed by its node.
-  if (options_.advertise_load || options_.economy.enabled ||
+  if (options_.profile.overload_control || options_.economy.enabled ||
       compares_digests()) {
     message.load = self_hint();
   }
@@ -1536,7 +1546,7 @@ void DecisionPoint::check_saturation() {
 
   if (window_avg < options_.saturation_response_s) return;
   if (last_signal_ > sim::Time::zero() &&
-      sim_.now() - last_signal_ < options_.saturation_cooldown) {
+      sim_.now() - last_signal_ < kSaturationCooldown) {
     return;
   }
   last_signal_ = sim_.now();

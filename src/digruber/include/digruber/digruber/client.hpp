@@ -11,6 +11,19 @@
 
 namespace digruber::digruber {
 
+/// Circuit breaker: consecutive failures that open a decision point's
+/// breaker, and how long it stays open before a half-open probe.
+inline constexpr std::uint32_t kBreakerThreshold = 3;
+inline constexpr sim::Duration kBreakerCooldown = sim::Duration::seconds(30);
+
+/// Overload-aware retry budget: a token bucket of this capacity, refilled
+/// by this much per scheduled query and debited one token per retry. At
+/// ~10% refill a client can retry every query occasionally or a few
+/// queries hard, but cannot multiply offered load when the whole mesh is
+/// saturated.
+inline constexpr double kRetryBudgetCapacity = 10.0;
+inline constexpr double kRetryBudgetRefill = 0.1;
+
 struct ClientOptions {
   /// Per-query deadline; on expiry the client's site selector picks a
   /// random site without considering USLAs (paper Section 4.3).
@@ -21,18 +34,6 @@ struct ClientOptions {
   /// deadlines: with a single decision point that reproduces the original
   /// one-shot client byte for byte.
   sim::Duration attempt_timeout = sim::Duration::zero();
-  /// Decorrelated-jitter backoff between attempts:
-  /// delay = min(backoff_max_s, U[backoff_base_s, 3 * previous delay)).
-  /// Unlike jittered exponential, consecutive retries across a fleet
-  /// desynchronize instead of phase-locking into retry waves. One rng draw
-  /// per retry, and only when a retry actually happens, so fault-free runs
-  /// consume no extra randomness.
-  double backoff_base_s = 0.5;
-  double backoff_max_s = 8.0;
-  /// Circuit breaker: consecutive failures that open a decision point's
-  /// breaker, and how long it stays open before a half-open probe.
-  std::uint32_t breaker_threshold = 3;
-  sim::Duration breaker_cooldown = sim::Duration::seconds(30);
 
   /// Overload-aware mode (off by default; enabling changes rng consumption
   /// and wire bytes, so default runs stay byte-identical):
@@ -44,11 +45,6 @@ struct ClientOptions {
   ///  - picks failover targets by power-of-two-choices over the DP load
   ///    hints piggybacked on query replies.
   bool overload_aware = false;
-  /// Token bucket: capacity and per-scheduled-query refill. At ~10% refill
-  /// a client can retry every query occasionally or a few queries hard,
-  /// but cannot multiply offered load when the whole mesh is saturated.
-  double retry_budget_capacity = 10.0;
-  double retry_budget_refill = 0.1;
 
   /// Membership-aware routing (off by default; enabling changes wire
   /// bytes, so default runs stay byte-identical):
@@ -84,8 +80,6 @@ struct ClientOptions {
   ///    deadline; the point's persisted dedup window collapses the
   ///    retries to one dispatch and returns the original decision.
   bool request_ids = false;
-  std::uint32_t report_max_retries = 3;
-  sim::Duration report_retry_backoff = sim::Duration::seconds(2);
 };
 
 struct QueryOutcome {
@@ -190,13 +184,14 @@ class DiGruberClient {
   /// This client's own transport address (needed when a partition plan
   /// splits the client fleet across islands).
   [[nodiscard]] NodeId node() const { return rpc_.node(); }
-  [[nodiscard]] NodeId decision_point() const { return dps_.front(); }
-  [[nodiscard]] const std::vector<NodeId>& decision_points() const { return dps_; }
+  [[nodiscard]] NodeId decision_point() const { return targets_.front().node; }
+  /// Every routing target's address, in failover order.
+  [[nodiscard]] std::vector<NodeId> decision_points() const;
   [[nodiscard]] const ClientCounters& counters() const { return counters_; }
   /// Last membership epoch folded in (membership-aware routing).
   [[nodiscard]] std::uint64_t membership_epoch() const { return epoch_; }
   [[nodiscard]] bool is_quarantined(std::size_t idx) const {
-    return idx < health_.size() && health_[idx].quarantined;
+    return idx < targets_.size() && targets_[idx].health.quarantined;
   }
 
   /// Rebind the primary to a different decision point (dynamic
@@ -217,8 +212,23 @@ class DiGruberClient {
     sim::Time open_until;
   };
 
+  /// One decision point this client can route to. A fresh record (only
+  /// `node` set) is a closed breaker with no load or price heard yet.
+  struct Target {
+    explicit Target(NodeId n) : node(n) {}
+    NodeId node;
+    DpHealth health;
+    /// Load score (estimated wait + queue-depth tiebreak) fed by
+    /// piggybacked hints; lower is better. Only used in overload-aware mode.
+    double score = 0.0;
+    /// Price quote and raw estimated wait (market placement only; price
+    /// 0 = no quote heard yet, so the point is not market-eligible).
+    double price = 0.0;
+    double wait_s = 0.0;
+  };
+
   [[nodiscard]] bool failover_active() const {
-    return dps_.size() > 1 || options_.attempt_timeout > sim::Duration::zero();
+    return targets_.size() > 1 || options_.attempt_timeout > sim::Duration::zero();
   }
   /// First decision point with a closed breaker; failing that, the first
   /// open one whose cooldown expired (marked half-open). -1 if all down.
@@ -257,15 +267,7 @@ class DiGruberClient {
   sim::Simulation& sim_;
   net::RpcClient rpc_;
   ClientId id_;
-  std::vector<NodeId> dps_;
-  std::vector<DpHealth> health_;
-  /// Per-DP load score (estimated wait + queue-depth tiebreak) fed by
-  /// piggybacked hints; lower is better. Only used in overload-aware mode.
-  std::vector<double> dp_score_;
-  /// Per-DP price quote and raw estimated wait (market placement only;
-  /// price 0 = no quote heard yet, so the point is not market-eligible).
-  std::vector<double> dp_price_;
-  std::vector<double> dp_wait_;
+  std::vector<Target> targets_;  // [0] is the primary
   std::vector<SiteId> all_sites_;
   std::unique_ptr<gruber::SiteSelector> selector_;
   Rng rng_;
@@ -274,7 +276,7 @@ class DiGruberClient {
   ClientCounters counters_;
   /// Retry token bucket (overload-aware mode): refilled on schedule(),
   /// debited one token per retry attempt.
-  double retry_tokens_ = 0.0;
+  double retry_tokens_ = kRetryBudgetCapacity;
   /// Membership-aware routing state: last applied epoch.
   std::uint64_t epoch_ = 0;
   /// Exactly-once dispatch state: next request id (assigned once per job,

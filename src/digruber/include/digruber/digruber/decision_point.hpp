@@ -50,10 +50,6 @@ struct PartitionToleranceOptions {
   /// suspect/dead verdicts also mark a peer stale regardless of this
   /// clock, so the failure detector drives admission directly.
   sim::Duration staleness_threshold = sim::Duration::minutes(2);
-  /// Fraction of believed-free capacity discounted in query replies while
-  /// degraded (level 1): stale peers may have committed part of that
-  /// capacity on the other side of the split.
-  double stale_discount = 0.5;
   /// Settled-window padding for digests (see gruber::ViewDigest): records
   /// younger than one exchange interval plus this slack are too fresh to
   /// compare (still propagating), and records expiring within this slack
@@ -66,20 +62,18 @@ struct PartitionToleranceOptions {
 };
 
 struct DecisionPointOptions {
+  /// Container model. With `profile.overload_control` on, the point also
+  /// piggybacks its container-load hint on outgoing exchanges and attaches
+  /// known DP loads to query replies (for client-side load-aware failover).
   net::ContainerProfile profile = net::ContainerProfile::gt3();
   sim::Duration exchange_interval = sim::Duration::minutes(3);
   Dissemination dissemination = Dissemination::kUsageOnly;
   /// Modelled per-site USLA evaluation cost inside the engine handler.
   sim::Duration eval_cost_per_site = sim::Duration::millis(2.5);
-  /// Saturation detection (Section 5): sliding response-time window.
-  sim::Duration saturation_window = sim::Duration::seconds(60);
+  /// Saturation detection (Section 5): windowed mean response time above
+  /// which the point signals the infrastructure monitor.
   double saturation_response_s = 30.0;
-  sim::Duration saturation_cooldown = sim::Duration::minutes(2);
   std::optional<NodeId> infrastructure_monitor;
-  /// Piggyback this point's container-load hint on outgoing exchanges and
-  /// attach known DP loads to query replies (for client-side load-aware
-  /// failover). Off by default: legacy messages stay byte-identical.
-  bool advertise_load = false;
   /// Dynamic membership (failure detector + runtime join/leave). Off by
   /// default: the roster is the static `connect` wiring and all
   /// messages keep their legacy byte layout. When enabled, the neighbor
@@ -453,7 +447,7 @@ class DecisionPoint {
   std::unordered_map<DpId, std::uint64_t> last_peer_round_;
   sim::Time last_catch_up_;
   /// Freshest load hint heard from each peer (keyed by its server node),
-  /// attached to query replies when advertise_load is on. Volatile: lost
+  /// attached to query replies under overload control. Volatile: lost
   /// on crash like the rest of the soft state.
   std::unordered_map<std::uint64_t, DpLoadHint> peer_hints_;
   /// Freshest price quote heard from each peer (keyed by its server node),

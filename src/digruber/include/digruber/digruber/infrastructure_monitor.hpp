@@ -8,6 +8,9 @@
 
 namespace digruber::digruber {
 
+/// Distinct saturation signals the monitor requires before acting.
+inline constexpr int kSignalsToAct = 2;
+
 /// The third-party monitoring service of Section 5: decision points send
 /// it saturation signals; it decides when the scheduling infrastructure
 /// should be reconfigured (a new decision point added, or clients
@@ -17,18 +20,8 @@ class InfrastructureMonitor {
  public:
   using ProvisionHook = std::function<void(const SaturationSignal&)>;
 
-  struct Options {
-    /// Distinct saturation signals required before acting.
-    int signals_to_act = 2;
-    /// Minimum spacing between provisioning actions.
-    sim::Duration action_cooldown = sim::Duration::minutes(5);
-  };
-
   InfrastructureMonitor(sim::Simulation& sim, net::Transport& transport,
-                        ProvisionHook hook, Options options);
-  InfrastructureMonitor(sim::Simulation& sim, net::Transport& transport,
-                        ProvisionHook hook)
-      : InfrastructureMonitor(sim, transport, std::move(hook), Options{}) {}
+                        ProvisionHook hook);
 
   [[nodiscard]] NodeId node() const { return server_.node(); }
   [[nodiscard]] std::uint64_t signals_received() const { return signals_; }
@@ -40,7 +33,6 @@ class InfrastructureMonitor {
   sim::Simulation& sim_;
   net::RpcServer server_;
   ProvisionHook hook_;
-  Options options_;
 
   std::uint64_t signals_ = 0;
   std::uint64_t actions_ = 0;

@@ -7,6 +7,9 @@
 namespace digruber::digruber {
 namespace {
 
+/// Minimum spacing between provisioning actions.
+constexpr sim::Duration kActionCooldown = sim::Duration::minutes(5);
+
 /// The monitor itself is a light service: signals are rare and tiny, so a
 /// fast container keeps it from ever being the bottleneck.
 net::ContainerProfile monitor_profile() {
@@ -24,11 +27,8 @@ net::ContainerProfile monitor_profile() {
 
 InfrastructureMonitor::InfrastructureMonitor(sim::Simulation& sim,
                                              net::Transport& transport,
-                                             ProvisionHook hook, Options options)
-    : sim_(sim),
-      server_(sim, transport, monitor_profile()),
-      hook_(std::move(hook)),
-      options_(options) {
+                                             ProvisionHook hook)
+    : sim_(sim), server_(sim, transport, monitor_profile()), hook_(std::move(hook)) {
   server_.register_method(kSaturation,
                           [this](std::span<const std::uint8_t> body, NodeId from) {
                             return handle_saturation(body, from);
@@ -46,8 +46,8 @@ net::Served InfrastructureMonitor::handle_saturation(
 
   const bool cooled =
       last_action_ == sim::Time::zero() ||
-      sim_.now() - last_action_ >= options_.action_cooldown;
-  if (signals_since_action_ >= options_.signals_to_act && cooled && hook_) {
+      sim_.now() - last_action_ >= kActionCooldown;
+  if (signals_since_action_ >= kSignalsToAct && cooled && hook_) {
     ++actions_;
     signals_since_action_ = 0;
     last_action_ = sim_.now();

@@ -4,13 +4,19 @@
 #include <cmath>
 
 namespace digruber::economy {
+namespace {
 
-double quote_price(const EconomyOptions& options, double utilization,
-                   double est_wait_s) {
+/// Congestion price coefficients: base + utilization * u + wait * w_s.
+constexpr double kPriceBase = 1.0;
+constexpr double kPriceUtilization = 4.0;
+constexpr double kPriceWait = 0.05;
+
+}  // namespace
+
+double quote_price(double utilization, double est_wait_s) {
   const double u = std::clamp(utilization, 0.0, 1.0);
   const double w = std::max(0.0, est_wait_s);
-  return options.price_base + options.price_utilization * u +
-         options.price_wait * w;
+  return kPriceBase + kPriceUtilization * u + kPriceWait * w;
 }
 
 CreditBank::CreditBank(const EconomyOptions& options,
@@ -64,7 +70,7 @@ Admit CreditBank::admit(VoId vo, sim::Time now, double free_fraction) {
   // winner (best severity-then-credit standing among the over-allowance
   // contenders) may burst on, but never past the credit-cap ceiling —
   // the same bound the balance clamp enforces at settlement.
-  const double ceiling = options_.credit_cap_epochs * ledger.fair_share;
+  const double ceiling = kCreditCapEpochs * ledger.fair_share;
   if (ledger.used_epoch < ceiling &&
       free_fraction >= options_.scarce_free_fraction && wins_arbitration(vo)) {
     ++ledger.grace_admissions;
@@ -148,7 +154,7 @@ void CreditBank::settle_one_epoch() {
     expired_pool_ += pool;
   }
   for (auto& [vo, ledger] : ledgers_) {
-    const double cap = options_.credit_cap_epochs * ledger.fair_share;
+    const double cap = kCreditCapEpochs * ledger.fair_share;
     if (ledger.balance > cap) {
       ledger.expired_cap += ledger.balance - cap;
       ledger.balance = cap;

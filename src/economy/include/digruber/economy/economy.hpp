@@ -19,11 +19,9 @@ namespace digruber::economy {
 ///    only while its credits (plus idle capacity) cover the overage.
 enum class Allocator : std::uint8_t { kProportional = 0, kKarma };
 
-/// Which decision point a client routes a query to.
-///  - kP2c: load-based power-of-two-choices over DpLoadHints (seed).
-///  - kMarket: minimize quoted cost subject to the job's deadline, with
-///    p2c fallback when no economic fields ride along.
-enum class Placement : std::uint8_t { kP2c = 0, kMarket };
+/// Balance ceiling in units of one epoch's fair share; credits above the
+/// cap expire at settlement (bounds long-idle hoarding).
+inline constexpr double kCreditCapEpochs = 4.0;
 
 struct EconomyOptions {
   /// Master switch for the economy machinery at a decision point: price
@@ -35,9 +33,6 @@ struct EconomyOptions {
   /// Settlement epoch: fair shares are metered per epoch and credits
   /// settle at epoch boundaries.
   sim::Duration epoch = sim::Duration::minutes(2);
-  /// Balance ceiling in units of one epoch's fair share; credits above
-  /// the cap expire at settlement (bounds long-idle hoarding).
-  double credit_cap_epochs = 4.0;
   /// Initial endowment in epochs of fair share (liquidity so the first
   /// epoch is not a hard cliff).
   double initial_credit_epochs = 1.0;
@@ -48,17 +43,13 @@ struct EconomyOptions {
   /// Grid CPU capacity backing the fair shares (injected by the
   /// harness; 0 disables the bank even when the allocator is kKarma).
   double capacity_cpus = 0.0;
-
-  /// Congestion-derived price quote: base + utilization * u + wait * w_s.
-  double price_base = 1.0;
-  double price_utilization = 4.0;
-  double price_wait = 0.05;
 };
 
 /// Price a decision point quotes for placements through it, derived from
-/// its own congestion signals (the same ones DpLoadHint carries).
-[[nodiscard]] double quote_price(const EconomyOptions& options,
-                                 double utilization, double est_wait_s);
+/// its own congestion signals (the same ones DpLoadHint carries):
+/// 1 + 4 * utilization + 0.05 * est_wait_s, with utilization clamped to
+/// [0, 1] and the wait to >= 0.
+[[nodiscard]] double quote_price(double utilization, double est_wait_s);
 
 /// Outcome of the karma admission gate for one brokering query.
 enum class Admit : std::uint8_t {
@@ -141,7 +132,7 @@ struct BankImage {
 /// min(overage, balance) into a pool that is redistributed to under-share
 /// VOs proportionally to their deficits; whatever no deficit absorbs
 /// expires (expired_pool). Balances are then clamped to
-/// credit_cap_epochs * fair_share (overflow recorded as expired_cap).
+/// kCreditCapEpochs * fair_share (overflow recorded as expired_cap).
 class CreditBank {
  public:
   /// `shares`: (vo, fraction of grid capacity), ascending VO id; fractions

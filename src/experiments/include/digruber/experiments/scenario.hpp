@@ -93,7 +93,6 @@ struct ScenarioConfig {
   /// adaptive retry (token budget, retry_after honoring, power-of-two-
   /// choices failover).
   bool overload_control = false;
-  net::OverloadPolicy overload_policy{};
 
   /// Dynamic membership (off by default: default runs stay byte-identical).
   /// Enables the heartbeat failure detector piggybacked on exchanges, the
@@ -304,7 +303,14 @@ struct ScenarioResult {
   std::uint64_t sim_events = 0;
 };
 
-/// Run one scenario end to end on the discrete-event substrate.
+/// The fault plan's checks against the deployment, shared by the config
+/// parser and `run_scenario`: every dp index it names must exist by then
+/// (each join adds one point, so indices run up to dps + joins - 1), and
+/// join/leave needs membership.
+Status<> check_fault_plan(const ScenarioConfig& config);
+
+/// Run one scenario end to end on the discrete-event substrate. Throws
+/// std::invalid_argument on a configuration it cannot run.
 ScenarioResult run_scenario(const ScenarioConfig& config);
 
 /// The default equal-share USLA set for a catalog: grid gives each VO a

@@ -145,26 +145,30 @@ OracleAccuracy oracle_accuracy(const grid::Grid& grid,
 
 }  // namespace
 
+Status<> check_fault_plan(const ScenarioConfig& config) {
+  const sim::FaultPlan& plan = config.fault_plan;
+  // Events that fire before "their" joiner exists are skipped at fire time.
+  const std::size_t points = std::size_t(config.n_dps) + plan.join_count();
+  if (!plan.empty() && plan.max_dp_index() >= points) {
+    return Status<>::failure("fault_plan names dp " +
+                             std::to_string(plan.max_dp_index()) +
+                             " but dps + joins is " + std::to_string(points));
+  }
+  if (!config.membership) {
+    for (const sim::FaultEvent& e : plan.events()) {
+      if (e.kind == sim::FaultKind::kDpJoin || e.kind == sim::FaultKind::kDpLeave) {
+        return Status<>::failure("fault_plan uses join/leave but membership is off");
+      }
+    }
+  }
+  return {};
+}
+
 ScenarioResult run_scenario(const ScenarioConfig& config) {
   if (config.n_dps < 1) throw std::invalid_argument("scenario needs >= 1 decision point");
   if (config.n_clients < 1) throw std::invalid_argument("scenario needs >= 1 client");
-  // Each join event grows the deployment by one, so a plan may name
-  // indices up to n_dps + join_count - 1 (events that fire before "their"
-  // joiner exists are skipped at fire time).
-  if (!config.fault_plan.empty() &&
-      config.fault_plan.max_dp_index() >=
-          std::size_t(config.n_dps) + config.fault_plan.join_count()) {
-    throw std::invalid_argument("fault plan names dp " +
-                                std::to_string(config.fault_plan.max_dp_index()) +
-                                " but the deployment has only " +
-                                std::to_string(config.n_dps));
-  }
-  for (const sim::FaultEvent& e : config.fault_plan.events()) {
-    if ((e.kind == sim::FaultKind::kDpJoin || e.kind == sim::FaultKind::kDpLeave) &&
-        !config.membership) {
-      throw std::invalid_argument(
-          "fault plan uses join/leave but membership is disabled");
-    }
+  if (const Status<> plan = check_fault_plan(config); !plan.ok()) {
+    throw std::invalid_argument(plan.error());
   }
   // Market placement routes jobs across decision points by quoted price,
   // so it needs the multi-target attempt path (the legacy single-shot
@@ -226,11 +230,7 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
   dp_options.exchange_interval = config.exchange_interval;
   dp_options.dissemination = config.dissemination;
   dp_options.saturation_response_s = config.saturation_response_s;
-  if (config.overload_control) {
-    dp_options.profile.overload = config.overload_policy;
-    dp_options.profile.overload.enabled = true;
-    dp_options.advertise_load = true;
-  }
+  if (config.overload_control) dp_options.profile.overload_control = true;
   if (config.membership) {
     dp_options.membership = config.membership_options;
     dp_options.membership.enabled = true;

@@ -5,6 +5,19 @@
 #include <utility>
 
 namespace digruber::net {
+namespace {
+
+/// Query-queue depth, as a fraction of queue_limit, above which pickup
+/// flips to LIFO for the query class (control stays FIFO).
+constexpr double kLifoFraction = 0.5;
+/// EWMA smoothing for the per-request service-time estimate that feeds the
+/// queue-sojourn prediction.
+constexpr double kEwmaAlpha = 0.2;
+/// Bounds on the retry_after hint attached to typed rejections.
+constexpr sim::Duration kMinRetryAfter = sim::Duration::millis(250);
+constexpr sim::Duration kMaxRetryAfter = sim::Duration::seconds(30);
+
+}  // namespace
 
 ContainerProfile ContainerProfile::gt3() {
   ContainerProfile p;
@@ -66,8 +79,7 @@ sim::Duration ServiceContainer::est_sojourn() const {
 sim::Duration ServiceContainer::retry_after_hint() const {
   const sim::Duration drain = sim::Duration::seconds(
       ewma_service_s_ * double(queue_depth() + 1) / double(profile_.workers));
-  return std::clamp(drain, profile_.overload.min_retry_after,
-                    profile_.overload.max_retry_after);
+  return std::clamp(drain, kMinRetryAfter, kMaxRetryAfter);
 }
 
 bool ServiceContainer::submit(std::size_t request_bytes, Handler run, Completion done) {
@@ -86,7 +98,7 @@ Admission ServiceContainer::submit_ex(std::size_t request_bytes, Handler run,
     start(std::move(request));
     return {};
   }
-  if (!profile_.overload.enabled) {
+  if (!profile_.overload_control) {
     // Legacy model: one FIFO queue, silent refusal at the limit, priority
     // and deadline ignored.
     if (queue_.size() >= profile_.queue_limit) {
@@ -125,10 +137,9 @@ void ServiceContainer::start(Request request) {
   const sim::Duration service =
       service_time(request.bytes, served.reply.size(), served.handler_cost);
   busy_time_ = busy_time_ + service;
-  const double alpha = profile_.overload.ewma_alpha;
   ewma_service_s_ = ewma_service_s_ > 0.0
-                        ? alpha * service.to_seconds() +
-                              (1.0 - alpha) * ewma_service_s_
+                        ? kEwmaAlpha * service.to_seconds() +
+                              (1.0 - kEwmaAlpha) * ewma_service_s_
                         : service.to_seconds();
   const sim::Time arrived = request.arrived;
   sim_.schedule_after(
@@ -159,8 +170,8 @@ bool ServiceContainer::start_next_overload() {
     start(std::move(next));
     return true;
   }
-  const std::size_t lifo_threshold = std::size_t(
-      profile_.overload.lifo_fraction * double(profile_.queue_limit));
+  const std::size_t lifo_threshold =
+      std::size_t(kLifoFraction * double(profile_.queue_limit));
   while (!queue_.empty()) {
     const bool lifo = queue_.size() >= std::max<std::size_t>(lifo_threshold, 1);
     Request next = lifo ? std::move(queue_.back()) : std::move(queue_.front());
@@ -189,7 +200,7 @@ bool ServiceContainer::start_next_overload() {
 void ServiceContainer::finish() {
   --busy_;
   if (busy_ >= profile_.workers) return;
-  if (profile_.overload.enabled) {
+  if (profile_.overload_control) {
     start_next_overload();
     return;
   }

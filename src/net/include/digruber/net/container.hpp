@@ -17,27 +17,6 @@ namespace digruber::net {
 /// the mesh converging and must never be shed behind query traffic.
 enum class Priority : std::uint8_t { kControl = 0, kQuery = 1 };
 
-/// Overload-control policy for a ServiceContainer. Disabled by default:
-/// the container then behaves exactly like the legacy model (single FIFO
-/// queue, silent refusal at queue_limit), so existing runs are
-/// byte-identical. Enabled, the container becomes deadline-aware: requests
-/// doomed to miss their deadline are shed at admission (and again at
-/// pickup), queue-full drops become typed rejections with a retry_after
-/// hint, and the query queue drains newest-first once it is deep enough
-/// that FIFO order would serve only already-expired work.
-struct OverloadPolicy {
-  bool enabled = false;
-  /// Query-queue depth, as a fraction of queue_limit, above which pickup
-  /// flips to LIFO for the query class (control stays FIFO).
-  double lifo_fraction = 0.5;
-  /// EWMA smoothing for the per-request service-time estimate that feeds
-  /// the queue-sojourn prediction.
-  double ewma_alpha = 0.2;
-  /// Bounds on the retry_after hint attached to typed rejections.
-  sim::Duration min_retry_after = sim::Duration::millis(250);
-  sim::Duration max_retry_after = sim::Duration::seconds(30);
-};
-
 /// Queueing model of a Globus-Toolkit-style Web-service container: a small
 /// worker pool behind an admission queue, with per-request CPU charges for
 /// the security handshake and XML (de)serialization proportional to
@@ -53,7 +32,15 @@ struct ContainerProfile {
   sim::Duration parse_cost_per_kb = sim::Duration::millis(10);      // request
   sim::Duration serialize_cost_per_kb = sim::Duration::millis(10);  // reply
   double speed = 1.0;  // host speed multiplier (>1 is faster)
-  OverloadPolicy overload;
+  /// Overload control. Off by default: the container then behaves exactly
+  /// like the legacy model (single FIFO queue, silent refusal at
+  /// queue_limit), so existing runs are byte-identical. On, the container
+  /// becomes deadline-aware: requests doomed to miss their deadline are
+  /// shed at admission (and again at pickup), queue-full drops become typed
+  /// rejections with a retry_after hint, and the query queue drains
+  /// newest-first once it is deep enough that FIFO order would serve only
+  /// already-expired work.
+  bool overload_control = false;
 
   /// GT3.2 Java WS container (the paper's faster implementation).
   static ContainerProfile gt3();
@@ -108,7 +95,7 @@ class ServiceContainer {
   bool submit(std::size_t request_bytes, Handler run, Completion done);
 
   /// Deadline- and priority-aware admission (overload-control path). With
-  /// the policy disabled this is exactly `submit` — priority, deadline,
+  /// overload control off this is exactly `submit` — priority, deadline,
   /// and the shed callback are ignored. A zero `deadline` means none.
   Admission submit_ex(std::size_t request_bytes, Handler run, Completion done,
                       Priority priority, sim::Time deadline = sim::Time::zero(),
@@ -129,7 +116,7 @@ class ServiceContainer {
   /// the work queued ahead of it.
   [[nodiscard]] sim::Duration est_sojourn() const;
   /// Suggested retry_after for a rejected request: the estimated time for
-  /// the current backlog to drain, clamped to the policy bounds.
+  /// the current backlog to drain, clamped to [250 ms, 30 s].
   [[nodiscard]] sim::Duration retry_after_hint() const;
 
   [[nodiscard]] const ContainerProfile& profile() const { return profile_; }

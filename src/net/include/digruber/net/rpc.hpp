@@ -32,9 +32,8 @@ inline constexpr std::uint8_t kNackDegraded = 3;
 /// "overloaded:<retry_after_us>:degraded" (kNackDegraded). The wire form
 /// is wire::OverloadNack; these helpers are the bridge.
 [[nodiscard]] std::string make_overload_error(const wire::OverloadNack& nack);
-/// True iff `error` is an overload rejection; extracts the retry hint.
-bool parse_overload_error(const std::string& error, sim::Duration& retry_after);
-/// As above, additionally extracting the reason code.
+/// True iff `error` is an overload rejection; extracts the retry hint and
+/// the reason code.
 bool parse_overload_error(const std::string& error, sim::Duration& retry_after,
                           std::uint8_t& reason);
 
@@ -76,7 +75,7 @@ class RpcServer : public Endpoint {
 
   /// `priority` classes requests for overload control: control-class
   /// methods (state exchange, catch-up) are never shed behind query
-  /// traffic. Ignored while the container's overload policy is disabled.
+  /// traffic. Ignored while the container's overload control is off.
   void register_method(std::uint16_t method, Method handler,
                        Priority priority = Priority::kQuery);
 

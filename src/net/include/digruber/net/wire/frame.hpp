@@ -78,34 +78,46 @@ std::size_t frame_header_size();
 /// `w` (the encoded body). Defined in wire_frame.cpp.
 void append_checksum_trailer(Writer& w, std::size_t body_size);
 
-/// Build a complete frame into a single shared buffer: the body is sized
-/// with a Sizer pass and encoded directly behind the header — exactly one
-/// allocation and zero intermediate copies. `deadline_us > 0` upgrades the
-/// header to v2; otherwise the v1 layout is emitted byte-for-byte.
-/// `checksum` upgrades to v3 and appends a CRC-32C trailer over the body.
-template <class Body>
-net::Buffer make_frame(std::uint16_t method, FrameKind kind,
-                       std::uint64_t correlation, const Body& body,
-                       std::int64_t deadline_us = 0, bool checksum = false) {
+/// Build a complete frame into a single shared buffer: reserve once, write
+/// the header, let `write_body` append exactly `body_size` body bytes, then
+/// append the trailer if any. The header version is chosen here and only
+/// here: `deadline_us > 0` gives v2, `checksum` gives v3 with a CRC-32C
+/// trailer over the body, and neither keeps the v1 layout byte for byte.
+template <class WriteBody>
+net::Buffer build_frame(std::uint16_t method, FrameKind kind,
+                        std::uint64_t correlation, std::size_t body_size,
+                        std::int64_t deadline_us, bool checksum,
+                        WriteBody&& write_body) {
   FrameHeader header;
   header.method = method;
   header.kind = static_cast<std::uint8_t>(kind);
   header.correlation = correlation;
-  header.body_size = static_cast<std::uint32_t>(encoded_size(body));
+  header.body_size = static_cast<std::uint32_t>(body_size);
   if (deadline_us > 0) {
     header.version = FrameHeader::kDeadlineVersion;
     header.deadline_us = deadline_us;
   }
   if (checksum) header.version = FrameHeader::kChecksumVersion;
   Writer w;
-  w.reserve(encoded_size(header) + header.body_size +
+  w.reserve(encoded_size(header) + body_size +
             (checksum ? FrameHeader::kChecksumTrailerSize : 0));
   w & header;
-  w & body;
-  if (checksum) append_checksum_trailer(w, header.body_size);
+  write_body(w);
+  if (checksum) append_checksum_trailer(w, body_size);
   net::Buffer frame = w.take_buffer();
   wire_stats().record_encode(categorize_method(method), frame.size());
   return frame;
+}
+
+/// Frame a message struct: the body is sized with a Sizer pass and encoded
+/// directly behind the header — exactly one allocation and zero
+/// intermediate copies.
+template <class Body>
+net::Buffer make_frame(std::uint16_t method, FrameKind kind,
+                       std::uint64_t correlation, const Body& body,
+                       std::int64_t deadline_us = 0, bool checksum = false) {
+  return build_frame(method, kind, correlation, encoded_size(body), deadline_us,
+                     checksum, [&body](Writer& w) { w & body; });
 }
 
 /// Build a frame around an already-encoded body (the reply path: handlers

@@ -25,16 +25,10 @@ std::string make_overload_error(const wire::OverloadNack& nack) {
   std::string error =
       std::string(kOverloadPrefix) + std::to_string(nack.retry_after_us);
   // The retry_after number is parsed with strtoll, which stops at the
-  // first non-digit — appending a reason tag is backward-compatible with
-  // callers using the two-argument parse.
+  // first non-digit, so a reason tag can follow it.
   if (nack.reason == kNackDraining) error += kDrainSuffix;
   if (nack.reason == kNackDegraded) error += kDegradedSuffix;
   return error;
-}
-
-bool parse_overload_error(const std::string& error, sim::Duration& retry_after) {
-  std::uint8_t reason = 0;
-  return parse_overload_error(error, retry_after, reason);
 }
 
 bool parse_overload_error(const std::string& error, sim::Duration& retry_after,
@@ -215,7 +209,7 @@ void RpcServer::on_packet(Packet packet) {
         if (wants_reply) send_nack(1, retry_after);
       });
   if (!admission.accepted() && wants_reply) {
-    const bool overload = container_.profile().overload.enabled;
+    const bool overload = container_.profile().overload_control;
     if (auto* t = trace::current()) {
       t->end(trace::Category::kRpc, node_.value(), "rpc.serve", serve_ctx,
              std::int64_t(method), -1);
@@ -283,7 +277,8 @@ void RpcClient::call_raw(NodeId server, std::uint16_t method,
   ++sent_;
   call_frame(server, correlation,
              wire::frame_from_body(method, wire::FrameKind::kRequest,
-                                   correlation, body, options.deadline.us()),
+                                   correlation, body, options.deadline.us(),
+                                   checksums_),
              timeout, std::move(done));
 }
 

@@ -47,25 +47,8 @@ net::Buffer frame_from_body(std::uint16_t method, FrameKind kind,
                             std::uint64_t correlation,
                             std::span<const std::uint8_t> body,
                             std::int64_t deadline_us, bool checksum) {
-  FrameHeader header;
-  header.method = method;
-  header.kind = static_cast<std::uint8_t>(kind);
-  header.correlation = correlation;
-  header.body_size = static_cast<std::uint32_t>(body.size());
-  if (deadline_us > 0) {
-    header.version = FrameHeader::kDeadlineVersion;
-    header.deadline_us = deadline_us;
-  }
-  if (checksum) header.version = FrameHeader::kChecksumVersion;
-  Writer w;
-  w.reserve(encoded_size(header) + body.size() +
-            (checksum ? FrameHeader::kChecksumTrailerSize : 0));
-  w & header;
-  w.raw(body.data(), body.size());
-  if (checksum) append_checksum_trailer(w, body.size());
-  net::Buffer frame = w.take_buffer();
-  wire_stats().record_encode(categorize_method(method), frame.size());
-  return frame;
+  return build_frame(method, kind, correlation, body.size(), deadline_us, checksum,
+                     [body](Writer& w) { w.raw(body.data(), body.size()); });
 }
 
 FrameParse parse_frame_ex(std::span<const std::uint8_t> frame,

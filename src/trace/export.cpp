@@ -98,9 +98,7 @@ void write_chrome_trace(std::ostream& os, const Tracer& tracer) {
     if (event.kind == EventKind::kInstant) os << ",\"s\":\"t\"";
     os << ",\"args\":{\"trace\":" << event.trace << ",\"span\":" << event.span
        << ",\"parent\":" << event.parent << ",\"a0\":" << event.a0
-       << ",\"a1\":" << event.a1;
-    if (event.wall_ns) os << ",\"wall_ns\":" << event.wall_ns;
-    os << "}}";
+       << ",\"a1\":" << event.a1 << "}}";
 
     // Flow arrows stitch one trace's spans across tracks: "s" opens the
     // flow at the trace's first span, "t" steps it through each later one.
@@ -123,9 +121,7 @@ void write_jsonl(std::ostream& os, const Tracer& tracer) {
     write_escaped(os, event.name);
     os << "\",\"trace\":" << event.trace << ",\"span\":" << event.span
        << ",\"parent\":" << event.parent << ",\"ts_us\":" << event.ts.us()
-       << ",\"a0\":" << event.a0 << ",\"a1\":" << event.a1;
-    if (event.wall_ns) os << ",\"wall_ns\":" << event.wall_ns;
-    os << "}\n";
+       << ",\"a0\":" << event.a0 << ",\"a1\":" << event.a1 << "}\n";
   }
 }
 

@@ -52,7 +52,6 @@ struct TraceEvent {
   std::uint64_t span = 0;
   std::uint64_t parent = 0;     // parent span id (0 = root)
   sim::Time ts;                 // simulation time
-  std::int64_t wall_ns = 0;     // wall-clock offset from session start (0 = off)
   std::int64_t a0 = 0;          // event-specific args (documented per site)
   std::int64_t a1 = 0;
 };
@@ -61,9 +60,6 @@ struct TracerOptions {
   /// Events kept per (category, actor) ring; older events are overwritten
   /// and counted as dropped.
   std::size_t ring_capacity = std::size_t(1) << 14;
-  /// Also stamp events with wall time (steady_clock ns since the clock was
-  /// bound). Off by default: wall stamps differ run to run.
-  bool wall_clock = false;
 };
 
 /// Low-overhead event/span recorder. One instance per traced run; install
@@ -76,8 +72,8 @@ class Tracer {
  public:
   explicit Tracer(TracerOptions options = {});
 
-  /// Stamp subsequent events from this simulation's clock (and start the
-  /// wall clock, when enabled). Call once per run, before events arrive.
+  /// Stamp subsequent events from this simulation's clock. Call once per
+  /// run, before events arrive.
   void bind_clock(const sim::Simulation* sim);
   [[nodiscard]] sim::Time now() const;
 
@@ -147,7 +143,6 @@ class Tracer {
 
   TracerOptions options_;
   const sim::Simulation* sim_ = nullptr;
-  std::int64_t wall_origin_ns_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t next_span_ = 1;
   std::uint64_t next_trace_ = 1;

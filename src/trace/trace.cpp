@@ -1,7 +1,6 @@
 #include "digruber/trace/trace.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cstring>
 
 #include "digruber/sim/simulation.hpp"
@@ -17,12 +16,6 @@ Tracer* g_current = nullptr;
 /// far below their allotted bit widths in any realistic run.
 std::uint64_t rpc_key(std::uint64_t node, std::uint64_t correlation) {
   return (node << 40) ^ (correlation & ((std::uint64_t(1) << 40) - 1));
-}
-
-std::int64_t steady_now_ns() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 }  // namespace
@@ -65,10 +58,7 @@ Tracer::Tracer(TracerOptions options) : options_(options) {
   if (options_.ring_capacity == 0) options_.ring_capacity = 1;
 }
 
-void Tracer::bind_clock(const sim::Simulation* sim) {
-  sim_ = sim;
-  if (options_.wall_clock) wall_origin_ns_ = steady_now_ns();
-}
+void Tracer::bind_clock(const sim::Simulation* sim) { sim_ = sim; }
 
 sim::Time Tracer::now() const {
   return sim_ ? sim_->now() : sim::Time::zero();
@@ -85,7 +75,6 @@ void Tracer::record(Category category, std::uint64_t actor, TraceEvent event) {
   event.category = category;
   event.actor = actor;
   event.ts = now();
-  if (options_.wall_clock) event.wall_ns = steady_now_ns() - wall_origin_ns_;
   Ring& ring = ring_for(category, actor);
   ++ring.recorded;
   if (ring.events.size() < options_.ring_capacity) {

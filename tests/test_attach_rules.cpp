@@ -234,7 +234,7 @@ INSTANTIATE_TEST_SUITE_P(
                    {}, {}, {}, {}, {}, {}, {}, {}},
         AttachCase{"LoadAdvertising",
                    [](DecisionPointOptions& dp, ClientOptions& client) {
-                     dp.advertise_load = true;
+                     dp.profile.overload_control = true;
                      client.overload_aware = true;
                    },
                    {Exchange::kLoad}, {Reply::kLoads}, {Reply::kLoads},

@@ -160,13 +160,13 @@ INSTANTIATE_TEST_SUITE_P(Workers, ContainerProperty, ::testing::Values(1, 2, 3, 
 
 // ---------------------------------------------------------------------------
 // Overload control (deadline-aware admission, typed rejections, priority
-// classes, LIFO-under-overload). The policy is opt-in; the first test pins
-// the disabled path to the legacy semantics.
+// classes, LIFO-under-overload). Overload control is opt-in; the first test
+// pins the disabled path to the legacy semantics.
 
 ContainerProfile overload_profile(int workers, double service_ms,
                                   std::size_t queue_limit) {
   ContainerProfile p = flat_profile(workers, service_ms, queue_limit);
-  p.overload.enabled = true;
+  p.overload_control = true;
   return p;
 }
 
@@ -174,7 +174,7 @@ TEST(ContainerOverload, DisabledSubmitExMatchesLegacy) {
   sim::Simulation sim;
   ServiceContainer c(sim, flat_profile(1, 1000, /*queue_limit=*/2));
   // An absurdly tight deadline and a shed callback: both must be ignored
-  // with the policy off.
+  // with overload control off.
   bool shed_fired = false;
   int completions = 0;
   for (int i = 0; i < 5; ++i) {
@@ -204,8 +204,8 @@ TEST(ContainerOverload, QueueFullRejectionIsTypedWithRetryAfter) {
   }
   const Admission a = c.submit_ex(0, noop, [](auto) {}, Priority::kQuery);
   EXPECT_EQ(a.result, AdmitResult::kQueueFull);
-  // The hint is the drain estimate clamped to the policy bounds: 2 queued
-  // + 1 arriving at 1 s each = 3 s, within [250 ms, 30 s].
+  // The hint is the drain estimate clamped to [250 ms, 30 s]: 2 queued
+  // + 1 arriving at 1 s each = 3 s.
   EXPECT_NEAR(a.retry_after.to_seconds(), 3.0, 1e-6);
   EXPECT_EQ(c.refused(), 1u);
   sim.run();
@@ -264,7 +264,7 @@ TEST(ContainerOverload, PickupShedFiresCallbackInsteadOfCompletion) {
 }
 
 TEST(ContainerOverload, LifoPickupAboveThresholdFifoBelow) {
-  // queue_limit 8 x lifo_fraction 0.5 = LIFO while depth >= 4.
+  // queue_limit 8 x the 0.5 LIFO fraction = LIFO while depth >= 4.
   sim::Simulation sim;
   ServiceContainer c(sim, overload_profile(1, 1000, /*queue_limit=*/8));
   std::vector<int> order;

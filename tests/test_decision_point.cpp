@@ -500,10 +500,8 @@ TEST(DecisionPoint, DedupsForgedExtremeSeqsExactlyOnce) {
 TEST(DecisionPoint, SaturationSignalsReachMonitor) {
   Fixture f;
   int provisions = 0;
-  InfrastructureMonitor::Options mo;
-  mo.signals_to_act = 1;
-  InfrastructureMonitor monitor(
-      f.sim, f.transport, [&](const SaturationSignal&) { ++provisions; }, mo);
+  InfrastructureMonitor monitor(f.sim, f.transport,
+                                [&](const SaturationSignal&) { ++provisions; });
 
   DecisionPointOptions options = f.options();
   options.profile.workers = 1;
@@ -520,8 +518,9 @@ TEST(DecisionPoint, SaturationSignalsReachMonitor) {
         [](Result<GetSiteLoadsReply>) {});
   }
   f.sim.run_until(sim::Time::from_seconds(600));
-  EXPECT_GE(dp.counters().saturation_signals, 1u);
-  EXPECT_GE(monitor.signals_received(), 1u);
+  // The monitor acts once it has heard kSignalsToAct signals.
+  EXPECT_GE(dp.counters().saturation_signals, std::uint64_t(kSignalsToAct));
+  EXPECT_GE(monitor.signals_received(), std::uint64_t(kSignalsToAct));
   EXPECT_GE(provisions, 1);
   dp.stop();
 }

@@ -29,16 +29,16 @@ const LedgerSnapshot& ledger_of(const BankStats& stats, VoId vo) {
 }
 
 TEST(QuotePrice, LinearInCongestionAndClamped) {
-  const EconomyOptions options;  // base 1, utilization 4, wait 0.05
-  EXPECT_DOUBLE_EQ(quote_price(options, 0.0, 0.0), 1.0);
-  EXPECT_DOUBLE_EQ(quote_price(options, 0.5, 0.0), 3.0);
-  EXPECT_DOUBLE_EQ(quote_price(options, 0.5, 100.0), 8.0);
+  // 1 + 4 * utilization + 0.05 * wait.
+  EXPECT_DOUBLE_EQ(quote_price(0.0, 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(quote_price(0.5, 0.0), 3.0);
+  EXPECT_DOUBLE_EQ(quote_price(0.5, 100.0), 8.0);
   // Utilization clamps to [0,1]; negative wait clamps to 0.
-  EXPECT_DOUBLE_EQ(quote_price(options, 7.0, 0.0), 5.0);
-  EXPECT_DOUBLE_EQ(quote_price(options, -1.0, -50.0), 1.0);
+  EXPECT_DOUBLE_EQ(quote_price(7.0, 0.0), 5.0);
+  EXPECT_DOUBLE_EQ(quote_price(-1.0, -50.0), 1.0);
   // Monotone in both signals.
-  EXPECT_LT(quote_price(options, 0.2, 10.0), quote_price(options, 0.6, 10.0));
-  EXPECT_LT(quote_price(options, 0.6, 10.0), quote_price(options, 0.6, 20.0));
+  EXPECT_LT(quote_price(0.2, 10.0), quote_price(0.6, 10.0));
+  EXPECT_LT(quote_price(0.6, 10.0), quote_price(0.6, 20.0));
 }
 
 TEST(CreditBank, InitialEndowmentFollowsShares) {
@@ -127,7 +127,8 @@ TEST(CreditBank, UnabsorbedPoolExpires) {
 
 TEST(CreditBank, BalanceCapExpiresCredits) {
   auto options = small_bank_options();
-  options.credit_cap_epochs = 1.0;  // cap = fair_share = 500
+  // Endow each VO at the cap: kCreditCapEpochs * fair_share = 4 * 500.
+  options.initial_credit_epochs = kCreditCapEpochs;
   CreditBank bank(options, two_equal_vos());
   const sim::Time in_epoch = sim::Time::from_seconds(10);
   bank.charge(VoId{0}, 800, in_epoch);
@@ -135,8 +136,9 @@ TEST(CreditBank, BalanceCapExpiresCredits) {
   bank.roll_to(sim::Time::from_seconds(150));
 
   const BankStats stats = bank.stats();
-  // VO1 would rise to 800 but the cap clamps it to 500.
-  EXPECT_DOUBLE_EQ(ledger_of(stats, VoId{1}).balance, 500.0);
+  // VO1 earns VO0's 300 overage and would rise to 2300, but the cap
+  // clamps it to 2000.
+  EXPECT_DOUBLE_EQ(ledger_of(stats, VoId{1}).balance, 2000.0);
   EXPECT_DOUBLE_EQ(ledger_of(stats, VoId{1}).expired_cap, 300.0);
   double total_balance = 0;
   for (const auto& ledger : stats.ledgers) total_balance += ledger.balance;

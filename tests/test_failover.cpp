@@ -111,23 +111,23 @@ TEST(Failover, BreakerTripsThenHalfOpenProbeRecovers) {
 
   ClientOptions options;
   options.attempt_timeout = sim::Duration::seconds(2);
-  options.breaker_threshold = 2;
-  options.breaker_cooldown = sim::Duration::seconds(30);
   auto client = f.client({a.node()}, options);
 
   a.crash();
 
-  // Query 1: two timed-out attempts trip the breaker; with the only
-  // decision point open and cooling down, the query degrades to the
-  // random-site fallback.
+  // Query 1: kBreakerThreshold timed-out attempts, each followed by a
+  // retry, trip the breaker; with the only decision point open and cooling
+  // down, the last retry degrades to the random-site fallback.
   bool first_done = false;
   client->schedule(f.job(), [&](grid::Job, QueryOutcome outcome) {
     first_done = true;
     EXPECT_FALSE(outcome.handled_by_gruber);
     EXPECT_FALSE(outcome.served_by.valid());
   });
-  f.sim.run_until(sim::Time::from_seconds(20));
+  const sim::Time first_by = sim::Time::from_seconds(30);
+  f.sim.run_until(first_by);
   ASSERT_TRUE(first_done);
+  EXPECT_EQ(client->counters().failovers, kBreakerThreshold);
   EXPECT_EQ(client->counters().breaker_trips, 1u);
   EXPECT_EQ(client->counters().all_dps_down_fallbacks, 1u);
   EXPECT_EQ(client->counters().fallbacks, 1u);
@@ -138,7 +138,7 @@ TEST(Failover, BreakerTripsThenHalfOpenProbeRecovers) {
   ASSERT_TRUE(a.running());
 
   bool second_done = false;
-  f.sim.schedule_at(sim::Time::from_seconds(60), [&] {
+  f.sim.schedule_at(first_by + kBreakerCooldown, [&] {
     client->schedule(f.job(), [&](grid::Job, QueryOutcome outcome) {
       second_done = true;
       EXPECT_TRUE(outcome.handled_by_gruber);

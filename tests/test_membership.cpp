@@ -522,12 +522,10 @@ TEST(Membership, QuarantineStopsHalfOpenReprobesOfDeadPoint) {
   b.bootstrap(f.snapshots());
   f.seed_all({&a, &b});
 
-  // Aggressive breaker so the legacy behavior (without quarantine) would
-  // re-probe the dead point on nearly every query.
+  // The first query fails over kBreakerThreshold times before a's breaker
+  // opens; a's cooldown then runs out long before the run ends.
   ClientOptions options;
   options.attempt_timeout = sim::Duration::seconds(2);
-  options.breaker_threshold = 1;
-  options.breaker_cooldown = sim::Duration::seconds(5);
   options.membership_aware = true;
   auto client = f.client({a.node(), b.node()}, options);
 
@@ -555,9 +553,21 @@ TEST(Membership, QuarantineStopsHalfOpenReprobesOfDeadPoint) {
   EXPECT_EQ(client->counters().dps_quarantined, 1u);
   EXPECT_GE(client->counters().failovers, 1u);  // pre-quarantine probes did fail over
   // The fix under test: once membership says dead, there are no further
-  // probes — not even half-open ones — so the failover count froze.
+  // probes, so the failover count froze and a's breaker tripped only once.
   EXPECT_EQ(client->counters().failovers, failovers_after_quarantine);
-  b.stop();
+  EXPECT_EQ(client->counters().breaker_trips, 1u);
+
+  // Not even half-open ones: with b down too, b trips its own breaker and
+  // the query falls back without a probe of quarantined a.
+  f.sim.schedule_at(at(200), [&] { b.crash(); });
+  f.sim.schedule_at(at(205), [&] {
+    client->schedule(f.job(), [&](grid::Job, QueryOutcome outcome) {
+      EXPECT_FALSE(outcome.handled_by_gruber);
+    });
+  });
+  f.sim.run_until(at(300));
+  EXPECT_EQ(client->counters().breaker_trips, 2u);
+  EXPECT_EQ(client->counters().all_dps_down_fallbacks, 1u);
 }
 
 TEST(Membership, StaleEpochClientLearnsJoinerFromQueryReply) {

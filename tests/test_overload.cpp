@@ -33,7 +33,7 @@ net::ContainerProfile saturated_profile(double service_s,
   p.workers = 1;
   p.queue_limit = queue_limit;
   p.base_overhead = sim::Duration::seconds(service_s);
-  p.overload.enabled = true;
+  p.overload_control = true;
   return p;
 }
 
@@ -105,13 +105,14 @@ TEST(Overload, ErrorStringRoundtripsRetryAfter) {
   nack.retry_after_us = 2500000;
   const std::string error = net::make_overload_error(nack);
   sim::Duration retry_after = sim::Duration::zero();
-  ASSERT_TRUE(net::parse_overload_error(error, retry_after));
+  std::uint8_t reason = 0;
+  ASSERT_TRUE(net::parse_overload_error(error, retry_after, reason));
   EXPECT_EQ(retry_after, sim::Duration::micros(2500000));
 
   // Non-overload errors (including the legacy refusal) do not parse.
-  EXPECT_FALSE(net::parse_overload_error("refused", retry_after));
-  EXPECT_FALSE(net::parse_overload_error("timeout", retry_after));
-  EXPECT_FALSE(net::parse_overload_error("", retry_after));
+  EXPECT_FALSE(net::parse_overload_error("refused", retry_after, reason));
+  EXPECT_FALSE(net::parse_overload_error("timeout", retry_after, reason));
+  EXPECT_FALSE(net::parse_overload_error("", retry_after, reason));
 }
 
 TEST(Overload, QueueFullNackIsTypedWithRetryAfter) {
@@ -132,7 +133,8 @@ TEST(Overload, QueueFullNackIsTypedWithRetryAfter) {
             return;
           }
           sim::Duration retry_after = sim::Duration::zero();
-          if (net::parse_overload_error(result.error(), retry_after)) {
+          std::uint8_t reason = 0;
+          if (net::parse_overload_error(result.error(), retry_after, reason)) {
             ++overloaded;
             last_retry_after = retry_after;
           } else {
@@ -174,8 +176,9 @@ TEST(Overload, WireDeadlineShedsDoomedRequestAtAdmission) {
         a.node(), kGetSiteLoads, f.query(), sim::Duration::seconds(90), options,
         [&](Result<GetSiteLoadsReply> result) {
           sim::Duration retry_after = sim::Duration::zero();
-          doomed_overloaded =
-              !result.ok() && net::parse_overload_error(result.error(), retry_after);
+          std::uint8_t reason = 0;
+          doomed_overloaded = !result.ok() && net::parse_overload_error(
+                                                  result.error(), retry_after, reason);
         });
   });
 
@@ -189,48 +192,50 @@ TEST(Overload, WireDeadlineShedsDoomedRequestAtAdmission) {
 
 TEST(Overload, EmptyRetryBudgetDegradesToFallbackWithoutTrippingBreaker) {
   Fixture f;
-  DecisionPoint a(f.sim, f.transport, DpId(0), f.catalog, f.tree,
-                  f.dp_options(saturated_profile(30.0)));
-  a.bootstrap(f.snapshots());
-
-  // Saturate: one raw request in service, one queued.
-  net::RpcClient rpc(f.sim, f.transport);
-  for (int i = 0; i < 2; ++i) {
-    rpc.call<GetSiteLoadsRequest, GetSiteLoadsReply>(
-        a.node(), kGetSiteLoads, f.query(), sim::Duration::seconds(300),
-        [](Result<GetSiteLoadsReply>) {});
-  }
+  // A point that answers every query with a typed queue-full NACK and no
+  // retry_after hint, so each retry waits only the client's own backoff.
+  net::RpcServer saturated(f.sim, f.transport, fast_profile());
+  saturated.register_method(kGetSiteLoads, [](auto, NodeId) { return net::Served{}; });
+  saturated.set_refusal_gate([](std::uint16_t, net::wire::OverloadNack& nack) {
+    nack.reason = net::kNackQueueFull;
+    return true;
+  });
 
   ClientOptions options;
   options.overload_aware = true;
   options.attempt_timeout = sim::Duration::seconds(10);
-  options.retry_budget_capacity = 0.0;  // no tokens, ever
-  options.retry_budget_refill = 0.0;
-  auto client = f.client({a.node()}, options);
+  auto client = f.client({saturated.node()}, options);
 
-  bool done = false;
-  f.sim.schedule_at(sim::Time::from_seconds(1), [&] {
+  // Back-to-back queries: every retry spends a token, and each query
+  // refills only kRetryBudgetRefill, so the bucket soon runs dry and the
+  // queries after that degrade at their first NACK.
+  constexpr int kQueries = 20;
+  int issued = 0;
+  std::function<void()> next = [&] {
+    ++issued;
     client->schedule(f.job(), [&](grid::Job, QueryOutcome outcome) {
-      done = true;
       EXPECT_FALSE(outcome.handled_by_gruber);
+      if (issued < kQueries) next();
     });
-  });
-  f.sim.run_until(sim::Time::from_seconds(120));
-  ASSERT_TRUE(done);
-  EXPECT_EQ(client->counters().overload_nacks, 1u);
-  EXPECT_EQ(client->counters().retries_budget_denied, 1u);
-  EXPECT_EQ(client->counters().fallbacks, 1u);
-  // The NACK proves the decision point is alive: no breaker trip.
-  EXPECT_EQ(client->counters().breaker_trips, 0u);
-  a.stop();
+  };
+  f.sim.schedule_at(sim::Time::from_seconds(1), [&] { next(); });
+  f.sim.run_until(sim::Time::from_seconds(1000));
+
+  const ClientCounters& c = client->counters();
+  ASSERT_EQ(issued, kQueries);
+  EXPECT_GE(c.retries_budget_denied, 1u);
+  EXPECT_EQ(c.fallbacks, std::uint64_t(kQueries));
+  // Every attempt was NACKed; retries never outran the bucket.
+  EXPECT_EQ(c.overload_nacks, std::uint64_t(kQueries) + c.failovers);
+  EXPECT_LE(double(c.failovers), kRetryBudgetCapacity + kRetryBudgetRefill * kQueries);
+  // The NACKs prove the decision point is alive: no breaker trip.
+  EXPECT_EQ(c.breaker_trips, 0u);
 }
 
 TEST(Overload, RetryAfterHintDelaysRetryUntilQueueDrains) {
   Fixture f;
-  net::ContainerProfile profile = saturated_profile(10.0);
-  profile.overload.min_retry_after = sim::Duration::seconds(20);
   DecisionPoint a(f.sim, f.transport, DpId(0), f.catalog, f.tree,
-                  f.dp_options(profile));
+                  f.dp_options(saturated_profile(10.0)));
   a.bootstrap(f.snapshots());
 
   // Two raw requests hold the worker + queue slot until t=20 s.
@@ -250,7 +255,8 @@ TEST(Overload, RetryAfterHintDelaysRetryUntilQueueDrains) {
   f.sim.schedule_at(sim::Time::from_seconds(1), [&] {
     client->schedule(f.job(), [&](grid::Job, QueryOutcome outcome) {
       done = true;
-      // The retry lands after the 20 s retry_after, when the backlog has
+      // The NACK's retry_after is the drain estimate: two ~10 s requests
+      // ahead, so ~20 s. The retry lands after it, when the backlog has
       // drained, and is served normally.
       EXPECT_TRUE(outcome.handled_by_gruber);
       EXPECT_GT(outcome.response.to_seconds(), 20.0);
@@ -267,17 +273,12 @@ TEST(Overload, RetryAfterHintDelaysRetryUntilQueueDrains) {
 TEST(Overload, PowerOfTwoChoicesRoutesAroundSaturatedDp) {
   Fixture f;
   // a is wedged for the whole test (200 s service, full queue); b is fast.
-  net::ContainerProfile wedged = saturated_profile(200.0);
-  wedged.overload.max_retry_after = sim::Duration::seconds(5);
-  DecisionPointOptions a_options = f.dp_options(wedged);
-  a_options.advertise_load = true;
+  // Overload control on both also makes them advertise their load.
   net::ContainerProfile fast = fast_profile();
-  fast.overload.enabled = true;
-  DecisionPointOptions b_options = f.dp_options(fast);
-  b_options.advertise_load = true;
-
-  DecisionPoint a(f.sim, f.transport, DpId(0), f.catalog, f.tree, a_options);
-  DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, b_options);
+  fast.overload_control = true;
+  DecisionPoint a(f.sim, f.transport, DpId(0), f.catalog, f.tree,
+                  f.dp_options(saturated_profile(200.0)));
+  DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, f.dp_options(fast));
   a.bootstrap(f.snapshots());
   b.bootstrap(f.snapshots());
   connect({&a, &b});

@@ -278,6 +278,30 @@ TEST(Rpc, MalformedRequestSwallowedByTypedHandler) {
   EXPECT_TRUE(done);
 }
 
+TEST(Rpc, CallRawHonoursFrameChecksums) {
+  // Records the header of every frame it receives; declared first so it
+  // outlives the transport it is attached to.
+  struct HeaderSink : Endpoint {
+    std::vector<wire::FrameHeader> headers;
+    void on_packet(Packet packet) override {
+      wire::FrameHeader header;
+      Buffer body;
+      if (wire::parse_frame(packet.payload, header, body)) headers.push_back(header);
+    }
+  } sink;
+  Fixture f;
+  const NodeId sink_node = f.transport.attach(sink);
+  f.client.set_frame_checksums(true);
+  f.client.call_raw(sink_node, 1, {0x01, 0x02}, sim::Duration::seconds(10),
+                    [](RpcClient::RawResult) {});
+  f.client.notify(sink_node, 1, EchoRequest{});
+  f.sim.run();
+  ASSERT_EQ(sink.headers.size(), 2u);
+  for (const wire::FrameHeader& header : sink.headers) {
+    EXPECT_EQ(header.version, wire::FrameHeader::kChecksumVersion);
+  }
+}
+
 TEST(Rpc, BadFramesCountedByCause) {
   Fixture f;
   // Header parses but declares one more body byte than the packet carries:

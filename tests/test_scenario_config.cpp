@@ -93,7 +93,6 @@ TEST(ScenarioFromConfig, ParsesPartitionToleranceSection) {
 partition_tolerance = true
 checksums = true
 staleness_s = 90
-stale_discount = 0.25
 delta_pull_gap_s = 15
 fault_plan = at=120 partition islands=0|1,2 clients=split; at=300 oneway from=1 to=2; at=360 healoneway from=1 to=2; at=420 heal; at=500 corrupt rate=0.02; at=560 corrupt rate=0
 )"));
@@ -102,12 +101,8 @@ fault_plan = at=120 partition islands=0|1,2 clients=split; at=300 oneway from=1 
   EXPECT_TRUE(cfg.partition_tolerance);
   EXPECT_TRUE(cfg.frame_checksums);
   EXPECT_DOUBLE_EQ(cfg.partition_options.staleness_threshold.to_seconds(), 90.0);
-  EXPECT_DOUBLE_EQ(cfg.partition_options.stale_discount, 0.25);
   EXPECT_DOUBLE_EQ(cfg.partition_options.delta_pull_min_gap.to_seconds(), 15.0);
   EXPECT_EQ(cfg.fault_plan.events().size(), 6u);
-
-  EXPECT_FALSE(
-      scenario_from_config(Config::parse("stale_discount = 1.5\n")).ok());
 }
 
 TEST(ScenarioFromConfig, RejectsChurnVerbsWithMembershipOff) {
@@ -119,11 +114,53 @@ TEST(ScenarioFromConfig, RejectsChurnVerbsWithMembershipOff) {
       scenario_from_config(Config::parse("fault_plan = at=120 leave dp=0\n")).ok());
 }
 
+TEST(ScenarioFromConfig, FaultPlanMayNameAJoinersIndex) {
+  // dp=3 is the point the join adds to a 3-point deployment.
+  const auto cfg = scenario_from_config(Config::parse(
+      "dps = 3\nclients = 6\ngrid_scale = 1\nduration_minutes = 10\n"
+      "membership = true\nfault_plan = at=60 join; at=300 leave dp=3\n"));
+  ASSERT_TRUE(cfg.ok()) << cfg.error();
+  const ScenarioResult r = run_scenario(cfg.value());
+  ASSERT_EQ(r.dps.size(), 4u);
+  EXPECT_EQ(r.membership.joins_completed, 1u);
+  EXPECT_TRUE(r.dps[3].left);
+  EXPECT_EQ(r.membership.leaves_observed, 3u);  // each of the three peers
+
+  // One index past the joiners is still rejected.
+  const auto past = scenario_from_config(Config::parse(
+      "membership = true\nfault_plan = at=60 join; at=300 leave dp=4\n"));
+  ASSERT_FALSE(past.ok());
+  EXPECT_NE(past.error().find("names dp 4"), std::string::npos);
+}
+
 TEST(ScenarioFromConfig, RejectsUnknownKeys) {
   const auto result = scenario_from_config(Config::parse("dp_count = 3\n"));
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.error().find("unknown config key"), std::string::npos);
+
+  // An unknown key is reported ahead of a bad value.
+  const auto both = scenario_from_config(Config::parse("profile = gt5\ndp_count = 3\n"));
+  ASSERT_FALSE(both.ok());
+  EXPECT_EQ(both.error(), "unknown config key: dp_count");
 }
+
+// Tuning values that no workload varies are constants, not keys.
+class ScenarioFromConfigRemovedKey : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(ScenarioFromConfigRemovedKey, IsUnknown) {
+  const std::string key = GetParam();
+  const auto result = scenario_from_config(Config::parse(key + " = 1\n"));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.error(), "unknown config key: " + key);
+}
+
+INSTANTIATE_TEST_SUITE_P(Constants, ScenarioFromConfigRemovedKey,
+                         ::testing::Values("stale_discount", "credit_cap_epochs",
+                                           "price_base", "price_utilization",
+                                           "price_wait"),
+                         [](const ::testing::TestParamInfo<const char*>& info) {
+                           return std::string(info.param);
+                         });
 
 TEST(ScenarioFromConfig, RejectsBadEnumValues) {
   EXPECT_FALSE(scenario_from_config(Config::parse("profile = gt5\n")).ok());
