@@ -76,6 +76,46 @@ void BM_EngineCandidatesWithActiveRecords(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineCandidatesWithActiveRecords)->Arg(100)->Arg(1000)->Arg(5000);
 
+// A view in steady state: each call is one simulated second, records a
+// tenth of the population with runtimes of 5-15 s, and reads candidates,
+// so about `range(0)` records stay held and some expire between any two
+// calls (the prune work the case above, whose records never expire,
+// leaves out).
+void BM_EngineCandidatesExpiring(benchmark::State& state) {
+  EngineFixture fixture{300};
+  const int per_call = std::max(1, int(state.range(0)) / 10);
+  Rng rng(43);
+  sim::Time now = sim::Time::zero();
+  std::uint64_t seq = 0;
+  const auto record_batch = [&] {
+    for (int i = 0; i < per_call; ++i) {
+      gruber::DispatchRecord r;
+      r.origin = DpId(0);
+      r.seq = ++seq;
+      r.site = SiteId(rng.uniform_index(300));
+      r.vo = VoId(rng.uniform_index(10));
+      r.group = GroupId(rng.uniform_index(100));
+      r.user = UserId(rng.uniform_index(100));
+      r.cpus = 1;
+      r.when = now;
+      r.est_runtime = sim::Duration::seconds(rng.uniform(5.0, 15.0));
+      fixture.engine.record(r, now);
+    }
+  };
+  for (int warm = 0; warm < 20; ++warm) {
+    record_batch();
+    now = now + sim::Duration::seconds(1);
+  }
+  for (auto _ : state) {
+    record_batch();
+    const auto candidates = fixture.engine.candidates(fixture.job, now);
+    benchmark::DoNotOptimize(candidates.data());
+    now = now + sim::Duration::seconds(1);
+  }
+  state.counters["active_records"] = double(state.range(0));
+}
+BENCHMARK(BM_EngineCandidatesExpiring)->Arg(100)->Arg(1000)->Arg(5000);
+
 void BM_Selector(benchmark::State& state, const char* name) {
   EngineFixture fixture{300};
   const auto candidates = fixture.engine.candidates(fixture.job, sim::Time::zero());

@@ -1082,8 +1082,9 @@ bool DecisionPoint::apply_record(const gruber::DispatchRecord& record, Via via,
   if (record.cpus < 1) return false;
   if (via == Via::kPull) {
     const sim::Time now = sim_.now();
-    // An already-expired record must not resurrect: the merge would
-    // re-admit it for one prune cycle and skew the digest.
+    // An already-expired record is skipped before it is registered, so a
+    // pull never fills a dedup hole with it (the view would refuse it
+    // anyway).
     if (record.when + record.est_runtime <= now) return false;
     // Register in the flooding dedup set *before* merging, so another pull
     // racing this one (a round gap and a digest mismatch often fire
@@ -1104,7 +1105,9 @@ bool DecisionPoint::apply_record(const gruber::DispatchRecord& record, Via via,
       ++counters_.records_duplicate;
       return false;
     }
-    engine_.record(record);
+    // Counted, logged, charged and relayed even when the view refuses it
+    // for having expired in flight: only the view's copy is skipped.
+    engine_.record(record, sim_.now());
     if (via == Via::kExchange) ++counters_.records_applied;
   }
   wal_log_dispatch(record, request);
@@ -1401,10 +1404,7 @@ sim::Duration DecisionPoint::replay_from_disk() {
       }
       for (const gruber::DispatchRecord& record : checkpoint.active) {
         applied_[record.origin].insert(record.seq);
-        if (record.when + record.est_runtime > now) {
-          engine_.record(record);
-          ++counters_.replay_records;
-        }
+        if (engine_.record(record, now)) ++counters_.replay_records;
       }
       for (const DedupEntry& entry : checkpoint.dedup) {
         dedup_insert(entry.client, entry.seq, entry.site);
@@ -1434,9 +1434,7 @@ sim::Duration DecisionPoint::replay_from_disk() {
             }
             const gruber::DispatchRecord& record = frame.record;
             if (applied_[record.origin].insert(record.seq)) {
-              if (record.when + record.est_runtime > now) {
-                engine_.record(record);
-              }
+              engine_.record(record, now);
               ++counters_.replay_records;
             }
             // Charged per FRAME, not per unique (origin, seq): a

@@ -304,9 +304,10 @@ struct ScenarioResult {
 };
 
 /// The fault plan's checks against the deployment, shared by the config
-/// parser and `run_scenario`: every dp index it names must exist by then
-/// (each join adds one point, so indices run up to dps + joins - 1), and
-/// join/leave needs membership.
+/// parser and `run_scenario`: every dp index an event names must exist
+/// when that event fires (each join adds the next point, so an event may
+/// name up to dps + the joins that fire before it - 1), and join/leave
+/// needs membership.
 Status<> check_fault_plan(const ScenarioConfig& config);
 
 /// Run one scenario end to end on the discrete-event substrate. Throws

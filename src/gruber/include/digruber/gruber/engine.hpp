@@ -34,8 +34,12 @@ class GruberEngine {
     return view_.loads(now);
   }
 
-  /// Record a dispatch decision in the utilization view.
-  void record(const DispatchRecord& record) { view_.record_dispatch(record); }
+  /// Record a dispatch decision in the utilization view; returns whether
+  /// the view holds it (`GridView::record_dispatch`: a record already
+  /// expired at `now` is refused).
+  bool record(const DispatchRecord& record, sim::Time now = sim::Time::zero()) {
+    return view_.record_dispatch(record, now);
+  }
 
  private:
   usla::UslaEvaluator evaluator_;

@@ -1,8 +1,6 @@
 #pragma once
 
 #include <algorithm>
-#include <deque>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -148,9 +146,14 @@ class GridView {
   void bootstrap(const std::vector<grid::SiteSnapshot>& snapshots);
   void apply_snapshot(const grid::SiteSnapshot& snapshot);
 
-  /// Track a scheduling decision. Records age out after their estimated
-  /// runtime, emulating completion without completion notices.
-  void record_dispatch(const DispatchRecord& record);
+  /// Track a scheduling decision; returns whether the view holds it.
+  /// Records age out after their estimated runtime, emulating completion
+  /// without completion notices, so a record already expired at `now`
+  /// (`when + est_runtime <= now`) is refused and leaves the view as it
+  /// was: no read at `now` or later would count it. A caller that keeps
+  /// no clock (a test, an offline replay) records at simulated time zero.
+  bool record_dispatch(const DispatchRecord& record,
+                       sim::Time now = sim::Time::zero());
 
   [[nodiscard]] std::size_t site_count() const { return sites_.size(); }
 
@@ -215,7 +218,8 @@ class GridView {
   /// tie), and flags double-commits — the same (vo, group, user, when) work
   /// admitted by two different origins across a split. Both sides of a
   /// healed partition converge to the same record set whatever the merge
-  /// order.
+  /// order. The record goes in through `record_dispatch`, so one that has
+  /// expired by `now` is not applied.
   MergeResult merge_record(const DispatchRecord& record, sim::Time now);
 
   /// Sites whose base snapshot has gone stale: refreshed at least once
@@ -226,8 +230,17 @@ class GridView {
 
  private:
   struct SiteState {
+    explicit SiteState(SiteId id) : site(id) {}
+
+    SiteId site;
     grid::SiteSnapshot base;
-    std::deque<DispatchRecord> active;  // pruned lazily by est completion
+    /// Held records in arrival order, pruned lazily by estimated completion.
+    /// A site that has never held one allocates nothing here.
+    std::vector<DispatchRecord> active;
+    /// A lower bound on the held records' expiry: until `now` reaches it,
+    /// `prune` has nothing to drop. Each prune pass that runs resets it
+    /// to the exact earliest expiry.
+    sim::Time next_expiry = sim::Time::max();
   };
 
   /// The digest of the window last asked about, kept exact through every
@@ -237,15 +250,18 @@ class GridView {
 
   void prune(SiteState& state, sim::Time now) const;
   [[nodiscard]] SiteState* find(SiteId site) const;
-  /// The state of `site`, created (and registered with the digest) if new.
-  SiteState& state_for(SiteId site);
+  /// The index of `site` in `sites_`, created (and registered with the
+  /// digest) if new.
+  std::size_t index_for(SiteId site);
   /// Take `r` out of the digest before it leaves the held set.
   void release(const DispatchRecord& r) const;
   [[nodiscard]] static SiteLoad site_load(SiteId site,
                                           const grid::SiteSnapshot& base,
                                           std::int32_t pending);
 
-  mutable std::map<SiteId, SiteState> sites_;
+  /// Every known site, ascending by id: reads walk them in that order and
+  /// a lookup is a binary search.
+  mutable std::vector<SiteState> sites_;
   mutable std::unique_ptr<DigestCache> digest_;
   std::uint64_t recorded_ = 0;
 };
@@ -253,12 +269,12 @@ class GridView {
 template <class Visit>
 void GridView::fold(VoId vo, GroupId group, UserId user, sim::Time now,
                     Visit&& visit) const {
-  for (auto& [site, state] : sites_) {
+  for (SiteState& state : sites_) {
     prune(state, now);
     SiteFold f;
     f.base = &state.base;
     usla::ChainUsage& u = f.usage;
-    u.site = site;
+    u.site = state.site;
     u.total_cpus = state.base.total_cpus;
     u.free_cpus = state.base.free_cpus;
     const auto it = state.base.running_per_vo.find(vo);
@@ -271,7 +287,7 @@ void GridView::fold(VoId vo, GroupId group, UserId user, sim::Time now,
       if (r.group == group) u.group_running += r.cpus;
       if (r.user == user) u.user_running += r.cpus;
     }
-    f.load = site_load(site, state.base, pending);
+    f.load = site_load(state.site, state.base, pending);
     visit(f);
   }
 }

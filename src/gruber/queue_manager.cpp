@@ -43,7 +43,7 @@ void QueueManager::pump() {
     record.cpus = job.cpus;
     record.when = sim_.now();
     record.est_runtime = job.runtime;
-    engine_.record(record);
+    engine_.record(record, sim_.now());
 
     ++in_flight_;
     ++dispatched_;

@@ -4,10 +4,13 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "digruber/digruber/durability.hpp"
 #include "digruber/digruber/infrastructure_monitor.hpp"
+#include "digruber/durable/wal.hpp"
 #include "digruber/net/sim_transport.hpp"
 
 namespace digruber::digruber {
@@ -301,6 +304,74 @@ TEST(DecisionPoint, ForgedHopDepthIsAppliedButNotRelayed) {
   EXPECT_EQ(dps[1]->counters().records_applied, 1u);
   EXPECT_EQ(dps[1]->counters().overlay_relays_suppressed, 1u);
   EXPECT_TRUE(dps[2]->applied_keys().empty());
+  for (auto& dp : dps) dp->stop();
+}
+
+TEST(DecisionPoint, RecordExpiredInFlightIsCountedLoggedAndRelayedButNotHeld) {
+  Fixture f;
+  DecisionPointOptions options = f.options();
+  options.overlay.kind = overlay::Kind::kTree;
+  options.overlay.tree_degree = 1;  // a line: dp0 - dp1 - dp2
+  options.durability.enabled = true;
+  options.durability.disk_seed = 42;
+  std::vector<std::unique_ptr<DecisionPoint>> dps;
+  for (std::uint64_t i = 0; i < 3; ++i) {
+    dps.push_back(std::make_unique<DecisionPoint>(f.sim, f.transport, DpId(i),
+                                                  f.catalog, f.tree, options));
+    dps.back()->bootstrap(f.snapshots());
+  }
+  connect({dps[0].get(), dps[1].get(), dps[2].get()});
+  DecisionPoint& middle = *dps[1];
+
+  // A frame claiming to be from dp0 reaches dp1 at 30 s carrying a record
+  // that ran from 0 to 10 s; the same frame arrives again at 35 s.
+  ExchangeMessage frame;
+  frame.from = DpId(0);
+  frame.exchange_round = 1;
+  gruber::DispatchRecord record;
+  record.origin = DpId(0);
+  record.seq = 99;
+  record.site = SiteId(2);
+  record.vo = VoId(0);
+  record.cpus = 5;
+  record.when = sim::Time::zero();
+  record.est_runtime = sim::Duration::seconds(10);
+  frame.dispatches.push_back(record);
+  f.sim.schedule_at(sim::Time::from_seconds(30),
+                    [&] { f.rpc.notify(middle.node(), kExchange, frame); });
+  f.sim.run_until(sim::Time::from_seconds(34));
+  EXPECT_EQ(middle.counters().records_applied, 1u);
+  EXPECT_EQ(middle.counters().records_duplicate, 0u);
+  using Key = std::pair<std::uint64_t, std::uint64_t>;
+  EXPECT_EQ(middle.applied_keys(), (std::vector<Key>{{0, 99}}));
+  // The view alone skips it.
+  EXPECT_EQ(middle.engine().view().dispatches_recorded(), 0u);
+  EXPECT_TRUE(middle.engine().view().active_records(f.sim.now()).empty());
+
+  f.sim.schedule_at(sim::Time::from_seconds(35),
+                    [&] { f.rpc.notify(middle.node(), kExchange, frame); });
+  f.sim.run_until(sim::Time::from_seconds(40));
+  EXPECT_EQ(middle.counters().records_applied, 1u);
+  EXPECT_EQ(middle.counters().records_duplicate, 1u);
+
+  // It was logged once, as applied at 30 s...
+  std::vector<WalDispatch> logged;
+  durable::wal_scan(middle.disk()->log(),
+                    [&](std::uint8_t type, std::span<const std::uint8_t> payload) {
+                      if (WalRecordType(type) != WalRecordType::kDispatch) return;
+                      WalDispatch dispatch;
+                      ASSERT_TRUE(net::wire::decode(payload, dispatch));
+                      logged.push_back(dispatch);
+                    });
+  ASSERT_EQ(logged.size(), 1u);
+  EXPECT_EQ(logged[0].record, record);
+  EXPECT_GE(logged[0].applied_at, sim::Time::from_seconds(30));
+
+  // ...and rides dp1's next exchange frame to dp2 (one hop per round).
+  f.sim.run_until(sim::Time::from_seconds(70));
+  EXPECT_EQ(dps[2]->counters().records_applied, 1u);
+  EXPECT_EQ(dps[2]->applied_keys(), (std::vector<Key>{{0, 99}}));
+  EXPECT_EQ(dps[2]->engine().view().dispatches_recorded(), 0u);
   for (auto& dp : dps) dp->stop();
 }
 

@@ -133,6 +133,35 @@ TEST(ScenarioFromConfig, FaultPlanMayNameAJoinersIndex) {
   EXPECT_NE(past.error().find("names dp 4"), std::string::npos);
 }
 
+TEST(ScenarioFromConfig, FaultPlanMayNotNameAJoinerBeforeItsJoinFires) {
+  // The leave fires before the join that would add dp 3: the plan is
+  // checked in firing order, not against every join it holds.
+  const auto early = scenario_from_config(Config::parse(
+      "dps = 3\nmembership = true\n"
+      "fault_plan = at=60 leave dp=3; at=300 join\n"));
+  ASSERT_FALSE(early.ok());
+  EXPECT_NE(early.error().find("names dp 3 in 't=60s leave dp3'"),
+            std::string::npos)
+      << early.error();
+
+  // At one instant events fire in plan order.
+  EXPECT_FALSE(scenario_from_config(
+                   Config::parse("dps = 3\nmembership = true\n"
+                                 "fault_plan = at=60 leave dp=3; at=60 join\n"))
+                   .ok());
+  EXPECT_TRUE(scenario_from_config(
+                  Config::parse("dps = 3\nmembership = true\n"
+                                "fault_plan = at=60 join; at=60 leave dp=3\n"))
+                  .ok());
+
+  // Every index-naming shape is bounded the same way.
+  EXPECT_FALSE(scenario_from_config(
+                   Config::parse("dps = 3\nmembership = true\n"
+                                 "fault_plan = at=30 partition islands=0|3; "
+                                 "at=60 join\n"))
+                   .ok());
+}
+
 TEST(ScenarioFromConfig, RejectsUnknownKeys) {
   const auto result = scenario_from_config(Config::parse("dp_count = 3\n"));
   ASSERT_FALSE(result.ok());

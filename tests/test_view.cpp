@@ -419,6 +419,39 @@ TEST(ViewDigest, NeverBootstrappedSitesCancelInBaseHash) {
   EXPECT_NE(view.digest(kAsOf, kHorizon).base_hash, d.base_hash);
 }
 
+TEST(GridView, RefusesARecordThatExpiredByNow) {
+  const sim::Time now = sim::Time::from_seconds(100);
+  GridView view;
+  view.bootstrap({snapshot(0, 100, 100), snapshot(1, 50, 50)});
+  ASSERT_TRUE(view.record_dispatch(origin_record(0, 1, 0, 4, 10, 900), now));
+  const std::vector<SiteLoad> loads = view.loads(now);
+  const std::vector<DispatchRecord> held = view.active_records(now);
+  const ViewDigest digest = view.digest(kAsOf, kHorizon);
+
+  // Expiring exactly at `now`, long expired, and on a site the view has
+  // never seen: each is refused and changes nothing.
+  EXPECT_FALSE(view.record_dispatch(origin_record(0, 2, 1, 8, 40, 60), now));
+  EXPECT_FALSE(view.record_dispatch(origin_record(1, 3, 0, 8, 10, 5), now));
+  EXPECT_FALSE(view.record_dispatch(origin_record(1, 4, 9, 8, 10, 5), now));
+  EXPECT_FALSE(view.merge_record(origin_record(2, 5, 1, 8, 20, 80), now).applied);
+  EXPECT_EQ(view.site_count(), 2u);
+  EXPECT_EQ(view.dispatches_recorded(), 1u);
+  const std::vector<SiteLoad> after = view.loads(now);
+  ASSERT_EQ(after.size(), loads.size());
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    EXPECT_EQ(after[i].site, loads[i].site);
+    EXPECT_EQ(after[i].free_estimate, loads[i].free_estimate);
+  }
+  EXPECT_EQ(view.active_records(now), held);
+  EXPECT_TRUE(view.digest(kAsOf, kHorizon) == digest);
+
+  // One microsecond of life left is enough to be held.
+  DispatchRecord last = origin_record(0, 6, 1, 8, 40, 60);
+  last.est_runtime = last.est_runtime + sim::Duration::micros(1);
+  EXPECT_TRUE(view.record_dispatch(last, now));
+  EXPECT_EQ(view.estimated_free(SiteId(1), now), 42);
+}
+
 TEST(GridViewMerge, DuplicateIsDroppedConflictResolvedBySeverity) {
   const sim::Time now = sim::Time::from_seconds(100);
   GridView view;
