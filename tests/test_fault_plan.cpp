@@ -188,10 +188,10 @@ TEST(FaultPlan, JoinCountAndMaxDpIndexCoverChurn) {
   plan.join(Time::from_seconds(10)).join(Time::from_seconds(20));
   EXPECT_EQ(plan.join_count(), 2u);
   // Joins carry no index and must not widen the deployment-bound check...
-  EXPECT_EQ(plan.max_dp_index(), 0u);
+  for (const FaultEvent& e : plan.events()) EXPECT_EQ(max_dp_index(e), 0u);
   // ...while a leave's target does.
   plan.leave(Time::from_seconds(30), 5);
-  EXPECT_EQ(plan.max_dp_index(), 5u);
+  EXPECT_EQ(max_dp_index(plan.events().back()), 5u);
 }
 
 TEST(FaultPlan, SemicolonSeparatedSingleLine) {
@@ -255,13 +255,16 @@ TEST(FaultPlan, EventsSortedByTimeStably) {
 
 TEST(FaultPlan, MaxDpIndexCoversAllEventShapes) {
   FaultPlan plan;
-  EXPECT_EQ(plan.max_dp_index(), 0u);
   plan.crash(Time::from_seconds(1), 3);
-  EXPECT_EQ(plan.max_dp_index(), 3u);
   plan.degrade_link(Time::from_seconds(2), 1, 7, 2.0, 0.0);
-  EXPECT_EQ(plan.max_dp_index(), 7u);
   plan.partition(Time::from_seconds(3), {{0, 9}, {4}});
-  EXPECT_EQ(plan.max_dp_index(), 9u);
+  plan.heal(Time::from_seconds(4));
+  const auto& events = plan.events();
+  ASSERT_EQ(events.size(), 4u);
+  EXPECT_EQ(max_dp_index(events[0]), 3u);
+  EXPECT_EQ(max_dp_index(events[1]), 7u);
+  EXPECT_EQ(max_dp_index(events[2]), 9u);
+  EXPECT_EQ(max_dp_index(events[3]), 0u);  // names no point
 }
 
 TEST(FaultPlan, ArmFiresEventsAtTheirInstants) {
@@ -317,13 +320,13 @@ TEST(FaultPlanRandom, EveryFaultHealsAndIndicesFitDeployment) {
   options.n_dps = 4;
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     const FaultPlan plan = FaultPlan::random(seed, options);
-    EXPECT_LT(plan.max_dp_index(), options.n_dps) << "seed " << seed;
     // Matched pairs: replaying the schedule must leave nothing down,
     // partitioned, or degraded at the end.
     std::vector<int> down(options.n_dps, 0);
     std::vector<int> degraded(options.n_dps, 0);
     int partitions = 0;
     for (const FaultEvent& event : plan.events()) {
+      EXPECT_LT(max_dp_index(event), options.n_dps) << "seed " << seed;
       switch (event.kind) {
         case FaultKind::kDpCrash:
           EXPECT_EQ(down[event.dp], 0) << "seed " << seed << ": double crash";
