@@ -76,13 +76,13 @@ void BM_EngineCandidatesWithActiveRecords(benchmark::State& state) {
 }
 BENCHMARK(BM_EngineCandidatesWithActiveRecords)->Arg(100)->Arg(1000)->Arg(5000);
 
-// A view in steady state: each call is one simulated second, records a
-// tenth of the population with runtimes of 5-15 s, and reads candidates,
-// so about `range(0)` records stay held and some expire between any two
-// calls (the prune work the case above, whose records never expire,
-// leaves out).
-void BM_EngineCandidatesExpiring(benchmark::State& state) {
-  EngineFixture fixture{300};
+// A view of `sites` sites in steady state: each call is one simulated
+// second, records a tenth of the population with runtimes of 5-15 s, and
+// reads candidates, so about `range(0)` records stay held and some expire
+// between any two calls (the prune work the case above, whose records
+// never expire, leaves out).
+void BM_EngineCandidatesExpiring(benchmark::State& state, std::size_t sites) {
+  EngineFixture fixture{sites};
   const int per_call = std::max(1, int(state.range(0)) / 10);
   Rng rng(43);
   sim::Time now = sim::Time::zero();
@@ -92,7 +92,7 @@ void BM_EngineCandidatesExpiring(benchmark::State& state) {
       gruber::DispatchRecord r;
       r.origin = DpId(0);
       r.seq = ++seq;
-      r.site = SiteId(rng.uniform_index(300));
+      r.site = SiteId(rng.uniform_index(sites));
       r.vo = VoId(rng.uniform_index(10));
       r.group = GroupId(rng.uniform_index(100));
       r.user = UserId(rng.uniform_index(100));
@@ -113,8 +113,15 @@ void BM_EngineCandidatesExpiring(benchmark::State& state) {
     now = now + sim::Duration::seconds(1);
   }
   state.counters["active_records"] = double(state.range(0));
+  state.counters["sites"] = double(sites);
+}
+void BM_EngineCandidatesExpiring(benchmark::State& state) {
+  BM_EngineCandidatesExpiring(state, 300);
 }
 BENCHMARK(BM_EngineCandidatesExpiring)->Arg(100)->Arg(1000)->Arg(5000);
+// osg-100x's shape: 3,000 sites holding 0.4 records each, so most of a
+// call is the per-site cost of sites that hold none.
+BENCHMARK_CAPTURE(BM_EngineCandidatesExpiring, sites3000, 3000)->Arg(1200);
 
 void BM_Selector(benchmark::State& state, const char* name) {
   EngineFixture fixture{300};

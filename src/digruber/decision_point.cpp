@@ -1066,10 +1066,10 @@ double DecisionPoint::self_price() const {
 double DecisionPoint::free_fraction(sim::Time now) const {
   std::int64_t total = 0;
   std::int64_t free = 0;
-  for (const gruber::SiteLoad& load : engine_.view().loads(now)) {
+  engine_.view().for_each_load(now, [&](const gruber::SiteLoad& load) {
     total += load.total_cpus;
     free += std::max<std::int32_t>(0, load.free_estimate);
-  }
+  });
   return total > 0 ? double(free) / double(total) : 1.0;
 }
 

@@ -314,6 +314,17 @@ Status<> check_fault_plan(const ScenarioConfig& config);
 /// std::invalid_argument on a configuration it cannot run.
 ScenarioResult run_scenario(const ScenarioConfig& config);
 
+/// Oracle scheduling accuracy of one placement, from true grid state at
+/// dispatch (DESIGN.md item 7). A handled pick (`believed_free >= 0`, the
+/// decision point's raw free-CPU belief about `selected`) scores the free
+/// CPUs really there, none while the site is down, over that belief,
+/// clamped to 1 (1 for a belief of 0); it reads the selected site only. A
+/// blind fallback pick (`believed_free < 0`) scores `vo`'s admissible room
+/// at `selected` over the best room at any site (1 when there is none).
+double oracle_accuracy(const grid::Grid& grid,
+                       const usla::UslaEvaluator& evaluator, VoId vo,
+                       SiteId selected, std::int32_t believed_free);
+
 /// The default equal-share USLA set for a catalog: grid gives each VO a
 /// target of 100/n_vos %, each VO gives each group 100/groups %.
 std::vector<usla::Agreement> default_agreements(const grid::VoCatalog& catalog);

@@ -96,54 +96,35 @@ struct Shared {
   std::vector<double> brokered_granted;
 };
 
-/// Oracle scheduling accuracy, computed from true grid state at dispatch:
-/// the job's VO-headroom at the selected site relative to the best
-/// admissible headroom anywhere (primary metric), plus the literal
-/// "share of total free resources" reading of the paper's definition.
-struct OracleAccuracy {
-  double relative_to_best = 1.0;
-  double total_share = 0.0;
-};
+}  // namespace
 
-OracleAccuracy oracle_accuracy(const grid::Grid& grid,
-                               const usla::UslaEvaluator& evaluator, VoId vo,
-                               SiteId selected, std::int32_t believed_free) {
-  std::int32_t best_room = 0;
-  std::int64_t total_free = 0;
-  std::int32_t selected_room = 0;
-  std::int32_t selected_free = 0;
-  for (const auto& site : grid.sites()) {
-    const std::int32_t free = site->is_down() ? 0 : site->free_cpus();
-    total_free += free;
-    const double cap = evaluator.cap_fraction(vo, site->id());
-    const auto allowed = std::int32_t(cap * double(site->total_cpus()));
-    const std::int32_t room =
-        std::min(free, std::max(0, allowed - site->running_for_vo(vo)));
-    if (room > best_room) best_room = room;
-    if (site->id() == selected) {
-      selected_room = room;
-      selected_free = free;
-    }
-  }
-  OracleAccuracy out;
+double oracle_accuracy(const grid::Grid& grid,
+                       const usla::UslaEvaluator& evaluator, VoId vo,
+                       SiteId selected, std::int32_t believed_free) {
+  const auto free_at = [](const grid::Site& site) {
+    return site.is_down() ? 0 : site.free_cpus();
+  };
   if (believed_free >= 0) {
     // Knowledge accuracy: how much of the free capacity the decision point
     // believed in actually exists. Fresh state -> 1.0; staleness (unseen
     // peer dispatches) inflates the belief and drags this down.
-    out.relative_to_best = believed_free == 0
-                               ? 1.0
-                               : std::min(1.0, double(selected_free) /
-                                                   double(believed_free));
-  } else {
-    // Blind (fallback) pick: rate it against the best admissible room.
-    out.relative_to_best =
-        best_room > 0 ? double(selected_room) / double(best_room) : 1.0;
+    if (believed_free == 0) return 1.0;
+    return std::min(1.0, double(free_at(grid.site(selected))) /
+                             double(believed_free));
   }
-  out.total_share = total_free > 0 ? double(selected_free) / double(total_free) : 0.0;
-  return out;
+  // Blind (fallback) pick: rate it against the best admissible room.
+  std::int32_t best_room = 0;
+  std::int32_t selected_room = 0;
+  for (const auto& site : grid.sites()) {
+    const double cap = evaluator.cap_fraction(vo, site->id());
+    const auto allowed = std::int32_t(cap * double(site->total_cpus()));
+    const std::int32_t room =
+        std::min(free_at(*site), std::max(0, allowed - site->running_for_vo(vo)));
+    best_room = std::max(best_room, room);
+    if (site->id() == selected) selected_room = room;
+  }
+  return best_room > 0 ? double(selected_room) / double(best_room) : 1.0;
 }
-
-}  // namespace
 
 Status<> check_fault_plan(const ScenarioConfig& config) {
   const sim::FaultPlan& plan = config.fault_plan;
@@ -422,11 +403,9 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
             sample->handled = outcome.handled_by_gruber;
             sample->response_s = outcome.response.to_seconds();
             grid::Site& selected = grid.site(outcome.site);
-            const OracleAccuracy oracle = oracle_accuracy(
-                grid, *shared.evaluator, job.vo, outcome.site, outcome.believed_free);
             sample->dispatched = true;
-            sample->accuracy = oracle.relative_to_best;
-            sample->accuracy_total_share = oracle.total_share;
+            sample->accuracy = oracle_accuracy(grid, *shared.evaluator, job.vo,
+                                               outcome.site, outcome.believed_free);
             shared.samples.push_back(sample);
 
             // Ground-truth entitlement audit, sampled before this job

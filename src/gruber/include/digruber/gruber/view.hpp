@@ -167,6 +167,11 @@ class GridView {
   /// Per-site load vector (the GetSiteLoads reply body).
   [[nodiscard]] std::vector<SiteLoad> loads(sim::Time now) const;
 
+  /// Calls `visit(const SiteLoad&)` for every site in site order, as
+  /// `loads` reports it, without building the vector.
+  template <class Visit>
+  void for_each_load(sim::Time now, Visit&& visit) const;
+
   /// Calls `visit(const SiteFold&)` for every site in site order, folding
   /// each site's active (not yet aged-out) records once for the chain
   /// `vo` -> `group` -> `user`.
@@ -229,18 +234,33 @@ class GridView {
                                              sim::Duration threshold) const;
 
  private:
+  /// What a candidate scan reads of one site, packed apart from the base
+  /// snapshot and its maps: a fold over thousands of sites reads about one
+  /// cache line per site that holds no records.
   struct SiteState {
     explicit SiteState(SiteId id) : site(id) {}
 
+    /// Copy the base's counts that the fold reads.
+    void take_counts(const grid::SiteSnapshot& base) {
+      total_cpus = base.total_cpus;
+      free_cpus = base.free_cpus;
+      queued_jobs = base.queued_jobs;
+      has_vo_running = !base.running_per_vo.empty();
+    }
+
     SiteId site;
-    grid::SiteSnapshot base;
-    /// Held records in arrival order, pruned lazily by estimated completion.
-    /// A site that has never held one allocates nothing here.
-    std::vector<DispatchRecord> active;
+    std::int32_t total_cpus = 0;
+    std::int32_t free_cpus = 0;
+    std::int32_t queued_jobs = 0;
+    /// Whether the base's per-VO running map has any entry to look up.
+    bool has_vo_running = false;
     /// A lower bound on the held records' expiry: until `now` reaches it,
     /// `prune` has nothing to drop. Each prune pass that runs resets it
     /// to the exact earliest expiry.
     sim::Time next_expiry = sim::Time::max();
+    /// Held records in arrival order, pruned lazily by estimated completion.
+    /// A site that has never held one allocates nothing here.
+    std::vector<DispatchRecord> active;
   };
 
   /// The digest of the window last asked about, kept exact through every
@@ -248,37 +268,69 @@ class GridView {
   /// call: a view that never digests keeps none.
   struct DigestCache;
 
-  void prune(SiteState& state, sim::Time now) const;
-  [[nodiscard]] SiteState* find(SiteId site) const;
+  /// Drop `state`'s records that have expired by `now`; a site below its
+  /// expiry watermark costs one comparison.
+  void prune(SiteState& state, sim::Time now) const {
+    if (now >= state.next_expiry) drop_expired(state, now);
+  }
+  void drop_expired(SiteState& state, sim::Time now) const;
+  /// The index of `site` in `sites_`, or `sites_.size()` if unknown.
+  [[nodiscard]] std::size_t find(SiteId site) const;
   /// The index of `site` in `sites_`, created (and registered with the
   /// digest) if new.
   std::size_t index_for(SiteId site);
   /// Take `r` out of the digest before it leaves the held set.
   void release(const DispatchRecord& r) const;
-  [[nodiscard]] static SiteLoad site_load(SiteId site,
-                                          const grid::SiteSnapshot& base,
-                                          std::int32_t pending);
+  [[nodiscard]] static std::int32_t pending_cpus(const SiteState& state) {
+    std::int32_t pending = 0;
+    for (const DispatchRecord& r : state.active) pending += r.cpus;
+    return pending;
+  }
+  [[nodiscard]] static SiteLoad site_load(const SiteState& state,
+                                          std::int32_t pending) {
+    SiteLoad load;
+    load.site = state.site;
+    load.total_cpus = state.total_cpus;
+    load.free_estimate = std::max(0, state.free_cpus - pending);
+    load.raw_free = load.free_estimate;
+    load.queued = state.queued_jobs;
+    return load;
+  }
 
   /// Every known site, ascending by id: reads walk them in that order and
   /// a lookup is a binary search.
   mutable std::vector<SiteState> sites_;
+  /// `bases_[i]` is the base snapshot held for `sites_[i]`.
+  std::vector<grid::SiteSnapshot> bases_;
   mutable std::unique_ptr<DigestCache> digest_;
   std::uint64_t recorded_ = 0;
 };
 
 template <class Visit>
+void GridView::for_each_load(sim::Time now, Visit&& visit) const {
+  for (SiteState& state : sites_) {
+    prune(state, now);
+    visit(site_load(state, pending_cpus(state)));
+  }
+}
+
+template <class Visit>
 void GridView::fold(VoId vo, GroupId group, UserId user, sim::Time now,
                     Visit&& visit) const {
+  const grid::SiteSnapshot* base = bases_.data();  // walks beside `state`
   for (SiteState& state : sites_) {
     prune(state, now);
     SiteFold f;
-    f.base = &state.base;
+    f.base = base++;
     usla::ChainUsage& u = f.usage;
     u.site = state.site;
-    u.total_cpus = state.base.total_cpus;
-    u.free_cpus = state.base.free_cpus;
-    const auto it = state.base.running_per_vo.find(vo);
-    if (it != state.base.running_per_vo.end()) u.vo_running = it->second;
+    u.total_cpus = state.total_cpus;
+    u.free_cpus = state.free_cpus;
+    if (state.has_vo_running) {
+      const auto& running = f.base->running_per_vo;
+      const auto it = running.find(vo);
+      if (it != running.end()) u.vo_running = it->second;
+    }
     std::int32_t pending = 0;
     for (const DispatchRecord& r : state.active) {
       pending += r.cpus;
@@ -287,7 +339,7 @@ void GridView::fold(VoId vo, GroupId group, UserId user, sim::Time now,
       if (r.group == group) u.group_running += r.cpus;
       if (r.user == user) u.user_running += r.cpus;
     }
-    f.load = site_load(state.site, state.base, pending);
+    f.load = site_load(state, pending);
     visit(f);
   }
 }

@@ -120,8 +120,9 @@ struct GridView::DigestCache {
 
   /// Take in a site: its base and in-window records join the aggregate,
   /// and the returned box is the one its records put around the window.
-  [[nodiscard]] SiteBox add_site(const SiteState& state) {
-    base_hash ^= snapshot_hash(state.base);
+  [[nodiscard]] SiteBox add_site(const grid::SiteSnapshot& base,
+                                 const SiteState& state) {
+    base_hash ^= snapshot_hash(base);
     SiteBox b;
     for (const DispatchRecord& r : state.active) {
       if (settled(r, as_of, horizon)) toggle(r, true);
@@ -171,16 +172,25 @@ std::vector<VoId> diverged_vos(const ViewDigest& a, const ViewDigest& b) {
 }
 
 void GridView::bootstrap(const std::vector<grid::SiteSnapshot>& snapshots) {
+  if (sites_.empty()) {
+    // A new or cleared view taking in the whole grid: size both arrays
+    // once instead of growing them, which leaves no freed arrays behind.
+    sites_.reserve(snapshots.size());
+    bases_.reserve(snapshots.size());
+  }
   for (const auto& snapshot : snapshots) apply_snapshot(snapshot);
 }
 
 void GridView::apply_snapshot(const grid::SiteSnapshot& snapshot) {
-  SiteState& state = sites_[index_for(snapshot.site)];
-  if (snapshot.as_of < state.base.as_of) return;  // stale: ignore
+  const std::size_t i = index_for(snapshot.site);
+  grid::SiteSnapshot& base = bases_[i];
+  if (snapshot.as_of < base.as_of) return;  // stale: ignore
   if (digest_) {
-    digest_->base_hash ^= snapshot_hash(state.base) ^ snapshot_hash(snapshot);
+    digest_->base_hash ^= snapshot_hash(base) ^ snapshot_hash(snapshot);
   }
-  state.base = snapshot;
+  base = snapshot;
+  SiteState& state = sites_[i];
+  state.take_counts(base);
   // Dispatches made before the snapshot are already reflected in it.
   std::erase_if(state.active, [&](const DispatchRecord& r) {
     if (r.when > snapshot.as_of) return false;
@@ -206,8 +216,7 @@ bool GridView::record_dispatch(const DispatchRecord& record, sim::Time now) {
   return true;
 }
 
-void GridView::prune(SiteState& state, sim::Time now) const {
-  if (now < state.next_expiry) return;
+void GridView::drop_expired(SiteState& state, sim::Time now) const {
   sim::Time next = sim::Time::max();
   std::erase_if(state.active, [&](const DispatchRecord& r) {
     const sim::Time expiry = r.when + r.est_runtime;
@@ -227,9 +236,10 @@ std::size_t GridView::index_for(SiteId site) {
   const auto i = std::size_t(it - sites_.begin());
   if (it == sites_.end() || it->site != site) {
     sites_.emplace(it, site);
+    bases_.emplace(bases_.begin() + std::ptrdiff_t(i));
     if (digest_) {
       digest_->boxes.insert(digest_->boxes.begin() + std::ptrdiff_t(i),
-                            digest_->add_site(sites_[i]));
+                            digest_->add_site(bases_[i], sites_[i]));
     }
   }
   return i;
@@ -241,38 +251,28 @@ void GridView::release(const DispatchRecord& r) const {
   }
 }
 
-GridView::SiteState* GridView::find(SiteId site) const {
+std::size_t GridView::find(SiteId site) const {
   const auto it =
       std::lower_bound(sites_.begin(), sites_.end(), site, site_before);
-  return it == sites_.end() || it->site != site ? nullptr : &*it;
-}
-
-SiteLoad GridView::site_load(SiteId site, const grid::SiteSnapshot& base,
-                             std::int32_t pending) {
-  SiteLoad load;
-  load.site = site;
-  load.total_cpus = base.total_cpus;
-  load.free_estimate = std::max(0, base.free_cpus - pending);
-  load.raw_free = load.free_estimate;
-  load.queued = base.queued_jobs;
-  return load;
+  return it == sites_.end() || it->site != site ? sites_.size()
+                                                : std::size_t(it - sites_.begin());
 }
 
 std::int32_t GridView::estimated_free(SiteId site, sim::Time now) const {
-  SiteState* state = find(site);
-  if (!state) return 0;
-  prune(*state, now);
-  std::int32_t pending = 0;
-  for (const auto& r : state->active) pending += r.cpus;
-  return std::max(0, state->base.free_cpus - pending);
+  const std::size_t i = find(site);
+  if (i == sites_.size()) return 0;
+  SiteState& state = sites_[i];
+  prune(state, now);
+  return std::max(0, state.free_cpus - pending_cpus(state));
 }
 
 grid::SiteSnapshot GridView::estimated_snapshot(SiteId site, sim::Time now) const {
-  SiteState* state = find(site);
-  if (!state) return {};
-  prune(*state, now);
-  grid::SiteSnapshot estimate = state->base;
-  for (const auto& r : state->active) {
+  const std::size_t i = find(site);
+  if (i == sites_.size()) return {};
+  SiteState& state = sites_[i];
+  prune(state, now);
+  grid::SiteSnapshot estimate = bases_[i];
+  for (const auto& r : state.active) {
     estimate.free_cpus = std::max(0, estimate.free_cpus - r.cpus);
     estimate.running_per_vo[r.vo] += r.cpus;
   }
@@ -290,14 +290,12 @@ std::vector<DispatchRecord> GridView::active_records(sim::Time now) const {
 }
 
 std::vector<grid::SiteSnapshot> GridView::base_snapshots() const {
-  std::vector<grid::SiteSnapshot> out;
-  out.reserve(sites_.size());
-  for (const SiteState& state : sites_) out.push_back(state.base);
-  return out;
+  return bases_;
 }
 
 void GridView::clear() {
   sites_ = std::vector<SiteState>();
+  bases_ = std::vector<grid::SiteSnapshot>();
   digest_.reset();
   recorded_ = 0;
 }
@@ -309,8 +307,8 @@ ViewDigest GridView::digest(sim::Time as_of, sim::Time horizon) const {
     digest_->as_of = as_of;
     digest_->horizon = horizon;
     digest_->boxes.reserve(sites_.size());
-    for (const SiteState& state : sites_) {
-      digest_->boxes.push_back(digest_->add_site(state));
+    for (std::size_t i = 0; i < sites_.size(); ++i) {
+      digest_->boxes.push_back(digest_->add_site(bases_[i], sites_[i]));
     }
   } else {
     for (std::size_t i = 0; i < sites_.size(); ++i) {
@@ -387,11 +385,8 @@ GridView::MergeResult GridView::merge_record(const DispatchRecord& record,
 std::size_t GridView::stale_site_count(sim::Time now,
                                        sim::Duration threshold) const {
   std::size_t stale = 0;
-  for (const SiteState& state : sites_) {
-    if (state.base.as_of > sim::Time::zero() &&
-        now - state.base.as_of > threshold) {
-      ++stale;
-    }
+  for (const grid::SiteSnapshot& base : bases_) {
+    if (base.as_of > sim::Time::zero() && now - base.as_of > threshold) ++stale;
   }
   return stale;
 }
@@ -399,12 +394,7 @@ std::size_t GridView::stale_site_count(sim::Time now,
 std::vector<SiteLoad> GridView::loads(sim::Time now) const {
   std::vector<SiteLoad> out;
   out.reserve(sites_.size());
-  for (SiteState& state : sites_) {
-    prune(state, now);
-    std::int32_t pending = 0;
-    for (const auto& r : state.active) pending += r.cpus;
-    out.push_back(site_load(state.site, state.base, pending));
-  }
+  for_each_load(now, [&](const SiteLoad& load) { out.push_back(load); });
   return out;
 }
 

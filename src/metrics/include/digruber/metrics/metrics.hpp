@@ -19,9 +19,10 @@ namespace digruber::metrics {
 /// Accuracy note: the text defines SA_i as "free resources at the selected
 /// site / total free resources over the entire grid"; read literally that
 /// is bounded by 1/#sites-ish yet the paper plots accuracies near 100%, so
-/// (like the original figures) we report SA_i relative to the *best*
-/// site: free(selected)/free(best) at dispatch. The literal total-share
-/// variant is also computed and reported as `accuracy_total_share`.
+/// (like the original figures) we report a normalized SA_i, scored by
+/// `experiments::oracle_accuracy` (DESIGN.md item 7). The literal
+/// total-share reading is not kept: no figure, table or tool read it, and
+/// it cost a walk over every site of the grid per query.
 struct MetricValues {
   double response_s = 0.0;
   /// Response-time distribution tail, from an HDR-style log-bucketed
@@ -36,7 +37,6 @@ struct MetricValues {
   double norm_qtime_s = 0.0;  // QTime / #requests (paper Table 1 column)
   double utilization = 0.0;
   double accuracy = 0.0;
-  double accuracy_total_share = 0.0;
   std::uint64_t requests = 0;
   double request_share = 0.0;  // "% of Req" table column
 };
@@ -51,7 +51,6 @@ struct RequestSample {
 
   bool dispatched = false;  // some queries end without a runnable site
   double accuracy = 0.0;
-  double accuracy_total_share = 0.0;
 
   bool started = false;
   double qtime_s = 0.0;

@@ -18,7 +18,6 @@ MetricValues MetricsAccumulator::compute(Slice slice) const {
   double qtime_sum = 0.0;
   std::uint64_t started = 0;
   double accuracy_sum = 0.0;
-  double share_sum = 0.0;
   std::uint64_t dispatched = 0;
   double cpu_seconds = 0.0;
 
@@ -33,7 +32,6 @@ MetricValues MetricsAccumulator::compute(Slice slice) const {
     if (s.dispatched) {
       ++dispatched;
       accuracy_sum += s.accuracy;
-      share_sum += s.accuracy_total_share;
     }
     if (s.started) {
       ++started;
@@ -52,7 +50,6 @@ MetricValues MetricsAccumulator::compute(Slice slice) const {
   out.qtime_s = started ? qtime_sum / double(started) : 0.0;
   out.norm_qtime_s = out.qtime_s / double(out.requests);
   out.accuracy = dispatched ? accuracy_sum / double(dispatched) : 0.0;
-  out.accuracy_total_share = dispatched ? share_sum / double(dispatched) : 0.0;
   out.utilization = (window_s_ > 0 && total_cpus_ > 0)
                         ? cpu_seconds / (window_s_ * double(total_cpus_))
                         : 0.0;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <string>
@@ -92,6 +93,17 @@ struct ChainUsage {
   std::int32_t user_running = 0;
 };
 
+/// Whole CPUs in a fractional CPU count. The epsilon keeps an exact share
+/// from losing a CPU to rounding: 0.29 * 100.0 is 28.999999999999996.
+inline std::int32_t whole_cpus(double cpus) {
+  const double x = cpus + 1e-9;
+  // floor(x) wherever it fits an int32, in two instructions instead of a
+  // rounding call: truncation rounds toward zero, so step a negative
+  // fraction down.
+  const auto t = std::int32_t(x);
+  return double(t) > x ? t - 1 : t;
+}
+
 /// Answers "how many more CPUs may this VO/group/user take at this site
 /// without violating USLAs?" given a site snapshot plus the broker's own
 /// accounting of group/user usage (sites only report per-VO usage).
@@ -130,9 +142,21 @@ class UslaEvaluator {
   [[nodiscard]] ResolvedChain resolve_chain(VoId vo, GroupId group,
                                             UserId user) const;
 
-  /// Full-chain headroom of a resolved chain at one site (>= 0).
+  /// Full-chain headroom of a resolved chain at one site (>= 0). Defined
+  /// here so a candidate scan inlines it into its per-site loop.
   [[nodiscard]] std::int32_t chain_headroom(const ResolvedChain& chain,
-                                            const ChainUsage& at) const;
+                                            const ChainUsage& at) const {
+    const double vo_cap =
+        chain.site_rules ? cap_fraction(chain.vo, at.site) : chain.vo_cap;
+    const double vo_cpus = vo_cap * double(at.total_cpus);
+    const std::int32_t vo_room = std::max(
+        0, std::min(whole_cpus(vo_cpus) - at.vo_running, at.free_cpus));
+    const std::int32_t group_room =
+        whole_cpus(chain.group_cap * vo_cpus) - at.group_running;
+    const std::int32_t user_room =
+        whole_cpus(chain.user_cap * chain.group_cap * vo_cpus) - at.user_running;
+    return std::max(0, std::min({vo_room, group_room, user_room}));
+  }
 
   /// True if a job of `cpus` for `vo` fits at the snapshot under USLAs.
   [[nodiscard]] bool admissible(const grid::SiteSnapshot& snapshot, VoId vo,

@@ -1,16 +1,9 @@
 #include "digruber/usla/tree.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 namespace digruber::usla {
 namespace {
-
-/// Whole CPUs in a fractional CPU count. The epsilon keeps an exact share
-/// from losing a CPU to rounding: 0.29 * 100.0 is 28.999999999999996.
-std::int32_t whole_cpus(double cpus) {
-  return std::int32_t(std::floor(cpus + 1e-9));
-}
 
 /// Name -> id lookup tables for the catalog's entities.
 struct NameIndex {
@@ -220,20 +213,6 @@ ResolvedChain UslaEvaluator::resolve_chain(VoId vo, GroupId group,
   chain.user_cap = effective_cap(tree_.user_share(user));
   chain.site_rules = tree_.has_site_rule(ResourceKind::kCpu, vo);
   return chain;
-}
-
-std::int32_t UslaEvaluator::chain_headroom(const ResolvedChain& chain,
-                                           const ChainUsage& at) const {
-  const double vo_cap =
-      chain.site_rules ? cap_fraction(chain.vo, at.site) : chain.vo_cap;
-  const double vo_cpus = vo_cap * double(at.total_cpus);
-  const std::int32_t vo_room =
-      std::max(0, std::min(whole_cpus(vo_cpus) - at.vo_running, at.free_cpus));
-  const std::int32_t group_room =
-      whole_cpus(chain.group_cap * vo_cpus) - at.group_running;
-  const std::int32_t user_room =
-      whole_cpus(chain.user_cap * chain.group_cap * vo_cpus) - at.user_running;
-  return std::max(0, std::min({vo_room, group_room, user_room}));
 }
 
 bool UslaEvaluator::admissible(const grid::SiteSnapshot& snapshot, VoId vo,

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
+#include "digruber/grid/topology.hpp"
+#include "digruber/sim/simulation.hpp"
+#include "digruber/usla/tree.hpp"
+
 namespace digruber::experiments {
 namespace {
 
@@ -127,6 +134,105 @@ TEST(Scenario, CapacityModelMatchesProfiles) {
   EXPECT_GT(gt3, 1.0);
   EXPECT_LT(gt3, 4.0);        // ~2 q/s per decision point
   EXPECT_GT(gt4, 0.5);
+}
+
+/// The oracle as a plain loop: every site's free CPUs and the VO's room
+/// there, whatever the pick.
+double brute_force_accuracy(const grid::Grid& grid,
+                            const usla::UslaEvaluator& evaluator, VoId vo,
+                            SiteId selected, std::int32_t believed_free) {
+  std::int32_t best_room = 0;
+  std::int32_t selected_room = 0;
+  std::int32_t selected_free = 0;
+  for (const auto& site : grid.sites()) {
+    const std::int32_t free = site->is_down() ? 0 : site->free_cpus();
+    const auto allowed = std::int32_t(evaluator.cap_fraction(vo, site->id()) *
+                                      double(site->total_cpus()));
+    const std::int32_t room =
+        std::min(free, std::max(0, allowed - site->running_for_vo(vo)));
+    best_room = std::max(best_room, room);
+    if (site->id() == selected) {
+      selected_room = room;
+      selected_free = free;
+    }
+  }
+  if (believed_free >= 0) {
+    return believed_free == 0
+               ? 1.0
+               : std::min(1.0, double(selected_free) / double(believed_free));
+  }
+  return best_room > 0 ? double(selected_room) / double(best_room) : 1.0;
+}
+
+/// Four sites under two equal-share VOs (each capped at 75% of a site).
+/// VO 0 runs 20 CPUs at site 1, VO 1 runs 10 at site 2, and site 3, the
+/// largest, is down. VO 0's room: 30 at site 0, min(80, 75 - 20) = 55 at
+/// site 1, min(50, 45) = 45 at site 2, none at site 3.
+struct OracleGrid {
+  sim::Simulation sim;
+  grid::VoCatalog catalog = grid::VoCatalog::uniform(2, 1);
+  usla::AllocationTree tree =
+      usla::AllocationTree::build(default_agreements(catalog), catalog).value();
+  usla::UslaEvaluator evaluator{tree, catalog};
+  grid::Grid grid{sim, spec()};
+
+  OracleGrid() {
+    run(SiteId(1), VoId(0), 20);
+    run(SiteId(2), VoId(1), 10);
+    grid.site(SiteId(3)).take_down(sim::Duration::minutes(5));
+  }
+
+  static grid::TopologySpec spec() {
+    grid::TopologySpec out;
+    for (const int cpus : {40, 100, 60, 200}) {
+      out.sites.push_back({"s" + std::to_string(out.sites.size()), {{cpus, 1.0}}});
+    }
+    return out;
+  }
+
+  void run(SiteId site, VoId vo, int cpus) {
+    grid::Job job;
+    job.vo = vo;
+    job.cpus = cpus;
+    ASSERT_TRUE(grid.site(site).submit(job, [](const grid::Job&) {}));
+  }
+
+  /// The oracle's score, after checking it against the plain loop.
+  double score(SiteId selected, std::int32_t believed_free) const {
+    const double got =
+        oracle_accuracy(grid, evaluator, VoId(0), selected, believed_free);
+    EXPECT_DOUBLE_EQ(got, brute_force_accuracy(grid, evaluator, VoId(0),
+                                               selected, believed_free));
+    return got;
+  }
+};
+
+TEST(OracleAccuracy, HandledPickScoresTheFreeCpusAgainstTheBelief) {
+  const OracleGrid g;
+  EXPECT_DOUBLE_EQ(g.score(SiteId(2), 100), 0.5);  // 50 free of 100 believed
+  EXPECT_DOUBLE_EQ(g.score(SiteId(1), 60), 1.0);   // 80 free: clamped
+  EXPECT_DOUBLE_EQ(g.score(SiteId(0), 50), 0.8);
+}
+
+TEST(OracleAccuracy, HandledPickAtADownSiteScoresZero) {
+  const OracleGrid g;
+  EXPECT_DOUBLE_EQ(g.score(SiteId(3), 30), 0.0);
+}
+
+TEST(OracleAccuracy, ZeroBeliefScoresOne) {
+  const OracleGrid g;
+  EXPECT_DOUBLE_EQ(g.score(SiteId(3), 0), 1.0);
+  EXPECT_DOUBLE_EQ(g.score(SiteId(2), 0), 1.0);
+}
+
+TEST(OracleAccuracy, BlindPickRatesAgainstTheBestRoom) {
+  // The best room is at site 1, where VO 0 already runs 20 CPUs; the down
+  // site 3 would offer 150 if it were up.
+  const OracleGrid g;
+  EXPECT_DOUBLE_EQ(g.score(SiteId(1), -1), 1.0);
+  EXPECT_DOUBLE_EQ(g.score(SiteId(2), -1), 45.0 / 55.0);
+  EXPECT_DOUBLE_EQ(g.score(SiteId(0), -1), 30.0 / 55.0);
+  EXPECT_DOUBLE_EQ(g.score(SiteId(3), -1), 0.0);
 }
 
 TEST(Scenario, RejectsInvalidConfig) {

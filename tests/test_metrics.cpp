@@ -12,7 +12,6 @@ RequestSample handled_sample(double response, double qtime, double accuracy,
   s.response_s = response;
   s.dispatched = true;
   s.accuracy = accuracy;
-  s.accuracy_total_share = accuracy / 10.0;
   s.started = true;
   s.qtime_s = qtime;
   s.cpu_seconds_in_window = cpu_seconds;
@@ -103,13 +102,6 @@ TEST(Metrics, NormQtimeDividesByRequests) {
   const MetricValues v = acc.compute(Slice::kHandled);
   EXPECT_DOUBLE_EQ(v.qtime_s, 50.0);
   EXPECT_DOUBLE_EQ(v.norm_qtime_s, 5.0);
-}
-
-TEST(Metrics, AccuracyTotalShareTracked) {
-  MetricsAccumulator acc(3600, 100);
-  acc.add(handled_sample(1, 0, 0.8, 0));
-  const MetricValues v = acc.compute(Slice::kAll);
-  EXPECT_NEAR(v.accuracy_total_share, 0.08, 1e-9);
 }
 
 }  // namespace

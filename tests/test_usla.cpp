@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
+#include "digruber/common/rng.hpp"
 #include "digruber/usla/document.hpp"
 #include "digruber/usla/tree.hpp"
 
@@ -278,6 +281,28 @@ term h: vo:cms -> group:cms.higgs cpu 50+
   grid::SiteSnapshot fnal = snapshot(100, 100);
   fnal.site = SiteId(3);
   EXPECT_EQ(eval.chain_headroom(fnal, VoId(0), GroupId(0), UserId(0), 0, 0), 40);
+}
+
+TEST(Evaluator, WholeCpusIsTheFloorOfTheShare) {
+  // The headroom's rounding, against the std::floor it stands for: exact
+  // shares, values an epsilon either side of an integer, negatives, and
+  // the ends of the int32 range.
+  const auto floor_of = [](double cpus) {
+    return std::int32_t(std::floor(cpus + 1e-9));
+  };
+  EXPECT_EQ(whole_cpus(0.29 * 100.0), 29);
+  for (const double x :
+       {0.0, -0.0, 1e-10, -1e-10, -1e-9, -2e-9, 0.5, 0.999999, 1.0, 41.9999999,
+        -0.5, -1.0, -1.5, -7.0000001, 2147483646.25, -2147483647.75}) {
+    EXPECT_EQ(whole_cpus(x), floor_of(x)) << x;
+  }
+  Rng rng(29);
+  for (int i = 0; i < 100000; ++i) {
+    const double k = double(rng.uniform_int(-5000, 5000));
+    const double x = rng.bernoulli(0.5) ? rng.uniform(-5000.0, 5000.0)
+                                        : k + rng.uniform(-3e-9, 3e-9);
+    ASSERT_EQ(whole_cpus(x), floor_of(x)) << x;
+  }
 }
 
 TEST(Evaluator, Admissible) {

@@ -2,9 +2,10 @@
 // the same behaviour over the simplest layout: sites in a std::map, each
 // site's records in a std::deque, every read pruning each site it visits
 // with a full erase pass, and every digest a full scan. GridView keeps its
-// sites in one sorted vector, skips prune passes below each site's expiry
-// watermark and keeps its digest incrementally; none of that may change a
-// result.
+// sites in one sorted vector with each base's counts copied beside the
+// records, skips prune passes below each site's expiry watermark and the
+// per-VO lookup on an empty map, and keeps its digest incrementally; none
+// of that may change a result.
 #include "digruber/gruber/view.hpp"
 
 #include <gtest/gtest.h>
@@ -282,16 +283,26 @@ TEST(GridViewReference, SeededOperationStreamsMatchTheMapAndDequeModel) {
   std::size_t merged_twins = 0;
   std::size_t late_sites = 0;
   std::size_t nonempty_digests = 0;
+  std::size_t bases_without_vos = 0;
+  std::size_t bases_with_vos = 0;
   for (std::uint64_t seed = 1; seed <= 60; ++seed) {
     Rng rng(seed);
     const auto snapshot_of = [&](std::uint64_t site, std::int64_t as_of_s) {
       grid::SiteSnapshot s;
       s.site = SiteId(site);
-      s.total_cpus = 64;
-      s.free_cpus = std::int32_t(rng.uniform_index(65));
+      s.total_cpus = std::int32_t(1 + rng.uniform_index(128));
+      s.free_cpus =
+          std::int32_t(rng.uniform_index(std::uint64_t(s.total_cpus) + 1));
       s.queued_jobs = std::int32_t(rng.uniform_index(5));
-      s.running_per_vo[VoId(rng.uniform_index(4))] =
-          std::int32_t(rng.uniform_index(16));
+      // About half carry no per-VO entry, as every base bootstrapped from
+      // a fresh grid does.
+      if (rng.bernoulli(0.5)) {
+        s.running_per_vo[VoId(rng.uniform_index(4))] =
+            std::int32_t(rng.uniform_index(16));
+        ++bases_with_vos;
+      } else {
+        ++bases_without_vos;
+      }
       s.as_of = at(as_of_s);
       return s;
     };
@@ -469,6 +480,8 @@ TEST(GridViewReference, SeededOperationStreamsMatchTheMapAndDequeModel) {
   EXPECT_GT(merged_twins, 300u);
   EXPECT_GT(late_sites, 500u);
   EXPECT_GT(nonempty_digests, 5000u);
+  EXPECT_GT(bases_without_vos, 2000u);
+  EXPECT_GT(bases_with_vos, 2000u);
 }
 
 }  // namespace
