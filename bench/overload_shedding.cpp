@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
   std::cout << "\n";
 
   diperf::render_overload(std::cout, knee_shed.overload);
-  diperf::render_wire(std::cout, diperf::snapshot_wire_counters());
+  diperf::render_wire(std::cout, net::wire::wire_stats());
 
   // Verdict at the deepest point past the knee (the largest fleet).
   const bool goodput_up = knee_shed.goodput_qps >= knee_noshed.goodput_qps;

@@ -114,9 +114,12 @@ int main(int argc, char** argv) {
   // The split: majority island {1,2} listed first, dp0 isolated — and the
   // client fleet divided across the islands, so BOTH sides keep admitting
   // (the off-run halves double-spend the same believed-free capacity).
-  cfg.fault_plan.partition(sim::Time::from_seconds(split_s), {{1, 2}, {0}},
-                           /*split_clients=*/true)
-      .heal(sim::Time::from_seconds(heal_s));
+  cfg.fault_plan.add({.at = sim::Time::from_seconds(split_s),
+                      .kind = sim::FaultKind::kPartition,
+                      .split_clients = true,
+                      .islands = {{1, 2}, {0}}});
+  cfg.fault_plan.add(
+      {.at = sim::Time::from_seconds(heal_s), .kind = sim::FaultKind::kHeal});
 
   experiments::ScenarioConfig off_cfg = cfg;
   off_cfg.name = "split-pt-off";

@@ -67,10 +67,12 @@ Row run_strategy(const Strategy& strategy, const bench::BenchArgs& args,
   config.exchange_interval = sim::Duration::seconds(15);
   config.enable_failover = true;
   config.attempt_timeout = sim::Duration::seconds(5);
-  sim::FaultPlan plan;
-  plan.crash(sim::Time::from_seconds(crash_s), 1);
-  plan.restart(sim::Time::from_seconds(restart_s), 1);
-  config.fault_plan = plan;
+  config.fault_plan.add({.at = sim::Time::from_seconds(crash_s),
+                         .kind = sim::FaultKind::kDpCrash,
+                         .dp = 1});
+  config.fault_plan.add({.at = sim::Time::from_seconds(restart_s),
+                         .kind = sim::FaultKind::kDpRestart,
+                         .dp = 1});
   if (strategy.durable) {
     config.durability = true;
     config.durability_options.checkpoint_interval = sim::Duration::minutes(2);

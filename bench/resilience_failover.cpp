@@ -67,10 +67,16 @@ int main(int argc, char** argv) {
 
   // Island order matters: clients live on island 0, so the majority pair
   // {1,2} is listed first to keep it client-reachable and isolate dp0.
-  cfg.fault_plan.crash(sim::Time::from_seconds(crash_s), 0)
-      .restart(sim::Time::from_seconds(restart_s), 0)
-      .partition(sim::Time::from_seconds(partition_s), {{1, 2}, {0}})
-      .heal(sim::Time::from_seconds(heal_s));
+  using sim::FaultKind;
+  using sim::Time;
+  cfg.fault_plan.add(
+      {.at = Time::from_seconds(crash_s), .kind = FaultKind::kDpCrash, .dp = 0});
+  cfg.fault_plan.add(
+      {.at = Time::from_seconds(restart_s), .kind = FaultKind::kDpRestart, .dp = 0});
+  cfg.fault_plan.add({.at = Time::from_seconds(partition_s),
+                      .kind = FaultKind::kPartition,
+                      .islands = {{1, 2}, {0}}});
+  cfg.fault_plan.add({.at = Time::from_seconds(heal_s), .kind = FaultKind::kHeal});
   // A non-empty plan implies client failover (primary + 2 backups,
   // 10 s per-attempt deadline inside the paper's 60 s budget).
 
@@ -204,8 +210,9 @@ int main(int argc, char** argv) {
   const double MT = mcfg.duration.to_seconds();
   const double mcrash_s = 0.25 * MT;
   const double mjoin_s = 0.55 * MT;
-  mcfg.fault_plan.crash(sim::Time::from_seconds(mcrash_s), 0)
-      .join(sim::Time::from_seconds(mjoin_s));
+  mcfg.fault_plan.add(
+      {.at = Time::from_seconds(mcrash_s), .kind = FaultKind::kDpCrash, .dp = 0});
+  mcfg.fault_plan.add({.at = Time::from_seconds(mjoin_s), .kind = FaultKind::kDpJoin});
   const experiments::ScenarioResult m = experiments::run_scenario(mcfg);
 
   std::cout << "== dynamic membership: crash detection + join rebalance ==\n";

@@ -1436,6 +1436,10 @@ sim::Duration DecisionPoint::replay_from_disk() {
             if (applied_[record.origin].insert(record.seq)) {
               engine_.record(record, now);
               ++counters_.replay_records;
+            } else {
+              // A second frame for a key is a twin that won a pull's merge:
+              // the same merge rule puts it back in place of the first.
+              engine_.view().merge_record(record, now);
             }
             // Charged per FRAME, not per unique (origin, seq): a
             // delta-merge twin logs a second frame for a seq already

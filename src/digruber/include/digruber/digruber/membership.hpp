@@ -168,7 +168,6 @@ class MembershipTable {
   /// receives frames — its reply refutes the suspicion), excluding self
   /// and terminal members. DpId order, deterministic.
   [[nodiscard]] std::vector<NodeId> live_peer_nodes() const;
-  [[nodiscard]] std::size_t peer_count() const { return peers_.size(); }
 
  private:
   struct Entry {

@@ -98,8 +98,6 @@ class Controller {
   /// testers stop at `end`.
   void schedule(sim::Duration first_start, sim::Duration spacing, sim::Time end);
 
-  [[nodiscard]] std::size_t tester_count() const { return testers_.size(); }
-
  private:
   sim::Simulation& sim_;
   Collector& collector_;

@@ -5,6 +5,7 @@
 
 #include "digruber/diperf/diperf.hpp"
 #include "digruber/metrics/metrics.hpp"
+#include "digruber/net/wire/stats.hpp"
 
 namespace digruber::diperf {
 
@@ -43,10 +44,7 @@ void render_overlay(std::ostream& os, const char* strategy,
 /// zero-copy message path, `encodes` counts serializations (one per
 /// exchange round, not one per peer); bytes are the frames those encodes
 /// produced.
-void render_wire(std::ostream& os, const metrics::WireCounters& counters);
-
-/// Snapshot the process-wide wire telemetry into report-ready counters.
-[[nodiscard]] metrics::WireCounters snapshot_wire_counters();
+void render_wire(std::ostream& os, const net::wire::WireStats& stats);
 
 /// Render the response-time percentile block (p50/p95/p99 from the
 /// HDR-style histogram in MetricValues) for the handled / not-handled /

@@ -206,7 +206,7 @@ void render_overlay(std::ostream& os, const char* strategy,
   os << "\n";
 }
 
-void render_wire(std::ostream& os, const metrics::WireCounters& counters) {
+void render_wire(std::ostream& os, const net::wire::WireStats& stats) {
   os << "== wire traffic by category ==\n";
   Table table({"category", "encodes", "bytes"});
   const auto row = [&](const char* name, std::uint64_t encodes,
@@ -214,28 +214,17 @@ void render_wire(std::ostream& os, const metrics::WireCounters& counters) {
     table.add_row({name, Table::num(double(encodes), 0),
                    Table::num(double(bytes), 0)});
   };
-  row("queries", counters.query_encodes, counters.query_bytes);
-  row("state exchange", counters.exchange_encodes, counters.exchange_bytes);
-  row("control", counters.control_encodes, counters.control_bytes);
-  row("other", counters.other_encodes, counters.other_bytes);
-  row("total", counters.total_encodes(), counters.total_bytes());
+  using net::wire::MsgCategory;
+  const auto category_row = [&](const char* name, MsgCategory category) {
+    row(name, stats.encodes(category), stats.bytes(category));
+  };
+  category_row("queries", MsgCategory::kQuery);
+  category_row("state exchange", MsgCategory::kStateExchange);
+  category_row("control", MsgCategory::kControl);
+  category_row("other", MsgCategory::kOther);
+  row("total", stats.total_encodes(), stats.total_bytes());
   table.render(os);
   os << "\n";
-}
-
-metrics::WireCounters snapshot_wire_counters() {
-  const net::wire::WireStats& stats = net::wire::wire_stats();
-  using net::wire::MsgCategory;
-  metrics::WireCounters counters;
-  counters.query_encodes = stats.encodes(MsgCategory::kQuery);
-  counters.query_bytes = stats.bytes(MsgCategory::kQuery);
-  counters.exchange_encodes = stats.encodes(MsgCategory::kStateExchange);
-  counters.exchange_bytes = stats.bytes(MsgCategory::kStateExchange);
-  counters.control_encodes = stats.encodes(MsgCategory::kControl);
-  counters.control_bytes = stats.bytes(MsgCategory::kControl);
-  counters.other_encodes = stats.encodes(MsgCategory::kOther);
-  counters.other_bytes = stats.bytes(MsgCategory::kOther);
-  return counters;
 }
 
 }  // namespace digruber::diperf

@@ -6,6 +6,9 @@ namespace digruber::durable {
 
 namespace {
 
+/// Sequential read throughput for recovery replay.
+constexpr double kReadMbPerS = 800.0;
+
 sim::Duration transfer_cost(std::size_t bytes, double mb_per_s) {
   if (mb_per_s <= 0) return sim::Duration::zero();
   const double us = double(bytes) / (mb_per_s * 1e6) * 1e6;
@@ -49,7 +52,7 @@ void SimDisk::truncate_log() {
 }
 
 sim::Duration SimDisk::read_all_cost() const {
-  return scaled(transfer_cost(log_.size() + checkpoint_.size(), options_.read_mb_per_s));
+  return scaled(transfer_cost(log_.size() + checkpoint_.size(), kReadMbPerS));
 }
 
 void SimDisk::tear_tail() {

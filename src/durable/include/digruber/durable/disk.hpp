@@ -19,8 +19,6 @@ struct DiskOptions {
   double write_mb_per_s = 200.0;
   /// Cost of one fsync barrier (amortized over the frames since the last).
   sim::Duration fsync_latency = sim::Duration::micros(500);
-  /// Sequential read throughput for recovery replay.
-  double read_mb_per_s = 800.0;
 };
 
 /// Byte counters for one device; all zero until the first durable write.
@@ -76,7 +74,6 @@ class SimDisk {
   [[nodiscard]] const std::vector<std::uint8_t>& checkpoint() const { return checkpoint_; }
   [[nodiscard]] bool empty() const { return log_.empty() && checkpoint_.empty(); }
   [[nodiscard]] const DiskCounters& counters() const { return counters_; }
-  [[nodiscard]] double stall_factor() const { return stall_factor_; }
 
   // --- Fault hooks (FaultPlan-driven) ---
   void tear_tail();

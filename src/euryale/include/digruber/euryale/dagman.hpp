@@ -24,8 +24,6 @@ class DagMan {
   /// more progress is possible.
   void run(std::function<void(int succeeded, int failed, int blocked)> done);
 
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-
  private:
   struct Node {
     grid::Job job;

@@ -171,8 +171,8 @@ struct DpStats : digruber::DpCounters {
   std::uint64_t suspicions = 0;
   std::uint64_t deaths_declared = 0;
   std::uint64_t refutations = 0;
-  /// Join lifecycle (-1 for points that never joined at runtime).
-  double join_started_s = -1.0;
+  /// When the point last began serving after a join or a durable restart
+  /// (-1 if it never did).
   double serving_since_s = -1.0;
   /// Every membership transition this point's table observed, in order
   /// (the churn soak and the bench derive time-to-detect from these).

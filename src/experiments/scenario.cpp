@@ -52,9 +52,10 @@ std::vector<usla::Agreement> default_agreements(const grid::VoCatalog& catalog) 
 
 double query_service_seconds(const net::ContainerProfile& profile,
                              std::size_t n_sites, sim::Duration eval_cost_per_site) {
-  // Byte sizes mirror the real protocol structs (see digruber/protocol.hpp):
-  // a small request, a reply of ~20 bytes per candidate site, and the
-  // short selection-report exchange.
+  // The capacity model's own byte sizes, not those of the encoded protocol
+  // frames (a SiteLoad encodes to 24 bytes, not 20): a small request, a
+  // reply of 20 bytes per candidate site, and the short selection-report
+  // exchange. tab3_grubsim and futurework_cws_core print results of them.
   const std::size_t loads_request = 128;
   const std::size_t loads_reply = 32 + n_sites * 20;
   const std::size_t report_request = 160;
@@ -478,15 +479,8 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
         return peers;
       };
       if (auto* t = trace::current()) {
-        static const char* const kFaultNames[] = {
-            "fault.crash",        "fault.restart",      "fault.partition",
-            "fault.heal",         "fault.link_degrade", "fault.link_restore",
-            "fault.join",         "fault.leave",        "fault.oneway",
-            "fault.oneway_heal",  "fault.corrupt",      "fault.disk_torn",
-            "fault.disk_rot",     "fault.disk_stall",   "fault.disk_restore"};
-        t->instant(trace::Category::kScenario, 0,
-                   kFaultNames[std::size_t(event.kind)], {},
-                   std::int64_t(event.dp));
+        t->instant(trace::Category::kScenario, 0, sim::trace_name(event.kind),
+                   {}, std::int64_t(event.dp));
       }
       // check_fault_plan bounded each index the event names by the points
       // that exist when it fires, and dps only grows, so every index here
@@ -661,9 +655,6 @@ ScenarioResult run_scenario(const ScenarioConfig& config) {
       stats.suspicions = table->counters().suspicions;
       stats.deaths_declared = table->counters().deaths;
       stats.refutations = table->counters().refutations;
-      if (dp->join_started_at().to_seconds() > 0.0) {
-        stats.join_started_s = dp->join_started_at().to_seconds();
-      }
       if (dp->serving_since().to_seconds() > 0.0) {
         stats.serving_since_s = dp->serving_since().to_seconds();
       }

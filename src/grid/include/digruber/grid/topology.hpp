@@ -44,7 +44,6 @@ class Grid {
   [[nodiscard]] std::size_t site_count() const { return sites_.size(); }
   [[nodiscard]] Site& site(SiteId id);
   [[nodiscard]] const Site& site(SiteId id) const;
-  [[nodiscard]] Site& site_at(std::size_t index) { return *sites_[index]; }
   [[nodiscard]] const std::vector<std::unique_ptr<Site>>& sites() const { return sites_; }
 
   [[nodiscard]] std::int64_t total_cpus() const { return total_cpus_; }

@@ -10,6 +10,9 @@ namespace digruber::grubsim {
 
 namespace {
 
+/// Floor on a healthy query's response (WAN + service).
+constexpr double kMinResponseS = 1.5;
+
 /// Fraction of a decision point's service time spent handling exchange
 /// traffic at deployment size `n`. Every message occupies both its sender
 /// and its receiver, so the per-point handling rate is
@@ -84,7 +87,7 @@ GrubSimResult run_closed_loop(const workload::TraceLog& trace,
     target->backlog += 1.0;
 
     const double response =
-        std::max(config.min_response_s, target->backlog / qps);
+        std::max(kMinResponseS, target->backlog / qps);
     response_sum += response;
     result.max_response_s = std::max(result.max_response_s, response);
     ++result.queries_replayed;

@@ -32,8 +32,6 @@ struct GrubSimConfig {
   ReplayMode mode = ReplayMode::kOpenTrace;
   /// Closed-loop client think time between queries.
   double think_s = 9.0;
-  /// Floor on a healthy query's response (WAN + service).
-  double min_response_s = 1.5;
 
   int initial_dps = 1;
   /// Sustained per-decision-point service capacity (queries/second), from

@@ -278,29 +278,6 @@ struct OverlayCounters {
   }
 };
 
-/// Wire-traffic counters by message category (queries vs state exchange vs
-/// control), snapshotted from net::wire::wire_stats() over a run and
-/// surfaced through the DiPerF report. `encodes` counts serializations —
-/// with single-encode fan-out this is per-message, not per-recipient — and
-/// `bytes` is the total frame bytes produced by those encodes.
-struct WireCounters {
-  std::uint64_t query_encodes = 0;
-  std::uint64_t query_bytes = 0;
-  std::uint64_t exchange_encodes = 0;
-  std::uint64_t exchange_bytes = 0;
-  std::uint64_t control_encodes = 0;
-  std::uint64_t control_bytes = 0;
-  std::uint64_t other_encodes = 0;
-  std::uint64_t other_bytes = 0;
-
-  [[nodiscard]] std::uint64_t total_encodes() const {
-    return query_encodes + exchange_encodes + control_encodes + other_encodes;
-  }
-  [[nodiscard]] std::uint64_t total_bytes() const {
-    return query_bytes + exchange_bytes + control_bytes + other_bytes;
-  }
-};
-
 /// CPU-seconds a job consumed inside the window [0, window_s], given the
 /// job's start/completion times in seconds (completion may exceed the
 /// window or be unset/-1 for still-running jobs).

@@ -248,20 +248,17 @@ FaultPlan FaultPlan::random(std::uint64_t seed, const RandomFaultOptions& option
   const double hi = horizon_s * 0.9;
   if (options.n_dps == 0 || hi <= lo) return plan;
 
-  std::vector<int> kinds;
-  if (options.allow_crashes) kinds.push_back(0);
-  if (options.allow_partitions && options.n_dps >= 2) kinds.push_back(1);
-  if (options.allow_degrades && options.n_dps >= 2) kinds.push_back(2);
+  std::vector<int> kinds{0};
+  if (options.n_dps >= 2) kinds.insert(kinds.end(), {1, 2});
   if (options.allow_joins) kinds.push_back(3);
   if (options.allow_leaves && options.n_dps >= 2) kinds.push_back(4);
   if (options.allow_oneway_partitions && options.n_dps >= 2) kinds.push_back(5);
   if (options.allow_corruption) kinds.push_back(6);
-  if (kinds.empty()) return plan;
 
   Rng rng(seed);
   // Every fault is a matched begin/end pair tracked as a span, so episodes
   // of the same kind never overlap in a way their undo can't express
-  // (heal removes ALL partitions; restore_dp undoes that DP's override).
+  // (heal removes ALL partitions; a restore undoes that DP's override).
   struct Span {
     std::size_t dp;
     double start;
@@ -292,10 +289,9 @@ FaultPlan FaultPlan::random(std::uint64_t seed, const RandomFaultOptions& option
             if (s.dp == d) busy = true;
             ++concurrent;
           }
-          // keep_one_alive: a crash window may cover at most n_dps - 1
-          // decision points at once.
-          if (busy) continue;
-          if (options.keep_one_alive && concurrent + 1 >= options.n_dps) continue;
+          // A crash window may cover at most n_dps - 1 decision points at
+          // once.
+          if (busy || concurrent + 1 >= options.n_dps) continue;
           candidates.push_back(d);
         }
         if (candidates.empty()) break;
@@ -308,16 +304,27 @@ FaultPlan FaultPlan::random(std::uint64_t seed, const RandomFaultOptions& option
         // recovery replay.
         std::size_t disk_variant = 3;  // none
         if (options.allow_disk_faults) disk_variant = rng.uniform_index(3);
-        if (disk_variant == 0) plan.disk_torn(Time::from_seconds(start), dp);
-        plan.crash(Time::from_seconds(start), dp);
-        if (disk_variant == 1) {
-          plan.disk_rot(Time::from_seconds((start + end) / 2), dp);
-        } else if (disk_variant == 2) {
-          plan.disk_stall(Time::from_seconds(start), dp,
-                          rng.uniform(2.0, 10.0));
-          plan.disk_restore(Time::from_seconds(end + 1.0), dp);
+        const Time at = Time::from_seconds(start);
+        if (disk_variant == 0) {
+          plan.add({.at = at, .kind = FaultKind::kDiskTorn, .dp = dp});
         }
-        plan.restart(Time::from_seconds(end), dp);
+        plan.add({.at = at, .kind = FaultKind::kDpCrash, .dp = dp});
+        if (disk_variant == 1) {
+          plan.add({.at = Time::from_seconds((start + end) / 2),
+                    .kind = FaultKind::kDiskBitRot,
+                    .dp = dp});
+        } else if (disk_variant == 2) {
+          plan.add({.at = at,
+                    .kind = FaultKind::kDiskStall,
+                    .dp = dp,
+                    .latency_factor = rng.uniform(2.0, 10.0)});
+          plan.add({.at = Time::from_seconds(end + 1.0),
+                    .kind = FaultKind::kDiskRestore,
+                    .dp = dp});
+        }
+        plan.add({.at = Time::from_seconds(end),
+                  .kind = FaultKind::kDpRestart,
+                  .dp = dp});
         down.push_back({dp, start, end});
         break;
       }
@@ -336,9 +343,11 @@ FaultPlan FaultPlan::random(std::uint64_t seed, const RandomFaultOptions& option
         std::vector<std::vector<std::size_t>> islands(2);
         islands[0].assign(order.begin(), order.begin() + std::ptrdiff_t(cut));
         islands[1].assign(order.begin() + std::ptrdiff_t(cut), order.end());
-        plan.partition(Time::from_seconds(start), std::move(islands),
-                       options.split_clients_in_partitions);
-        plan.heal(Time::from_seconds(end));
+        plan.add({.at = Time::from_seconds(start),
+                  .kind = FaultKind::kPartition,
+                  .split_clients = options.split_clients_in_partitions,
+                  .islands = std::move(islands)});
+        plan.add({.at = Time::from_seconds(end), .kind = FaultKind::kHeal});
         partitioned.emplace_back(start, end);
         break;
       }
@@ -355,19 +364,27 @@ FaultPlan FaultPlan::random(std::uint64_t seed, const RandomFaultOptions& option
         const std::size_t dp = candidates[rng.uniform_index(candidates.size())];
         const double latency_factor = rng.uniform(2.0, 8.0);
         const double extra_loss = rng.uniform(0.0, 0.3);
-        plan.degrade_dp(Time::from_seconds(start), dp, latency_factor, extra_loss);
-        plan.restore_dp(Time::from_seconds(end), dp);
+        plan.add({.at = Time::from_seconds(start),
+                  .kind = FaultKind::kLinkDegrade,
+                  .dp = dp,
+                  .all_peers = true,
+                  .latency_factor = latency_factor,
+                  .extra_loss = extra_loss});
+        plan.add({.at = Time::from_seconds(end),
+                  .kind = FaultKind::kLinkRestore,
+                  .dp = dp,
+                  .all_peers = true});
         degraded.push_back({dp, start, end});
         break;
       }
       case 3: {  // join: a fresh decision point bootstraps mid-run
-        plan.join(Time::from_seconds(start));
+        plan.add({.at = Time::from_seconds(start), .kind = FaultKind::kDpJoin});
         break;
       }
       case 4: {  // leave: drain an initial DP permanently
         // A left DP is down for the rest of the horizon: it must not be
-        // crashed later and still counts against keep_one_alive, so its
-        // down-span runs to the horizon.
+        // crashed later and still counts as down for later crashes and
+        // leaves, so its down-span runs to the horizon.
         std::vector<std::size_t> candidates;
         for (std::size_t d = 0; d < options.n_dps; ++d) {
           bool busy = false;
@@ -377,13 +394,14 @@ FaultPlan FaultPlan::random(std::uint64_t seed, const RandomFaultOptions& option
             if (s.dp == d) busy = true;
             ++concurrent;
           }
-          if (busy) continue;
-          if (options.keep_one_alive && concurrent + 1 >= options.n_dps) continue;
+          if (busy || concurrent + 1 >= options.n_dps) continue;
           candidates.push_back(d);
         }
         if (candidates.empty()) break;
         const std::size_t dp = candidates[rng.uniform_index(candidates.size())];
-        plan.leave(Time::from_seconds(start), dp);
+        plan.add({.at = Time::from_seconds(start),
+                  .kind = FaultKind::kDpLeave,
+                  .dp = dp});
         down.push_back({dp, start, horizon_s});
         break;
       }
@@ -399,8 +417,14 @@ FaultPlan FaultPlan::random(std::uint64_t seed, const RandomFaultOptions& option
         const std::size_t from = rng.uniform_index(options.n_dps);
         std::size_t to = rng.uniform_index(options.n_dps - 1);
         if (to >= from) ++to;
-        plan.oneway(Time::from_seconds(start), from, to);
-        plan.heal_oneway(Time::from_seconds(end), from, to);
+        plan.add({.at = Time::from_seconds(start),
+                  .kind = FaultKind::kOneWayPartition,
+                  .dp = from,
+                  .peer = to});
+        plan.add({.at = Time::from_seconds(end),
+                  .kind = FaultKind::kOneWayHeal,
+                  .dp = from,
+                  .peer = to});
         partitioned.emplace_back(start, end);
         break;
       }
@@ -410,8 +434,10 @@ FaultPlan FaultPlan::random(std::uint64_t seed, const RandomFaultOptions& option
           if (overlaps(start, end, s, e)) clash = true;
         }
         if (clash) break;
-        plan.corrupt(Time::from_seconds(start), rng.uniform(0.02, 0.15));
-        plan.corrupt(Time::from_seconds(end), 0.0);
+        plan.add({.at = Time::from_seconds(start),
+                  .kind = FaultKind::kCorrupt,
+                  .corrupt_rate = rng.uniform(0.02, 0.15)});
+        plan.add({.at = Time::from_seconds(end), .kind = FaultKind::kCorrupt});
         corrupting.emplace_back(start, end);
         break;
       }
@@ -427,193 +453,6 @@ void FaultPlan::add(FaultEvent event) {
       events_.begin(), events_.end(), event.at,
       [](Time at, const FaultEvent& e) { return at < e.at; });
   events_.insert(pos, std::move(event));
-}
-
-FaultPlan& FaultPlan::crash(Time at, std::size_t dp) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kDpCrash;
-  e.dp = dp;
-  add(std::move(e));
-  return *this;
-}
-
-FaultPlan& FaultPlan::restart(Time at, std::size_t dp) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kDpRestart;
-  e.dp = dp;
-  add(std::move(e));
-  return *this;
-}
-
-FaultPlan& FaultPlan::partition(Time at, std::vector<std::vector<std::size_t>> islands,
-                                bool split_clients) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kPartition;
-  e.islands = std::move(islands);
-  e.split_clients = split_clients;
-  add(std::move(e));
-  return *this;
-}
-
-FaultPlan& FaultPlan::oneway(Time at, std::size_t from, std::size_t to) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kOneWayPartition;
-  e.dp = from;
-  e.peer = to;
-  add(std::move(e));
-  return *this;
-}
-
-FaultPlan& FaultPlan::oneway_all(Time at, std::size_t from) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kOneWayPartition;
-  e.dp = from;
-  e.all_peers = true;
-  add(std::move(e));
-  return *this;
-}
-
-FaultPlan& FaultPlan::heal_oneway(Time at, std::size_t from, std::size_t to) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kOneWayHeal;
-  e.dp = from;
-  e.peer = to;
-  add(std::move(e));
-  return *this;
-}
-
-FaultPlan& FaultPlan::heal_oneway_all(Time at, std::size_t from) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kOneWayHeal;
-  e.dp = from;
-  e.all_peers = true;
-  add(std::move(e));
-  return *this;
-}
-
-FaultPlan& FaultPlan::corrupt(Time at, double rate) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kCorrupt;
-  e.corrupt_rate = rate;
-  add(std::move(e));
-  return *this;
-}
-
-FaultPlan& FaultPlan::disk_torn(Time at, std::size_t dp) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kDiskTorn;
-  e.dp = dp;
-  add(std::move(e));
-  return *this;
-}
-
-FaultPlan& FaultPlan::disk_rot(Time at, std::size_t dp) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kDiskBitRot;
-  e.dp = dp;
-  add(std::move(e));
-  return *this;
-}
-
-FaultPlan& FaultPlan::disk_stall(Time at, std::size_t dp,
-                                 double latency_factor) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kDiskStall;
-  e.dp = dp;
-  e.latency_factor = latency_factor;
-  add(std::move(e));
-  return *this;
-}
-
-FaultPlan& FaultPlan::disk_restore(Time at, std::size_t dp) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kDiskRestore;
-  e.dp = dp;
-  add(std::move(e));
-  return *this;
-}
-
-FaultPlan& FaultPlan::heal(Time at) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kHeal;
-  add(std::move(e));
-  return *this;
-}
-
-FaultPlan& FaultPlan::degrade_link(Time at, std::size_t a, std::size_t b,
-                                   double latency_factor, double extra_loss) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kLinkDegrade;
-  e.dp = a;
-  e.peer = b;
-  e.latency_factor = latency_factor;
-  e.extra_loss = extra_loss;
-  add(std::move(e));
-  return *this;
-}
-
-FaultPlan& FaultPlan::degrade_dp(Time at, std::size_t dp, double latency_factor,
-                                 double extra_loss) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kLinkDegrade;
-  e.dp = dp;
-  e.all_peers = true;
-  e.latency_factor = latency_factor;
-  e.extra_loss = extra_loss;
-  add(std::move(e));
-  return *this;
-}
-
-FaultPlan& FaultPlan::restore_link(Time at, std::size_t a, std::size_t b) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kLinkRestore;
-  e.dp = a;
-  e.peer = b;
-  add(std::move(e));
-  return *this;
-}
-
-FaultPlan& FaultPlan::restore_dp(Time at, std::size_t dp) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kLinkRestore;
-  e.dp = dp;
-  e.all_peers = true;
-  add(std::move(e));
-  return *this;
-}
-
-FaultPlan& FaultPlan::join(Time at) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kDpJoin;
-  add(std::move(e));
-  return *this;
-}
-
-FaultPlan& FaultPlan::leave(Time at, std::size_t dp) {
-  FaultEvent e;
-  e.at = at;
-  e.kind = FaultKind::kDpLeave;
-  e.dp = dp;
-  add(std::move(e));
-  return *this;
 }
 
 std::size_t max_dp_index(const FaultEvent& e) {
@@ -728,6 +567,27 @@ std::string describe(const FaultEvent& e) {
       break;
   }
   return os.str();
+}
+
+const char* trace_name(FaultKind kind) {
+  switch (kind) {
+    case FaultKind::kDpCrash: return "fault.crash";
+    case FaultKind::kDpRestart: return "fault.restart";
+    case FaultKind::kPartition: return "fault.partition";
+    case FaultKind::kHeal: return "fault.heal";
+    case FaultKind::kLinkDegrade: return "fault.link_degrade";
+    case FaultKind::kLinkRestore: return "fault.link_restore";
+    case FaultKind::kDpJoin: return "fault.join";
+    case FaultKind::kDpLeave: return "fault.leave";
+    case FaultKind::kOneWayPartition: return "fault.oneway";
+    case FaultKind::kOneWayHeal: return "fault.oneway_heal";
+    case FaultKind::kCorrupt: return "fault.corrupt";
+    case FaultKind::kDiskTorn: return "fault.disk_torn";
+    case FaultKind::kDiskBitRot: return "fault.disk_rot";
+    case FaultKind::kDiskStall: return "fault.disk_stall";
+    case FaultKind::kDiskRestore: return "fault.disk_restore";
+  }
+  return "?";
 }
 
 std::string FaultPlan::describe() const {

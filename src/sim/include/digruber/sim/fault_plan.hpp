@@ -64,7 +64,9 @@ struct FaultEvent {
   /// genuine split-brain reachable: both sides keep taking queries against
   /// divergent views.
   bool split_clients = false;
-  std::vector<std::vector<std::size_t>> islands;
+  /// `{}` lets a designated initializer skip it without tripping GCC's
+  /// -Wmissing-field-initializers.
+  std::vector<std::vector<std::size_t>> islands{};
 
   friend bool operator==(const FaultEvent&, const FaultEvent&) = default;
 };
@@ -74,6 +76,10 @@ struct FaultEvent {
 
 /// `event` on one line, as `FaultPlan::describe` prints it: `t=300s leave dp3`.
 [[nodiscard]] std::string describe(const FaultEvent& event);
+
+/// The trace instant a scenario emits when an event of `kind` fires:
+/// `fault.crash`, `fault.disk_stall`, ...
+[[nodiscard]] const char* trace_name(FaultKind kind);
 
 /// A deterministic, scriptable fault schedule. The plan is pure data: the
 /// same (config, seed) always replays the same faults at the same simulated
@@ -102,26 +108,26 @@ struct FaultEvent {
 ///   at=<time> diskrestore dp=<i>
 ///
 /// <time> accepts plain seconds or an s/m/h suffix: `90`, `90s`, `1.5m`.
+///
+/// In C++ an event is one `FaultEvent`, added with designated initializers:
+///   plan.add({.at = Time::from_seconds(120), .kind = FaultKind::kDpCrash, .dp = 0});
 /// Knobs for FaultPlan::random (the chaos harness's schedule generator).
 struct RandomFaultOptions {
   std::size_t n_dps = 3;
   /// Faults are scheduled inside [horizon * 0.1, horizon * 0.9] so the run
   /// has clean lead-in and recovery phases.
   Duration horizon = Duration::minutes(10);
-  /// Independent fault episodes to compose (each is a crash+restart pair,
-  /// a partition+heal pair, or a degrade+restore pair).
+  /// Independent fault episodes to compose. Each is a crash+restart pair, a
+  /// partition+heal pair, a degrade+restore pair (these two need two or
+  /// more points) or one of the opt-in kinds below. A crash never takes the
+  /// last running decision point down: it picks among the points not down
+  /// during its window, and only while another one stays up.
   std::size_t episodes = 4;
-  bool allow_crashes = true;
-  bool allow_partitions = true;
-  bool allow_degrades = true;
-  /// Never schedule a crash that would leave zero running decision points
-  /// (crash episodes pick among DPs not already down at that instant).
-  bool keep_one_alive = true;
   /// Membership churn (default off so existing chaos seeds replay the same
   /// schedules byte for byte). Joins add fresh decision points mid-run;
   /// leaves drain an initial DP permanently — a left DP counts as down for
-  /// the rest of the horizon, so it is never crashed afterwards and still
-  /// honors keep_one_alive.
+  /// the rest of the horizon, so it is never crashed afterwards and never
+  /// leaves zero points up.
   bool allow_joins = false;
   bool allow_leaves = false;
   /// Asymmetric partition episodes (one-way sender cut + matched heal).
@@ -151,30 +157,7 @@ class FaultPlan {
   /// expect a reconverged mesh.
   static FaultPlan random(std::uint64_t seed, const RandomFaultOptions& options);
 
-  /// Builder API (mirrors the grammar).
-  FaultPlan& crash(Time at, std::size_t dp);
-  FaultPlan& restart(Time at, std::size_t dp);
-  FaultPlan& partition(Time at, std::vector<std::vector<std::size_t>> islands,
-                       bool split_clients = false);
-  FaultPlan& heal(Time at);
-  FaultPlan& oneway(Time at, std::size_t from, std::size_t to);
-  FaultPlan& oneway_all(Time at, std::size_t from);
-  FaultPlan& heal_oneway(Time at, std::size_t from, std::size_t to);
-  FaultPlan& heal_oneway_all(Time at, std::size_t from);
-  FaultPlan& corrupt(Time at, double rate);
-  FaultPlan& disk_torn(Time at, std::size_t dp);
-  FaultPlan& disk_rot(Time at, std::size_t dp);
-  FaultPlan& disk_stall(Time at, std::size_t dp, double latency_factor);
-  FaultPlan& disk_restore(Time at, std::size_t dp);
-  FaultPlan& degrade_link(Time at, std::size_t a, std::size_t b,
-                          double latency_factor, double extra_loss);
-  FaultPlan& degrade_dp(Time at, std::size_t dp, double latency_factor,
-                        double extra_loss);
-  FaultPlan& restore_link(Time at, std::size_t a, std::size_t b);
-  FaultPlan& restore_dp(Time at, std::size_t dp);
-  FaultPlan& join(Time at);
-  FaultPlan& leave(Time at, std::size_t dp);
-
+  /// Insert `event` after every event at or before its time.
   void add(FaultEvent event);
 
   /// Events sorted by time; equal times keep insertion order.

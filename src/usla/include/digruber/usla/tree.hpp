@@ -38,8 +38,6 @@ class AllocationTree {
   /// True if any site overrides the VO's grid-wide rule for `resource`.
   [[nodiscard]] bool has_site_rule(ResourceKind resource, VoId vo) const;
 
-  [[nodiscard]] std::size_t term_count() const { return terms_; }
-
  private:
   using ResourceVo = std::pair<int, VoId>;  // (ResourceKind, vo)
   std::map<ResourceVo, ShareSpec> vo_at_grid_;
@@ -47,7 +45,6 @@ class AllocationTree {
   std::map<std::pair<ResourceVo, SiteId>, ShareSpec> vo_at_site_;
   std::map<GroupId, ShareSpec> group_under_vo_;
   std::map<UserId, ShareSpec> user_under_group_;
-  std::size_t terms_ = 0;
 };
 
 /// Policy knobs for turning share specs into scheduling decisions.

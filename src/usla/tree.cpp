@@ -35,7 +35,6 @@ Result<AllocationTree> AllocationTree::build(
                                              "': " + status.error());
     }
     for (const auto& term : agreement.terms) {
-      ++tree.terms_;
       const int resource = int(term.resource);
       const EntityRef& p = term.provider;
       const EntityRef& c = term.consumer;

@@ -366,6 +366,66 @@ TEST(DurableDp, LearnedRecordsLogDispatchBeforeEpochSettle) {
   b.stop();
 }
 
+// A pull whose twin wins the view's merge logs a second dispatch frame for
+// the same (origin, seq). Replay must end on that twin, as the live view
+// did, not on the record it replaced.
+TEST(DurableDp, ReplayKeepsTheTwinAPullLogged) {
+  Fixture f;
+  DecisionPointOptions o = f.options();
+  o.partition.enabled = true;  // so the restart runs no catch-up pull
+  DecisionPoint dp(f.sim, f.transport, DpId(0), f.catalog, f.tree, o);
+  dp.bootstrap(f.snapshots());
+
+  auto record = [](std::int32_t cpus) {
+    gruber::DispatchRecord r;
+    r.origin = DpId(5);
+    r.seq = 1;
+    r.site = SiteId(0);
+    r.vo = VoId(0);
+    r.group = GroupId(0);
+    r.user = UserId(0);
+    r.cpus = cpus;
+    r.when = sim::Time::from_seconds(10);
+    r.est_runtime = sim::Duration::seconds(3600);
+    return r;
+  };
+  // A stand-in peer (dp9) whose pull replies hold a 30-CPU twin of (5, 1).
+  net::RpcServer peer(f.sim, f.transport, fast_profile());
+  peer.register_typed<PullRequest, PullReply>(
+      kPull, [&](const PullRequest&, NodeId) {
+        PullReply reply;
+        reply.from = DpId(9);
+        reply.records = {record(30)};
+        return std::make_pair(reply, sim::Duration::millis(1));
+      });
+  dp.set_overlay_view({{DpId(9), peer.node()}});
+
+  // The 10-CPU record arrives by exchange; the next frame skips a round,
+  // and the catch-up pull brings the twin, which wins on CPUs.
+  ExchangeMessage first;
+  first.from = DpId(9);
+  first.exchange_round = 1;
+  first.dispatches = {record(10)};
+  ExchangeMessage gap = first;
+  gap.exchange_round = 3;
+  gap.dispatches.clear();
+  f.sim.schedule_at(sim::Time::from_seconds(50),
+                    [&] { f.rpc.notify(dp.node(), kExchange, first); });
+  f.sim.schedule_at(sim::Time::from_seconds(55),
+                    [&] { f.rpc.notify(dp.node(), kExchange, gap); });
+  f.sim.run_until(sim::Time::from_seconds(58));
+  ASSERT_EQ(dp.counters().pull(PullReason::kCatchUp).applied, 1u);
+  const gruber::GridView& view = dp.engine().view();
+  ASSERT_EQ(view.estimated_free(SiteId(0), f.sim.now()), 70);
+
+  dp.crash();
+  dp.restart(f.snapshots());
+  EXPECT_EQ(view.estimated_free(SiteId(0), f.sim.now()), 70);
+  EXPECT_EQ(dp.counters().replay_records, 1u);  // first-seen frames only
+  EXPECT_EQ(dp.counters().replay_mismatches, 0u);
+  dp.stop();
+}
+
 TEST(DurableDp, CheckpointTruncatesLogAndServesRecovery) {
   Fixture f;
   DecisionPointOptions o = f.options();

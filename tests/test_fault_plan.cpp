@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <string>
 #include <vector>
 
 namespace digruber::sim {
 namespace {
+
+Time at(double seconds) { return Time::from_seconds(seconds); }
 
 TEST(FaultPlan, ParsesEveryVerb) {
   const auto plan = FaultPlan::parse(
@@ -67,7 +71,8 @@ TEST(FaultPlan, ParsesChurnVerbs) {
   EXPECT_EQ(events[1].dp, 1u);
 
   FaultPlan built;
-  built.join(Time::from_seconds(100)).leave(Time::from_seconds(200), 1);
+  built.add({.at = at(100), .kind = FaultKind::kDpJoin});
+  built.add({.at = at(200), .kind = FaultKind::kDpLeave, .dp = 1});
   EXPECT_EQ(plan.value(), built);
 
   // `leave` names a decision point; `join` never does (the harness assigns
@@ -111,13 +116,17 @@ TEST(FaultPlan, ParsesPartitionToleranceVerbs) {
   EXPECT_DOUBLE_EQ(events[6].corrupt_rate, 0.0);
 
   FaultPlan built;
-  built.partition(Time::from_seconds(100), {{0}, {1, 2}}, /*split_clients=*/true)
-      .oneway(Time::from_seconds(200), 0, 2)
-      .oneway_all(Time::from_seconds(250), 1)
-      .heal_oneway(Time::from_seconds(300), 0, 2)
-      .heal_oneway_all(Time::from_seconds(320), 1)
-      .corrupt(Time::from_seconds(400), 0.05)
-      .corrupt(Time::from_seconds(500), 0.0);
+  built.add({.at = at(100),
+             .kind = FaultKind::kPartition,
+             .split_clients = true,
+             .islands = {{0}, {1, 2}}});
+  built.add({.at = at(200), .kind = FaultKind::kOneWayPartition, .dp = 0, .peer = 2});
+  built.add(
+      {.at = at(250), .kind = FaultKind::kOneWayPartition, .dp = 1, .all_peers = true});
+  built.add({.at = at(300), .kind = FaultKind::kOneWayHeal, .dp = 0, .peer = 2});
+  built.add({.at = at(320), .kind = FaultKind::kOneWayHeal, .dp = 1, .all_peers = true});
+  built.add({.at = at(400), .kind = FaultKind::kCorrupt, .corrupt_rate = 0.05});
+  built.add({.at = at(500), .kind = FaultKind::kCorrupt});
   EXPECT_EQ(plan.value(), built);
 
   EXPECT_FALSE(FaultPlan::parse("at=10 oneway to=1").ok());
@@ -185,12 +194,13 @@ TEST(FaultPlanRandom, OneWayAndCorruptionEpisodesAlwaysHeal) {
 TEST(FaultPlan, JoinCountAndMaxDpIndexCoverChurn) {
   FaultPlan plan;
   EXPECT_EQ(plan.join_count(), 0u);
-  plan.join(Time::from_seconds(10)).join(Time::from_seconds(20));
+  plan.add({.at = at(10), .kind = FaultKind::kDpJoin});
+  plan.add({.at = at(20), .kind = FaultKind::kDpJoin});
   EXPECT_EQ(plan.join_count(), 2u);
   // Joins carry no index and must not widen the deployment-bound check...
   for (const FaultEvent& e : plan.events()) EXPECT_EQ(max_dp_index(e), 0u);
   // ...while a leave's target does.
-  plan.leave(Time::from_seconds(30), 5);
+  plan.add({.at = at(30), .kind = FaultKind::kDpLeave, .dp = 5});
   EXPECT_EQ(max_dp_index(plan.events().back()), 5u);
 }
 
@@ -200,19 +210,33 @@ TEST(FaultPlan, SemicolonSeparatedSingleLine) {
   EXPECT_EQ(plan.value().size(), 2u);
 }
 
-TEST(FaultPlan, ParseMatchesBuilder) {
+TEST(FaultPlan, ParseMatchesAddedEvents) {
   const auto parsed = FaultPlan::parse(
       "at=120 crash dp=0\n"
       "at=300 restart dp=0\n"
       "at=360 partition islands=0|1,2\n"
-      "at=400 heal\n");
+      "at=400 heal\n"
+      "at=450 degrade link=1:2 latency=3 loss=0.1\n"
+      "at=460 restore dp=0\n"
+      "at=470 diskstall dp=2\n"
+      "at=480 disktorn dp=1\n");
   ASSERT_TRUE(parsed.ok());
 
   FaultPlan built;
-  built.crash(Time::from_seconds(120), 0)
-      .restart(Time::from_seconds(300), 0)
-      .partition(Time::from_seconds(360), {{0}, {1, 2}})
-      .heal(Time::from_seconds(400));
+  built.add({.at = at(120), .kind = FaultKind::kDpCrash, .dp = 0});
+  built.add({.at = at(300), .kind = FaultKind::kDpRestart, .dp = 0});
+  built.add({.at = at(360), .kind = FaultKind::kPartition, .islands = {{0}, {1, 2}}});
+  built.add({.at = at(400), .kind = FaultKind::kHeal});
+  built.add({.at = at(450),
+             .kind = FaultKind::kLinkDegrade,
+             .dp = 1,
+             .peer = 2,
+             .latency_factor = 3,
+             .extra_loss = 0.1});
+  built.add({.at = at(460), .kind = FaultKind::kLinkRestore, .dp = 0, .all_peers = true});
+  // A stall without factor= defaults to 8.
+  built.add({.at = at(470), .kind = FaultKind::kDiskStall, .dp = 2, .latency_factor = 8});
+  built.add({.at = at(480), .kind = FaultKind::kDiskTorn, .dp = 1});
   EXPECT_EQ(parsed.value(), built);
 }
 
@@ -241,10 +265,11 @@ TEST(FaultPlan, RejectsMalformedLinesWithLineNumbers) {
 
 TEST(FaultPlan, EventsSortedByTimeStably) {
   FaultPlan plan;
-  plan.heal(Time::from_seconds(50));
-  plan.crash(Time::from_seconds(10), 2);
-  plan.restart(Time::from_seconds(50), 2);  // same instant as heal: after it
-  plan.crash(Time::from_seconds(5), 1);
+  plan.add({.at = at(50), .kind = FaultKind::kHeal});
+  plan.add({.at = at(10), .kind = FaultKind::kDpCrash, .dp = 2});
+  // Same instant as the heal: after it.
+  plan.add({.at = at(50), .kind = FaultKind::kDpRestart, .dp = 2});
+  plan.add({.at = at(5), .kind = FaultKind::kDpCrash, .dp = 1});
   const auto& events = plan.events();
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(events[0].dp, 1u);
@@ -255,10 +280,14 @@ TEST(FaultPlan, EventsSortedByTimeStably) {
 
 TEST(FaultPlan, MaxDpIndexCoversAllEventShapes) {
   FaultPlan plan;
-  plan.crash(Time::from_seconds(1), 3);
-  plan.degrade_link(Time::from_seconds(2), 1, 7, 2.0, 0.0);
-  plan.partition(Time::from_seconds(3), {{0, 9}, {4}});
-  plan.heal(Time::from_seconds(4));
+  plan.add({.at = at(1), .kind = FaultKind::kDpCrash, .dp = 3});
+  plan.add({.at = at(2),
+            .kind = FaultKind::kLinkDegrade,
+            .dp = 1,
+            .peer = 7,
+            .latency_factor = 2});
+  plan.add({.at = at(3), .kind = FaultKind::kPartition, .islands = {{0, 9}, {4}}});
+  plan.add({.at = at(4), .kind = FaultKind::kHeal});
   const auto& events = plan.events();
   ASSERT_EQ(events.size(), 4u);
   EXPECT_EQ(max_dp_index(events[0]), 3u);
@@ -269,7 +298,8 @@ TEST(FaultPlan, MaxDpIndexCoversAllEventShapes) {
 
 TEST(FaultPlan, ArmFiresEventsAtTheirInstants) {
   FaultPlan plan;
-  plan.crash(Time::from_seconds(10), 0).restart(Time::from_seconds(20), 0);
+  plan.add({.at = at(10), .kind = FaultKind::kDpCrash, .dp = 0});
+  plan.add({.at = at(20), .kind = FaultKind::kDpRestart, .dp = 0});
 
   Simulation sim;
   std::vector<std::pair<double, FaultKind>> fired;
@@ -282,6 +312,17 @@ TEST(FaultPlan, ArmFiresEventsAtTheirInstants) {
   EXPECT_EQ(fired[0].second, FaultKind::kDpCrash);
   EXPECT_DOUBLE_EQ(fired[1].first, 20.0);
   EXPECT_EQ(fired[1].second, FaultKind::kDpRestart);
+}
+
+TEST(FaultPlan, EveryKindHasItsOwnTraceName) {
+  std::set<std::string> names;
+  for (int k = 0; k <= int(FaultKind::kDiskRestore); ++k) {
+    const std::string name = trace_name(FaultKind(k));
+    EXPECT_EQ(name.rfind("fault.", 0), 0u) << name;
+    EXPECT_TRUE(names.insert(name).second) << "duplicate " << name;
+  }
+  EXPECT_STREQ(trace_name(FaultKind::kDpCrash), "fault.crash");
+  EXPECT_STREQ(trace_name(FaultKind::kDiskRestore), "fault.disk_restore");
 }
 
 // ---------------------------------------------------------------------------
@@ -375,9 +416,7 @@ TEST(FaultPlanRandom, EveryFaultHealsAndIndicesFitDeployment) {
 TEST(FaultPlanRandom, KeepOneAliveNeverCrashesWholeMesh) {
   RandomFaultOptions options;
   options.n_dps = 2;  // tightest case: any two overlapping crashes kill all
-  options.episodes = 8;
-  options.allow_partitions = false;
-  options.allow_degrades = false;
+  options.episodes = 24;
   for (std::uint64_t seed = 1; seed <= 50; ++seed) {
     const FaultPlan plan = FaultPlan::random(seed, options);
     int down = 0;
@@ -390,16 +429,45 @@ TEST(FaultPlanRandom, KeepOneAliveNeverCrashesWholeMesh) {
 }
 
 TEST(FaultPlanRandom, HonorsKindAllowFlags) {
-  RandomFaultOptions options;
-  options.allow_crashes = false;
-  options.allow_degrades = false;
-  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const FaultPlan plan = FaultPlan::random(seed, options);
-    for (const FaultEvent& event : plan.events()) {
-      EXPECT_TRUE(event.kind == FaultKind::kPartition ||
-                  event.kind == FaultKind::kHeal)
-          << "seed " << seed;
+  // Crashes, partitions and degrades are always on; each opt-in switch
+  // adds its own kinds and nothing else.
+  const std::vector<FaultKind> base = {
+      FaultKind::kDpCrash,     FaultKind::kDpRestart,   FaultKind::kPartition,
+      FaultKind::kHeal,        FaultKind::kLinkDegrade, FaultKind::kLinkRestore};
+  struct Switch {
+    bool RandomFaultOptions::*flag;
+    std::vector<FaultKind> kinds;
+  };
+  const Switch switches[] = {
+      {&RandomFaultOptions::allow_joins, {FaultKind::kDpJoin}},
+      {&RandomFaultOptions::allow_leaves, {FaultKind::kDpLeave}},
+      {&RandomFaultOptions::allow_oneway_partitions,
+       {FaultKind::kOneWayPartition, FaultKind::kOneWayHeal}},
+      {&RandomFaultOptions::allow_corruption, {FaultKind::kCorrupt}},
+      {&RandomFaultOptions::allow_disk_faults,
+       {FaultKind::kDiskTorn, FaultKind::kDiskBitRot, FaultKind::kDiskStall,
+        FaultKind::kDiskRestore}},
+  };
+  for (const Switch& on : switches) {
+    RandomFaultOptions options;
+    options.episodes = 8;
+    options.*on.flag = true;
+    std::vector<FaultKind> allowed = base;
+    allowed.insert(allowed.end(), on.kinds.begin(), on.kinds.end());
+    bool saw_opt_in = false;
+    for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+      const FaultPlan plan = FaultPlan::random(seed, options);
+      for (const FaultEvent& event : plan.events()) {
+        EXPECT_NE(std::find(allowed.begin(), allowed.end(), event.kind),
+                  allowed.end())
+            << "seed " << seed << ": " << describe(event);
+        if (std::find(on.kinds.begin(), on.kinds.end(), event.kind) !=
+            on.kinds.end()) {
+          saw_opt_in = true;
+        }
+      }
     }
+    EXPECT_TRUE(saw_opt_in) << "no " << trace_name(on.kinds.front());
   }
 }
 
@@ -427,7 +495,8 @@ TEST(FaultPlanRandom, ChurnSchedulesAreDeterministicAndWellFormed) {
     const FaultPlan plan = FaultPlan::random(seed, options);
     EXPECT_EQ(plan, FaultPlan::random(seed, options)) << "seed " << seed;
     // A left decision point is gone for good: never crashed, restarted, or
-    // left again afterwards — and leaves count as down for keep_one_alive.
+    // left again afterwards — and it counts as down, so crashes and leaves
+    // never take every point down at once.
     std::vector<int> left(options.n_dps, 0);
     int down = 0;
     for (const FaultEvent& event : plan.events()) {
@@ -463,10 +532,10 @@ TEST(FaultPlanRandom, ChurnSchedulesAreDeterministicAndWellFormed) {
 
 TEST(FaultPlan, DescribeMentionsEveryEvent) {
   FaultPlan plan;
-  plan.crash(Time::from_seconds(10), 0);
-  plan.partition(Time::from_seconds(20), {{0}, {1, 2}});
-  plan.join(Time::from_seconds(30));
-  plan.leave(Time::from_seconds(40), 2);
+  plan.add({.at = at(10), .kind = FaultKind::kDpCrash, .dp = 0});
+  plan.add({.at = at(20), .kind = FaultKind::kPartition, .islands = {{0}, {1, 2}}});
+  plan.add({.at = at(30), .kind = FaultKind::kDpJoin});
+  plan.add({.at = at(40), .kind = FaultKind::kDpLeave, .dp = 2});
   const std::string text = plan.describe();
   EXPECT_NE(text.find("crash dp0"), std::string::npos);
   EXPECT_NE(text.find("partition dp0 | dp1,dp2"), std::string::npos);

@@ -20,12 +20,15 @@ ScenarioConfig small_config() {
   return cfg;
 }
 
+sim::Time at(double seconds) { return sim::Time::from_seconds(seconds); }
+
 ScenarioConfig faulted_config() {
   ScenarioConfig cfg = small_config();
-  cfg.fault_plan.crash(sim::Time::from_seconds(120), 0)
-      .restart(sim::Time::from_seconds(270), 0)
-      .partition(sim::Time::from_seconds(360), {{0}, {1, 2}})
-      .heal(sim::Time::from_seconds(450));
+  cfg.fault_plan.add({.at = at(120), .kind = sim::FaultKind::kDpCrash, .dp = 0});
+  cfg.fault_plan.add({.at = at(270), .kind = sim::FaultKind::kDpRestart, .dp = 0});
+  cfg.fault_plan.add(
+      {.at = at(360), .kind = sim::FaultKind::kPartition, .islands = {{0}, {1, 2}}});
+  cfg.fault_plan.add({.at = at(450), .kind = sim::FaultKind::kHeal});
   return cfg;
 }
 
@@ -88,7 +91,8 @@ TEST(Resilience, FaultsActuallyPerturbTheRun) {
 
 TEST(Resilience, PlanNamingMissingDpIsRejected) {
   ScenarioConfig cfg = small_config();
-  cfg.fault_plan.crash(sim::Time::from_seconds(60), 7);  // only 3 dps
+  cfg.fault_plan.add(
+      {.at = at(60), .kind = sim::FaultKind::kDpCrash, .dp = 7});  // only 3 dps
   EXPECT_THROW(run_scenario(cfg), std::invalid_argument);
 }
 
@@ -100,9 +104,9 @@ TEST(Resilience, MembershipChurnRunJoinsLeavesAndQuarantines) {
   cfg.membership_options.dead_after = 2.0;
   cfg.membership_options.join_snapshot_timeout = sim::Duration::seconds(5);
   cfg.membership_options.join_retry_backoff = sim::Duration::seconds(5);
-  cfg.fault_plan.crash(sim::Time::from_seconds(120), 0)
-      .join(sim::Time::from_seconds(240))
-      .leave(sim::Time::from_seconds(360), 1);
+  cfg.fault_plan.add({.at = at(120), .kind = sim::FaultKind::kDpCrash, .dp = 0});
+  cfg.fault_plan.add({.at = at(240), .kind = sim::FaultKind::kDpJoin});
+  cfg.fault_plan.add({.at = at(360), .kind = sim::FaultKind::kDpLeave, .dp = 1});
   const ScenarioResult r = run_scenario(cfg);
 
   // The crash was detected (dp0 silent well past the 45 s budget), the
@@ -136,11 +140,11 @@ TEST(Resilience, MembershipChurnRunJoinsLeavesAndQuarantines) {
 
 TEST(Resilience, ChurnVerbsRequireMembership) {
   ScenarioConfig cfg = small_config();
-  cfg.fault_plan.join(sim::Time::from_seconds(120));
+  cfg.fault_plan.add({.at = at(120), .kind = sim::FaultKind::kDpJoin});
   EXPECT_THROW(run_scenario(cfg), std::invalid_argument);
 
   ScenarioConfig leave_cfg = small_config();
-  leave_cfg.fault_plan.leave(sim::Time::from_seconds(120), 0);
+  leave_cfg.fault_plan.add({.at = at(120), .kind = sim::FaultKind::kDpLeave, .dp = 0});
   EXPECT_THROW(run_scenario(leave_cfg), std::invalid_argument);
 }
 

@@ -28,12 +28,15 @@ ScenarioConfig small_config() {
   return cfg;
 }
 
+sim::Time at(double seconds) { return sim::Time::from_seconds(seconds); }
+
 ScenarioConfig faulted_config() {
   ScenarioConfig cfg = small_config();
-  cfg.fault_plan.crash(sim::Time::from_seconds(120), 0)
-      .restart(sim::Time::from_seconds(270), 0)
-      .partition(sim::Time::from_seconds(360), {{0}, {1, 2}})
-      .heal(sim::Time::from_seconds(450));
+  cfg.fault_plan.add({.at = at(120), .kind = sim::FaultKind::kDpCrash, .dp = 0});
+  cfg.fault_plan.add({.at = at(270), .kind = sim::FaultKind::kDpRestart, .dp = 0});
+  cfg.fault_plan.add(
+      {.at = at(360), .kind = sim::FaultKind::kPartition, .islands = {{0}, {1, 2}}});
+  cfg.fault_plan.add({.at = at(450), .kind = sim::FaultKind::kHeal});
   return cfg;
 }
 
