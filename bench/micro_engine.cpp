@@ -4,6 +4,8 @@
 // `eval_cost_per_site` handler cost.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+
 #include "digruber/experiments/scenario.hpp"
 #include "digruber/gruber/selectors.hpp"
 
@@ -122,6 +124,54 @@ BENCHMARK(BM_EngineCandidatesExpiring)->Arg(100)->Arg(1000)->Arg(5000);
 // osg-100x's shape: 3,000 sites holding 0.4 records each, so most of a
 // call is the per-site cost of sites that hold none.
 BENCHMARK_CAPTURE(BM_EngineCandidatesExpiring, sites3000, 3000)->Arg(1200);
+
+// paper-10x's measured shape: the top-k selector keeps sending work to a
+// few sites, so ten of 300 sites hold about 1,000 live records each and
+// the rest a handful. Each call is one simulated second: eleven records
+// land, ten on the hot sites (one each on average), with runtimes of 5 s
+// to 2 h (log-uniform), so expiries interleave out of arrival order and
+// some records expire between any two calls.
+void BM_EngineCandidatesSkewed(benchmark::State& state) {
+  constexpr std::size_t kSites = 300;
+  constexpr std::size_t kHot = 10;
+  EngineFixture fixture{kSites};
+  Rng rng(47);
+  sim::Time now = sim::Time::zero();
+  std::uint64_t seq = 0;
+  const auto record_second = [&] {
+    for (int i = 0; i < 11; ++i) {
+      gruber::DispatchRecord r;
+      r.origin = DpId(0);
+      r.seq = ++seq;
+      r.site = SiteId(i < 10 ? 7 + 29 * rng.uniform_index(kHot)
+                             : rng.uniform_index(kSites));
+      // As the workload draws a job: a VO, one of its ten groups, and
+      // that group's one user.
+      r.vo = VoId(rng.uniform_index(10));
+      r.group = GroupId(10 * r.vo.value() + rng.uniform_index(10));
+      r.user = UserId(r.group.value());
+      r.cpus = 1;
+      r.when = now;
+      r.est_runtime = sim::Duration::seconds(
+          std::exp(rng.uniform(std::log(5.0), std::log(7200.0))));
+      fixture.engine.record(r, now);
+    }
+  };
+  // Two hours, the longest runtime: the hot sites reach their steady state.
+  for (int warm = 0; warm < 7200; ++warm) {
+    record_second();
+    now = now + sim::Duration::seconds(1);
+  }
+  for (auto _ : state) {
+    record_second();
+    const auto candidates = fixture.engine.candidates(fixture.job, now);
+    benchmark::DoNotOptimize(candidates.data());
+    now = now + sim::Duration::seconds(1);
+  }
+  state.counters["active_records"] =
+      double(fixture.engine.view().active_records(now).size());
+}
+BENCHMARK(BM_EngineCandidatesSkewed);
 
 void BM_Selector(benchmark::State& state, const char* name) {
   EngineFixture fixture{300};

@@ -12,6 +12,7 @@
 // that can still make their deadline — goodput holds and the tail
 // collapses instead of the service.
 #include <iostream>
+#include <sstream>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -80,8 +81,13 @@ int main(int argc, char** argv) {
                "handled no-shed", "shed", "NACKs"});
 
   ArmResult knee_shed, knee_noshed;
+  // The process-wide wire counters, as the last shed arm alone left them.
+  std::ostringstream knee_wire;
   for (const int n : sweep) {
+    const bool last = n == sweep.back();
+    if (last) net::wire::wire_stats().reset();
     const ArmResult with_shed = run_arm(args, n, true);
+    if (last) diperf::render_wire(knee_wire, net::wire::wire_stats());
     const ArmResult without = run_arm(args, n, false);
     table.add_row({std::to_string(n), Table::num(with_shed.goodput_qps, 2),
                    Table::num(without.goodput_qps, 2),
@@ -97,7 +103,7 @@ int main(int argc, char** argv) {
   std::cout << "\n";
 
   diperf::render_overload(std::cout, knee_shed.overload);
-  diperf::render_wire(std::cout, net::wire::wire_stats());
+  std::cout << knee_wire.str();
 
   // Verdict at the deepest point past the knee (the largest fleet).
   const bool goodput_up = knee_shed.goodput_qps >= knee_noshed.goodput_qps;

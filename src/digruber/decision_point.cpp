@@ -1,6 +1,7 @@
 #include "digruber/digruber/decision_point.hpp"
 
 #include <algorithm>
+#include <tuple>
 #include <utility>
 
 #include "digruber/common/log.hpp"
@@ -360,12 +361,7 @@ void DecisionPoint::crash() {
     // this instant. Observer-only bookkeeping — it reads state, changes
     // nothing, and survives the crash the way an external checker's
     // notebook would.
-    pre_crash_committed_.clear();
-    for (const gruber::DispatchRecord& record :
-         engine_.view().active_records(sim_.now())) {
-      pre_crash_committed_.emplace_back(record.origin, record.seq,
-                                        record.when + record.est_runtime);
-    }
+    pre_crash_committed_ = engine_.view().active_records(sim_.now());
   }
   // Everything below is volatile process state: gone with the crash. The
   // SimDisk is deliberately NOT touched — crash models lost RAM, not lost
@@ -1485,15 +1481,25 @@ sim::Duration DecisionPoint::replay_from_disk() {
   if (scan.truncated) ++counters_.replay_truncations;
 
   // 3. I11 audit: every record committed (fsynced) before the crash and
-  // still unexpired must be back. pre_crash_committed_ is observer state
-  // captured by crash(); misses on a clean disk are recovery bugs, misses
-  // after injected torn tails / bit rot are the faults working as intended
-  // (chaos gates the invariant on clean-disk points).
-  for (const auto& [origin, seq, expiry] : pre_crash_committed_) {
-    if (expiry <= now) continue;
-    const auto it = applied_.find(origin);
-    if (it == applied_.end() || !it->second.contains(seq)) {
-      ++counters_.replay_mismatches;
+  // still unexpired must be back as it was: one the view does not hold, or
+  // holds only as a different twin of its (origin, seq), is a mismatch.
+  // pre_crash_committed_ is observer state captured by crash(); misses on
+  // a clean disk are recovery bugs, misses after injected torn tails / bit
+  // rot are the faults working as intended (chaos gates the invariant on
+  // clean-disk points).
+  if (!pre_crash_committed_.empty()) {
+    std::vector<gruber::DispatchRecord> restored =
+        engine_.view().active_records(now);
+    const auto by_key = [](const gruber::DispatchRecord& a,
+                           const gruber::DispatchRecord& b) {
+      return std::tie(a.origin, a.seq) < std::tie(b.origin, b.seq);
+    };
+    std::sort(restored.begin(), restored.end(), by_key);
+    for (const gruber::DispatchRecord& record : pre_crash_committed_) {
+      if (record.when + record.est_runtime <= now) continue;
+      const auto [first, last] =
+          std::equal_range(restored.begin(), restored.end(), record, by_key);
+      if (std::find(first, last, record) == last) ++counters_.replay_mismatches;
     }
   }
   pre_crash_committed_.clear();

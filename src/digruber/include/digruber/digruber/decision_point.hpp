@@ -504,7 +504,7 @@ class DecisionPoint {
   /// intentionally NOT cleared by crash() (it survives the way an external
   /// checker's notebook would), never serialized, never read by any
   /// decision path.
-  std::vector<std::tuple<DpId, std::uint64_t, sim::Time>> pre_crash_committed_;
+  std::vector<gruber::DispatchRecord> pre_crash_committed_;
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint32_t> dispatch_audit_;
   /// I13 audit log of own accepted records (options.overlay_audit only).
   std::vector<std::pair<std::uint64_t, double>> own_record_log_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "digruber/common/ids.hpp"
@@ -152,6 +153,7 @@ class GridView {
   /// (`when + est_runtime <= now`) is refused and leaves the view as it
   /// was: no read at `now` or later would count it. A caller that keeps
   /// no clock (a test, an offline replay) records at simulated time zero.
+  /// A record holding fewer than one CPU is malformed and refused too.
   bool record_dispatch(const DispatchRecord& record,
                        sim::Time now = sim::Time::zero());
 
@@ -234,9 +236,74 @@ class GridView {
                                              sim::Duration threshold) const;
 
  private:
+  /// A held record without its site, which its `SiteState` names, and
+  /// with its expiry in place of its runtime. A record that has left the
+  /// view stays in its slot with `cpus` 0 (a tombstone) until the site's
+  /// slots are compacted.
+  struct Held {
+    DpId origin;
+    std::uint64_t seq = 0;
+    VoId vo;
+    GroupId group;
+    UserId user;
+    sim::Time when;
+    sim::Time expiry;
+    std::int32_t cpus = 0;
+    /// Not part of the record: entry `i` of its block's expiry heap is
+    /// `slots[i].due` (see `Block`).
+    std::uint32_t due = 0;
+  };
+
+  /// The CPUs the live records of one site hold for one (VO, group, user)
+  /// chain.
+  struct Chain {
+    VoId vo;
+    GroupId group;
+    UserId user;
+    std::int32_t cpus = 0;
+  };
+  static constexpr auto chain_before = [](const Chain& a, const Chain& b) {
+    if (a.vo != b.vo) return a.vo < b.vo;
+    if (a.group != b.group) return a.group < b.group;
+    return a.user < b.user;
+  };
+
+  /// The records of a site that holds any, kept so that a query never
+  /// walks them: their CPUs summed per chain beside them, and a heap that
+  /// names the next to expire.
+  struct Block {
+    /// The held records in arrival order, tombstones among them.
+    std::vector<Held> slots;
+    /// One entry per chain the live records hold CPUs for, ascending by
+    /// `chain_before`; an entry whose CPUs fall to zero is erased.
+    std::vector<Chain> chains;
+    std::uint32_t tombstones = 0;
+    /// The size of the expiry heap: the slot numbers in `slots[i].due`
+    /// for `i` below it, as a min-heap by expiry, so the heap shares the
+    /// slots' memory. A slot tombstoned by a snapshot or a merge stays in
+    /// the heap until it is popped.
+    std::uint32_t due_count = 0;
+
+    /// The slot that expires first (the heap is not empty).
+    [[nodiscard]] std::uint32_t next_due() const { return slots[0].due; }
+    /// Hold `h` in a new slot (its CPUs are not yet counted), compacting
+    /// the slots first if they are full and hold any tombstone.
+    void push(const Held& h);
+    /// Take the slot that expires first off the heap.
+    std::uint32_t pop_due();
+    /// Move the live records down over the tombstones, keeping their
+    /// order, and rebuild the heap over their new slots.
+    void compact();
+
+   private:
+    /// Put `slot` at heap entry `pos`, or below it where it belongs.
+    void sift_down(std::uint32_t pos, std::uint32_t slot);
+  };
+
   /// What a candidate scan reads of one site, packed apart from the base
   /// snapshot and its maps: a fold over thousands of sites reads about one
-  /// cache line per site that holds no records.
+  /// cache line per site that holds no records, and one more for a site
+  /// that holds some.
   struct SiteState {
     explicit SiteState(SiteId id) : site(id) {}
 
@@ -252,15 +319,19 @@ class GridView {
     std::int32_t total_cpus = 0;
     std::int32_t free_cpus = 0;
     std::int32_t queued_jobs = 0;
+    /// The CPUs the held records hold: zero exactly when the site holds
+    /// none, since every held record holds at least one.
+    std::int32_t pending = 0;
+    /// A lower bound on the held records' expiry: until `now` reaches it,
+    /// `prune` has nothing to drop.
+    sim::Time next_expiry = sim::Time::max();
+    /// `held->chains` as the fold reads it, refreshed whenever it changes.
+    const Chain* chains = nullptr;
+    std::uint32_t chain_count = 0;
     /// Whether the base's per-VO running map has any entry to look up.
     bool has_vo_running = false;
-    /// A lower bound on the held records' expiry: until `now` reaches it,
-    /// `prune` has nothing to drop. Each prune pass that runs resets it
-    /// to the exact earliest expiry.
-    sim::Time next_expiry = sim::Time::max();
-    /// Held records in arrival order, pruned lazily by estimated completion.
-    /// A site that has never held one allocates nothing here.
-    std::vector<DispatchRecord> active;
+    /// The held records; a site holds a block while it holds any.
+    std::unique_ptr<Block> held;
   };
 
   /// The digest of the window last asked about, kept exact through every
@@ -274,24 +345,31 @@ class GridView {
     if (now >= state.next_expiry) drop_expired(state, now);
   }
   void drop_expired(SiteState& state, sim::Time now) const;
+  /// Take the record in `slot` out of `state`'s sums and the digest and
+  /// leave a tombstone in its place.
+  void remove(SiteState& state, std::uint32_t slot) const;
+  /// Add `cpus` (negative to take them away) to `state`'s pending CPUs and
+  /// to the sum of `h`'s chain.
+  static void count(SiteState& state, const Held& h, std::int32_t cpus);
+  /// After removals: set an emptied site's block aside, compact one whose
+  /// tombstones pass an eighth of its slots, and reset the watermark.
+  void settle(SiteState& state) const;
+  /// The held record in `slot` of `state`, as it was recorded.
+  [[nodiscard]] static DispatchRecord record_at(const SiteState& state,
+                                                std::uint32_t slot);
+  /// Calls `visit(slot)` for each live slot of `state`, in arrival order.
+  template <class Visit>
+  static void for_each_held(const SiteState& state, Visit&& visit);
   /// The index of `site` in `sites_`, or `sites_.size()` if unknown.
   [[nodiscard]] std::size_t find(SiteId site) const;
   /// The index of `site` in `sites_`, created (and registered with the
   /// digest) if new.
   std::size_t index_for(SiteId site);
-  /// Take `r` out of the digest before it leaves the held set.
-  void release(const DispatchRecord& r) const;
-  [[nodiscard]] static std::int32_t pending_cpus(const SiteState& state) {
-    std::int32_t pending = 0;
-    for (const DispatchRecord& r : state.active) pending += r.cpus;
-    return pending;
-  }
-  [[nodiscard]] static SiteLoad site_load(const SiteState& state,
-                                          std::int32_t pending) {
+  [[nodiscard]] static SiteLoad site_load(const SiteState& state) {
     SiteLoad load;
     load.site = state.site;
     load.total_cpus = state.total_cpus;
-    load.free_estimate = std::max(0, state.free_cpus - pending);
+    load.free_estimate = std::max(0, state.free_cpus - state.pending);
     load.raw_free = load.free_estimate;
     load.queued = state.queued_jobs;
     return load;
@@ -303,6 +381,9 @@ class GridView {
   /// `bases_[i]` is the base snapshot held for `sites_[i]`.
   std::vector<grid::SiteSnapshot> bases_;
   mutable std::unique_ptr<DigestCache> digest_;
+  /// Blocks whose sites emptied, kept for the next site that takes a
+  /// record: a site that keeps emptying and filling allocates nothing.
+  mutable std::vector<std::unique_ptr<Block>> spare_;
   std::uint64_t recorded_ = 0;
 };
 
@@ -310,7 +391,7 @@ template <class Visit>
 void GridView::for_each_load(sim::Time now, Visit&& visit) const {
   for (SiteState& state : sites_) {
     prune(state, now);
-    visit(site_load(state, pending_cpus(state)));
+    visit(site_load(state));
   }
 }
 
@@ -331,15 +412,17 @@ void GridView::fold(VoId vo, GroupId group, UserId user, sim::Time now,
       const auto it = running.find(vo);
       if (it != running.end()) u.vo_running = it->second;
     }
-    std::int32_t pending = 0;
-    for (const DispatchRecord& r : state.active) {
-      pending += r.cpus;
-      u.free_cpus = std::max(0, u.free_cpus - r.cpus);
-      if (r.vo == vo) u.vo_running += r.cpus;
-      if (r.group == group) u.group_running += r.cpus;
-      if (r.user == user) u.user_running += r.cpus;
+    if (state.pending != 0) {
+      // Each record holds at least one CPU, so clamping the free count at
+      // zero once equals clamping it after each record.
+      u.free_cpus = std::max(0, u.free_cpus - state.pending);
+      for (const Chain& c : std::span(state.chains, state.chain_count)) {
+        if (c.vo == vo) u.vo_running += c.cpus;
+        if (c.group == group) u.group_running += c.cpus;
+        if (c.user == user) u.user_running += c.cpus;
+      }
     }
-    f.load = site_load(state, pending);
+    f.load = site_load(state);
     visit(f);
   }
 }

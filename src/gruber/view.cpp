@@ -44,13 +44,16 @@ std::uint64_t snapshot_hash(const grid::SiteSnapshot& s) {
   return h;
 }
 
-/// Whether `r` lies in the settled window (as_of, horizon) — see ViewDigest.
-bool settled(const DispatchRecord& r, sim::Time as_of, sim::Time horizon) {
+/// Whether a record made at `when` that ages out at `expiry` lies in the
+/// settled window (as_of, horizon) — see ViewDigest.
+bool settled(sim::Time when, sim::Time expiry, sim::Time as_of,
+             sim::Time horizon) {
   // Outside the settled window: too fresh to have propagated over normal
   // exchanges, or expiring too soon to survive the compare round trip.
   // Either would make healthy peers digest differently.
-  return r.when <= as_of && r.when + r.est_runtime > horizon;
+  return when <= as_of && expiry > horizon;
 }
+
 
 /// Binary-search order of a site state against a site id.
 constexpr auto site_before = [](const auto& state, SiteId site) {
@@ -74,14 +77,15 @@ struct GridView::DigestCache {
              horizon_lo <= horizon && horizon < horizon_hi;
     }
 
-    /// Narrow to the edges `r` puts around the window (as_of, horizon).
-    void tighten(const DispatchRecord& r, sim::Time as_of, sim::Time horizon) {
-      if (r.when <= as_of) {
-        as_of_lo = std::max(as_of_lo, r.when);
+    /// Narrow to the edges a record made at `when` that ages out at
+    /// `expiry` puts around the window (as_of, horizon).
+    void tighten(sim::Time when, sim::Time expiry, sim::Time as_of,
+                 sim::Time horizon) {
+      if (when <= as_of) {
+        as_of_lo = std::max(as_of_lo, when);
       } else {
-        as_of_hi = std::min(as_of_hi, r.when);
+        as_of_hi = std::min(as_of_hi, when);
       }
-      const sim::Time expiry = r.when + r.est_runtime;
       if (expiry <= horizon) {
         horizon_lo = std::max(horizon_lo, expiry);
       } else {
@@ -124,10 +128,14 @@ struct GridView::DigestCache {
                                  const SiteState& state) {
     base_hash ^= snapshot_hash(base);
     SiteBox b;
-    for (const DispatchRecord& r : state.active) {
-      if (settled(r, as_of, horizon)) toggle(r, true);
-      b.tighten(r, as_of, horizon);
-    }
+    for_each_held(state, [&](std::uint32_t slot) {
+      const sim::Time when = state.held->slots[slot].when;
+      const sim::Time expiry = state.held->slots[slot].expiry;
+      if (settled(when, expiry, as_of, horizon)) {
+        toggle(record_at(state, slot), true);
+      }
+      b.tighten(when, expiry, as_of, horizon);
+    });
     return b;
   }
 
@@ -137,11 +145,15 @@ struct GridView::DigestCache {
   void rescan(SiteBox& b, const SiteState& state, sim::Time to_as_of,
               sim::Time to_horizon) {
     SiteBox moved;
-    for (const DispatchRecord& r : state.active) {
-      const bool in = settled(r, to_as_of, to_horizon);
-      if (in != settled(r, as_of, horizon)) toggle(r, in);
-      moved.tighten(r, to_as_of, to_horizon);
-    }
+    for_each_held(state, [&](std::uint32_t slot) {
+      const sim::Time when = state.held->slots[slot].when;
+      const sim::Time expiry = state.held->slots[slot].expiry;
+      const bool in = settled(when, expiry, to_as_of, to_horizon);
+      if (in != settled(when, expiry, as_of, horizon)) {
+        toggle(record_at(state, slot), in);
+      }
+      moved.tighten(when, expiry, to_as_of, to_horizon);
+    });
     b = moved;
   }
 };
@@ -191,43 +203,172 @@ void GridView::apply_snapshot(const grid::SiteSnapshot& snapshot) {
   base = snapshot;
   SiteState& state = sites_[i];
   state.take_counts(base);
+  if (!state.held) return;
   // Dispatches made before the snapshot are already reflected in it.
-  std::erase_if(state.active, [&](const DispatchRecord& r) {
-    if (r.when > snapshot.as_of) return false;
-    release(r);
-    return true;
+  for_each_held(state, [&](std::uint32_t slot) {
+    if (state.held->slots[slot].when <= snapshot.as_of) remove(state, slot);
   });
+  settle(state);
 }
 
 bool GridView::record_dispatch(const DispatchRecord& record, sim::Time now) {
   const sim::Time expiry = record.when + record.est_runtime;
-  if (expiry <= now) return false;
+  if (record.cpus < 1 || expiry <= now) return false;
   const std::size_t i = index_for(record.site);
   SiteState& state = sites_[i];
-  state.active.push_back(record);
+  if (!state.held) {
+    if (spare_.empty()) {
+      state.held = std::make_unique<Block>();
+    } else {
+      state.held = std::move(spare_.back());
+      spare_.pop_back();
+    }
+  }
+  const Held h{record.origin, record.seq, record.vo, record.group,
+               record.user,   record.when, expiry,    record.cpus};
+  state.held->push(h);
+  count(state, h, h.cpus);
   state.next_expiry = std::min(state.next_expiry, expiry);
   ++recorded_;
   if (digest_) {
-    if (settled(record, digest_->as_of, digest_->horizon)) {
+    if (settled(record.when, expiry, digest_->as_of, digest_->horizon)) {
       digest_->toggle(record, true);
     }
-    digest_->boxes[i].tighten(record, digest_->as_of, digest_->horizon);
+    digest_->boxes[i].tighten(record.when, expiry, digest_->as_of,
+                              digest_->horizon);
   }
   return true;
 }
 
-void GridView::drop_expired(SiteState& state, sim::Time now) const {
-  sim::Time next = sim::Time::max();
-  std::erase_if(state.active, [&](const DispatchRecord& r) {
-    const sim::Time expiry = r.when + r.est_runtime;
-    if (expiry > now) {
-      next = std::min(next, expiry);
-      return false;
+void GridView::Block::push(const Held& h) {
+  // Reuse the tombstones' room before the slots would grow.
+  if (tombstones > 0 && slots.size() == slots.capacity()) compact();
+  const auto slot = std::uint32_t(slots.size());
+  slots.push_back(h);
+  // The heap never holds more entries than there are slots, so its new
+  // last entry is in range; sift the slot up from there.
+  std::uint32_t pos = due_count++;
+  while (pos > 0) {
+    const std::uint32_t parent = (pos - 1) / 2;
+    const std::uint32_t above = slots[parent].due;
+    if (slots[above].expiry <= h.expiry) break;
+    slots[pos].due = above;
+    pos = parent;
+  }
+  slots[pos].due = slot;
+}
+
+std::uint32_t GridView::Block::pop_due() {
+  const std::uint32_t first = slots[0].due;
+  const std::uint32_t last = slots[--due_count].due;
+  if (due_count > 0) sift_down(0, last);
+  return first;
+}
+
+void GridView::Block::sift_down(std::uint32_t pos, std::uint32_t slot) {
+  const sim::Time at = slots[slot].expiry;
+  for (std::uint32_t child = 2 * pos + 1; child < due_count;
+       child = 2 * pos + 1) {
+    if (child + 1 < due_count &&
+        slots[slots[child + 1].due].expiry < slots[slots[child].due].expiry) {
+      ++child;
     }
-    release(r);
-    return true;
-  });
-  state.next_expiry = next;
+    const std::uint32_t below = slots[child].due;
+    if (at <= slots[below].expiry) break;
+    slots[pos].due = below;
+    pos = child;
+  }
+  slots[pos].due = slot;
+}
+
+void GridView::count(SiteState& state, const Held& h, std::int32_t cpus) {
+  state.pending += cpus;
+  std::vector<Chain>& chains = state.held->chains;
+  const Chain key{h.vo, h.group, h.user, cpus};
+  const auto it =
+      std::lower_bound(chains.begin(), chains.end(), key, chain_before);
+  if (it == chains.end() || chain_before(key, *it)) {
+    chains.insert(it, key);
+  } else if ((it->cpus += cpus) == 0) {
+    chains.erase(it);
+  }
+  state.chains = chains.data();
+  state.chain_count = std::uint32_t(chains.size());
+}
+
+void GridView::Block::compact() {
+  std::uint32_t kept = 0;
+  for (std::uint32_t slot = 0; slot < slots.size(); ++slot) {
+    if (slots[slot].cpus == 0) continue;
+    slots[kept++] = slots[slot];
+  }
+  slots.resize(kept);
+  tombstones = 0;
+  due_count = kept;
+  for (std::uint32_t pos = 0; pos < kept; ++pos) slots[pos].due = pos;
+  for (std::uint32_t pos = kept / 2; pos-- > 0;) sift_down(pos, slots[pos].due);
+}
+
+void GridView::drop_expired(SiteState& state, sim::Time now) const {
+  Block& held = *state.held;
+  while (held.due_count > 0 && held.slots[held.next_due()].expiry <= now) {
+    const std::uint32_t slot = held.pop_due();
+    // A slot a snapshot or a merge emptied earlier has nothing to drop.
+    if (held.slots[slot].cpus != 0) remove(state, slot);
+  }
+  settle(state);
+}
+
+void GridView::remove(SiteState& state, std::uint32_t slot) const {
+  Block& held = *state.held;
+  Held& h = held.slots[slot];
+  if (digest_ && settled(h.when, h.expiry, digest_->as_of, digest_->horizon)) {
+    digest_->toggle(record_at(state, slot), false);
+  }
+  count(state, h, -h.cpus);
+  h.cpus = 0;
+  ++held.tombstones;
+}
+
+void GridView::settle(SiteState& state) const {
+  if (state.pending == 0) {
+    Block& held = *state.held;
+    held.slots.clear();
+    held.tombstones = 0;
+    held.due_count = 0;
+    spare_.push_back(std::move(state.held));
+    state.chains = nullptr;
+    state.chain_count = 0;
+    state.next_expiry = sim::Time::max();
+    return;
+  }
+  Block& held = *state.held;
+  if (held.tombstones > held.slots.size() / 8) held.compact();
+  state.next_expiry = held.slots[held.next_due()].expiry;
+}
+
+DispatchRecord GridView::record_at(const SiteState& state, std::uint32_t slot) {
+  const Held& h = state.held->slots[slot];
+  DispatchRecord r;
+  r.origin = h.origin;
+  r.seq = h.seq;
+  r.site = state.site;
+  r.vo = h.vo;
+  r.group = h.group;
+  r.user = h.user;
+  r.cpus = h.cpus;
+  r.when = h.when;
+  r.est_runtime = h.expiry - h.when;
+  return r;
+}
+
+template <class Visit>
+void GridView::for_each_held(const SiteState& state, Visit&& visit) {
+  if (!state.held) return;
+  const std::vector<Held>& slots = state.held->slots;
+  for (std::uint32_t slot = 0; slot < slots.size(); ++slot) {
+    if (slots[slot].cpus != 0) visit(slot);
+  }
 }
 
 std::size_t GridView::index_for(SiteId site) {
@@ -245,12 +386,6 @@ std::size_t GridView::index_for(SiteId site) {
   return i;
 }
 
-void GridView::release(const DispatchRecord& r) const {
-  if (digest_ && settled(r, digest_->as_of, digest_->horizon)) {
-    digest_->toggle(r, false);
-  }
-}
-
 std::size_t GridView::find(SiteId site) const {
   const auto it =
       std::lower_bound(sites_.begin(), sites_.end(), site, site_before);
@@ -263,7 +398,7 @@ std::int32_t GridView::estimated_free(SiteId site, sim::Time now) const {
   if (i == sites_.size()) return 0;
   SiteState& state = sites_[i];
   prune(state, now);
-  return std::max(0, state.free_cpus - pending_cpus(state));
+  return std::max(0, state.free_cpus - state.pending);
 }
 
 grid::SiteSnapshot GridView::estimated_snapshot(SiteId site, sim::Time now) const {
@@ -272,9 +407,11 @@ grid::SiteSnapshot GridView::estimated_snapshot(SiteId site, sim::Time now) cons
   SiteState& state = sites_[i];
   prune(state, now);
   grid::SiteSnapshot estimate = bases_[i];
-  for (const auto& r : state.active) {
-    estimate.free_cpus = std::max(0, estimate.free_cpus - r.cpus);
-    estimate.running_per_vo[r.vo] += r.cpus;
+  if (state.pending != 0) {
+    estimate.free_cpus = std::max(0, estimate.free_cpus - state.pending);
+    for (const Chain& c : state.held->chains) {
+      estimate.running_per_vo[c.vo] += c.cpus;
+    }
   }
   estimate.as_of = now;
   return estimate;
@@ -284,7 +421,9 @@ std::vector<DispatchRecord> GridView::active_records(sim::Time now) const {
   std::vector<DispatchRecord> out;
   for (SiteState& state : sites_) {
     prune(state, now);
-    out.insert(out.end(), state.active.begin(), state.active.end());
+    for_each_held(state, [&](std::uint32_t slot) {
+      out.push_back(record_at(state, slot));
+    });
   }
   return out;
 }
@@ -296,6 +435,7 @@ std::vector<grid::SiteSnapshot> GridView::base_snapshots() const {
 void GridView::clear() {
   sites_ = std::vector<SiteState>();
   bases_ = std::vector<grid::SiteSnapshot>();
+  spare_ = std::vector<std::unique_ptr<Block>>();
   digest_.reset();
   recorded_ = 0;
 }
@@ -337,9 +477,12 @@ std::vector<DispatchRecord> GridView::records_for_vos(
   std::vector<DispatchRecord> out;
   for (SiteState& state : sites_) {
     prune(state, now);
-    for (const DispatchRecord& r : state.active) {
-      if (std::binary_search(vos.begin(), vos.end(), r.vo)) out.push_back(r);
-    }
+    for_each_held(state, [&](std::uint32_t slot) {
+      const VoId vo = state.held->slots[slot].vo;
+      if (std::binary_search(vos.begin(), vos.end(), vo)) {
+        out.push_back(record_at(state, slot));
+      }
+    });
   }
   return out;
 }
@@ -349,9 +492,13 @@ GridView::MergeResult GridView::merge_record(const DispatchRecord& record,
   MergeResult out;
   for (SiteState& state : sites_) {
     prune(state, now);
-    for (auto it = state.active.begin(); it != state.active.end(); ++it) {
-      if (it->origin == record.origin && it->seq == record.seq) {
-        if (*it == record) {
+    if (!state.held) continue;
+    const std::vector<Held>& slots = state.held->slots;
+    for (std::uint32_t slot = 0; slot < slots.size(); ++slot) {
+      const Held& h = slots[slot];
+      if (h.cpus == 0) continue;  // left the view
+      if (h.origin == record.origin && h.seq == record.seq) {
+        if (record_at(state, slot) == record) {
           return out;  // exact duplicate: nothing to do
         }
         // Conflicting twins: severity first (the allocation holding more
@@ -360,17 +507,17 @@ GridView::MergeResult GridView::merge_record(const DispatchRecord& record,
         // full tie so both merge orders converge to the same record.
         out.conflict = true;
         const bool incoming_wins =
-            record.cpus != it->cpus ? record.cpus > it->cpus
-                                    : record.when > it->when;
+            record.cpus != h.cpus ? record.cpus > h.cpus
+                                  : record.when > h.when;
         if (!incoming_wins) return out;
-        release(*it);
-        state.active.erase(it);
+        remove(state, slot);
+        settle(state);
         out.applied = record_dispatch(record, now);
         return out;
       }
-      if (it->origin != record.origin && it->vo == record.vo &&
-          it->group == record.group && it->user == record.user &&
-          it->when == record.when) {
+      if (h.origin != record.origin && h.vo == record.vo &&
+          h.group == record.group && h.user == record.user &&
+          h.when == record.when) {
         // The same logical work admitted independently by two origins —
         // the split-brain double-commit signature. Keep both records (both
         // really consumed capacity) but surface it for accounting.

@@ -366,17 +366,23 @@ TEST(DurableDp, LearnedRecordsLogDispatchBeforeEpochSettle) {
   b.stop();
 }
 
-// A pull whose twin wins the view's merge logs a second dispatch frame for
-// the same (origin, seq). Replay must end on that twin, as the live view
-// did, not on the record it replaced.
-TEST(DurableDp, ReplayKeepsTheTwinAPullLogged) {
-  Fixture f;
-  DecisionPointOptions o = f.options();
-  o.partition.enabled = true;  // so the restart runs no catch-up pull
-  DecisionPoint dp(f.sim, f.transport, DpId(0), f.catalog, f.tree, o);
-  dp.bootstrap(f.snapshots());
+// A 10-CPU record (origin 5, seq 1) reaches `dp` by exchange at 50 s; the
+// next frame skips a round, and the catch-up pull it triggers brings a
+// 30-CPU twin from a stand-in peer (dp9), which wins the view's merge and
+// logs a second dispatch frame for the same (origin, seq).
+class TwinPull {
+ public:
+  explicit TwinPull(Fixture& f) : f_(f), peer_(f.sim, f.transport, fast_profile()) {
+    peer_.register_typed<PullRequest, PullReply>(
+        kPull, [](const PullRequest&, NodeId) {
+          PullReply reply;
+          reply.from = DpId(9);
+          reply.records = {record(30)};
+          return std::make_pair(reply, sim::Duration::millis(1));
+        });
+  }
 
-  auto record = [](std::int32_t cpus) {
+  static gruber::DispatchRecord record(std::int32_t cpus) {
     gruber::DispatchRecord r;
     r.origin = DpId(5);
     r.seq = 1;
@@ -388,32 +394,40 @@ TEST(DurableDp, ReplayKeepsTheTwinAPullLogged) {
     r.when = sim::Time::from_seconds(10);
     r.est_runtime = sim::Duration::seconds(3600);
     return r;
-  };
-  // A stand-in peer (dp9) whose pull replies hold a 30-CPU twin of (5, 1).
-  net::RpcServer peer(f.sim, f.transport, fast_profile());
-  peer.register_typed<PullRequest, PullReply>(
-      kPull, [&](const PullRequest&, NodeId) {
-        PullReply reply;
-        reply.from = DpId(9);
-        reply.records = {record(30)};
-        return std::make_pair(reply, sim::Duration::millis(1));
-      });
-  dp.set_overlay_view({{DpId(9), peer.node()}});
+  }
 
-  // The 10-CPU record arrives by exchange; the next frame skips a round,
-  // and the catch-up pull brings the twin, which wins on CPUs.
-  ExchangeMessage first;
-  first.from = DpId(9);
-  first.exchange_round = 1;
-  first.dispatches = {record(10)};
-  ExchangeMessage gap = first;
-  gap.exchange_round = 3;
-  gap.dispatches.clear();
-  f.sim.schedule_at(sim::Time::from_seconds(50),
-                    [&] { f.rpc.notify(dp.node(), kExchange, first); });
-  f.sim.schedule_at(sim::Time::from_seconds(55),
-                    [&] { f.rpc.notify(dp.node(), kExchange, gap); });
-  f.sim.run_until(sim::Time::from_seconds(58));
+  /// Run `dp` to 58 s, by which the twin has replaced the first record.
+  void run(DecisionPoint& dp) {
+    dp.set_overlay_view({{DpId(9), peer_.node()}});
+    ExchangeMessage first;
+    first.from = DpId(9);
+    first.exchange_round = 1;
+    first.dispatches = {record(10)};
+    ExchangeMessage gap = first;
+    gap.exchange_round = 3;
+    gap.dispatches.clear();
+    f_.sim.schedule_at(sim::Time::from_seconds(50),
+                       [&, first] { f_.rpc.notify(dp.node(), kExchange, first); });
+    f_.sim.schedule_at(sim::Time::from_seconds(55),
+                       [&, gap] { f_.rpc.notify(dp.node(), kExchange, gap); });
+    f_.sim.run_until(sim::Time::from_seconds(58));
+  }
+
+ private:
+  Fixture& f_;
+  net::RpcServer peer_;
+};
+
+// Replay must end on the twin a pull logged, as the live view did, not on
+// the record it replaced.
+TEST(DurableDp, ReplayKeepsTheTwinAPullLogged) {
+  Fixture f;
+  DecisionPointOptions o = f.options();
+  o.partition.enabled = true;  // so the restart runs no catch-up pull
+  DecisionPoint dp(f.sim, f.transport, DpId(0), f.catalog, f.tree, o);
+  dp.bootstrap(f.snapshots());
+  TwinPull twin(f);
+  twin.run(dp);
   ASSERT_EQ(dp.counters().pull(PullReason::kCatchUp).applied, 1u);
   const gruber::GridView& view = dp.engine().view();
   ASSERT_EQ(view.estimated_free(SiteId(0), f.sim.now()), 70);
@@ -423,6 +437,32 @@ TEST(DurableDp, ReplayKeepsTheTwinAPullLogged) {
   EXPECT_EQ(view.estimated_free(SiteId(0), f.sim.now()), 70);
   EXPECT_EQ(dp.counters().replay_records, 1u);  // first-seen frames only
   EXPECT_EQ(dp.counters().replay_mismatches, 0u);
+  dp.stop();
+}
+
+// The I11 audit compares each pre-crash record with the one the view holds
+// after replay, not only its (origin, seq): when a torn tail loses the
+// twin's frame, replay restores the 10-CPU record under the same key, and
+// the audit counts it.
+TEST(DurableDp, ReplayAuditCountsAWrongTwin) {
+  Fixture f;
+  DecisionPointOptions o = f.options();
+  o.partition.enabled = true;
+  DecisionPoint dp(f.sim, f.transport, DpId(0), f.catalog, f.tree, o);
+  dp.bootstrap(f.snapshots());
+  TwinPull twin(f);
+  twin.run(dp);
+  const gruber::GridView& view = dp.engine().view();
+  ASSERT_EQ(view.estimated_free(SiteId(0), f.sim.now()), 70);
+
+  dp.inject_disk_tear();  // the last append: the twin's frame
+  dp.crash();
+  dp.restart(f.snapshots());
+  EXPECT_EQ(dp.counters().replay_truncations, 1u);
+  EXPECT_EQ(view.estimated_free(SiteId(0), f.sim.now()), 90);
+  ASSERT_EQ(view.active_records(f.sim.now()),
+            std::vector<gruber::DispatchRecord>{TwinPull::record(10)});
+  EXPECT_EQ(dp.counters().replay_mismatches, 1u);
   dp.stop();
 }
 

@@ -452,6 +452,34 @@ TEST(GridView, RefusesARecordThatExpiredByNow) {
   EXPECT_EQ(view.estimated_free(SiteId(1), now), 42);
 }
 
+TEST(GridView, RefusesARecordWithoutCpus) {
+  const sim::Time now = sim::Time::from_seconds(100);
+  GridView view;
+  view.bootstrap({snapshot(0, 100, 100), snapshot(1, 50, 50)});
+  ASSERT_TRUE(view.record_dispatch(origin_record(0, 1, 0, 4, 10, 900), now));
+  const std::vector<DispatchRecord> held = view.active_records(now);
+  const ViewDigest digest = view.digest(kAsOf, kHorizon);
+
+  // No CPU, or fewer than none, on a held site, an empty one and an
+  // unknown one: each is refused and changes nothing, through either door.
+  for (const std::int32_t cpus : {0, -1}) {
+    SCOPED_TRACE(cpus);
+    EXPECT_FALSE(view.record_dispatch(origin_record(0, 2, 0, cpus, 20, 900), now));
+    EXPECT_FALSE(view.record_dispatch(origin_record(0, 3, 1, cpus, 20, 900), now));
+    EXPECT_FALSE(view.record_dispatch(origin_record(0, 4, 9, cpus, 20, 900), now));
+    const GridView::MergeResult merged =
+        view.merge_record(origin_record(2, 5, 1, cpus, 20, 900), now);
+    EXPECT_FALSE(merged.applied);
+    EXPECT_FALSE(merged.conflict);
+  }
+  EXPECT_EQ(view.site_count(), 2u);
+  EXPECT_EQ(view.dispatches_recorded(), 1u);
+  EXPECT_EQ(view.estimated_free(SiteId(0), now), 96);
+  EXPECT_EQ(view.estimated_free(SiteId(1), now), 50);
+  EXPECT_EQ(view.active_records(now), held);
+  EXPECT_TRUE(view.digest(kAsOf, kHorizon) == digest);
+}
+
 TEST(GridViewMerge, DuplicateIsDroppedConflictResolvedBySeverity) {
   const sim::Time now = sim::Time::from_seconds(100);
   GridView view;

@@ -1,16 +1,21 @@
 // A seeded differential test of GridView against ReferenceView, a model of
 // the same behaviour over the simplest layout: sites in a std::map, each
 // site's records in a std::deque, every read pruning each site it visits
-// with a full erase pass, and every digest a full scan. GridView keeps its
-// sites in one sorted vector with each base's counts copied beside the
-// records, skips prune passes below each site's expiry watermark and the
-// per-VO lookup on an empty map, and keeps its digest incrementally; none
-// of that may change a result.
+// with a full erase pass and summing its records one by one, and every
+// digest a full scan. GridView keeps its sites in one sorted vector with
+// each base's counts copied beside the records, keeps per-site CPU sums
+// current instead of walking records, expires records from a heap, leaves
+// tombstones where records left and compacts them later, skips prune
+// passes below each site's expiry watermark and the per-VO lookup on an
+// empty map, and keeps its digest incrementally; none of that may change a
+// result.
 #include "digruber/gruber/view.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <cmath>
 #include <deque>
 #include <map>
 #include <tuple>
@@ -112,7 +117,7 @@ class ReferenceView {
   }
 
   bool record_dispatch(const DispatchRecord& record, sim::Time now) {
-    if (expiry(record) <= now) return false;
+    if (record.cpus < 1 || expiry(record) <= now) return false;
     sites_[record.site].active.push_back(record);
     ++recorded_;
     return true;
@@ -169,6 +174,19 @@ class ReferenceView {
     std::int32_t pending = 0;
     for (const DispatchRecord& r : it->second.active) pending += r.cpus;
     return std::max(0, it->second.base.free_cpus - pending);
+  }
+
+  grid::SiteSnapshot estimated_snapshot(SiteId id, sim::Time now) {
+    const auto it = sites_.find(id);
+    if (it == sites_.end()) return {};
+    prune(it->second, now);
+    grid::SiteSnapshot estimate = it->second.base;
+    for (const DispatchRecord& r : it->second.active) {
+      estimate.free_cpus = std::max(0, estimate.free_cpus - r.cpus);
+      estimate.running_per_vo[r.vo] += r.cpus;
+    }
+    estimate.as_of = now;
+    return estimate;
   }
 
   std::vector<DispatchRecord> records_for_vos(const std::vector<VoId>& vos,
@@ -274,6 +292,44 @@ class ReferenceView {
 };
 
 sim::Time at(std::int64_t s) { return sim::Time::from_seconds(double(s)); }
+
+/// The chain a fold is read for and the VOs a pull asks about.
+struct ReadArgs {
+  VoId vo;
+  GroupId group;
+  UserId user;
+  std::vector<VoId> vos;
+};
+
+/// Compares every read of `view` at `now` with `model`'s: the digest of
+/// (as_of, horizon) first, since it reads held records as they are,
+/// including any that expired since the last read pruned their site; then
+/// the reads that prune, the estimated snapshot of every site id below
+/// `site_ids` among them. Sets `*nonempty` when the digest holds a VO.
+void expect_same_reads(GridView& view, ReferenceView& model, std::int64_t now,
+                       std::int64_t as_of, std::int64_t horizon,
+                       std::uint64_t site_ids, const ReadArgs& args,
+                       bool* nonempty) {
+  const ViewDigest digest = view.digest(at(as_of), at(horizon));
+  ASSERT_TRUE(digest == model.digest(at(as_of), at(horizon)));
+  *nonempty = !digest.vos.empty();
+  ASSERT_EQ(view.site_count(), model.site_count());
+  ASSERT_EQ(view.dispatches_recorded(), model.dispatches_recorded());
+  ASSERT_EQ(base_rows(view.base_snapshots()), base_rows(model.base_snapshots()));
+  ASSERT_EQ(load_rows(view.loads(at(now))), load_rows(model.loads(at(now))));
+  std::vector<FoldRow> folded;
+  view.fold(args.vo, args.group, args.user, at(now),
+            [&](const SiteFold& f) { folded.push_back(fold_row(f)); });
+  ASSERT_EQ(folded, model.fold(args.vo, args.group, args.user, at(now)));
+  ASSERT_EQ(view.active_records(at(now)), model.active_records(at(now)));
+  ASSERT_EQ(view.records_for_vos(args.vos, at(now)),
+            model.records_for_vos(args.vos, at(now)));
+  for (std::uint64_t site = 0; site < site_ids; ++site) {
+    ASSERT_EQ(base_rows({view.estimated_snapshot(SiteId(site), at(now))}),
+              base_rows({model.estimated_snapshot(SiteId(site), at(now))}))
+        << "site " << site;
+  }
+}
 
 TEST(GridViewReference, SeededOperationStreamsMatchTheMapAndDequeModel) {
   // Bootstraps name the even sites only: records and snapshots on the odd
@@ -450,29 +506,18 @@ TEST(GridViewReference, SeededOperationStreamsMatchTheMapAndDequeModel) {
           break;
       }
 
-      // The digest first: it reads held records as they are, including
-      // any that expired since the last read pruned their site.
-      const ViewDigest digest = view.digest(at(as_of), at(horizon));
-      ASSERT_TRUE(digest == model.digest(at(as_of), at(horizon)));
-      if (!digest.vos.empty()) ++nonempty_digests;
-      ASSERT_EQ(view.site_count(), model.site_count());
-      ASSERT_EQ(view.dispatches_recorded(), model.dispatches_recorded());
-      ASSERT_EQ(base_rows(view.base_snapshots()), base_rows(model.base_snapshots()));
-      ASSERT_EQ(load_rows(view.loads(at(now))), load_rows(model.loads(at(now))));
-      const VoId vo(rng.uniform_index(4));
-      const GroupId group(2 * vo.value() + rng.uniform_index(2));
-      const UserId user(rng.uniform_index(6));
-      std::vector<FoldRow> folded;
-      view.fold(vo, group, user, at(now),
-                [&](const SiteFold& f) { folded.push_back(fold_row(f)); });
-      ASSERT_EQ(folded, model.fold(vo, group, user, at(now)));
-      ASSERT_EQ(view.active_records(at(now)), model.active_records(at(now)));
-      std::vector<VoId> vos;
+      ReadArgs args;
+      args.vo = VoId(rng.uniform_index(4));
+      args.group = GroupId(2 * args.vo.value() + rng.uniform_index(2));
+      args.user = UserId(rng.uniform_index(6));
       for (std::uint64_t v = 0; v < 4; ++v) {
-        if (rng.bernoulli(0.5)) vos.emplace_back(v);
+        if (rng.bernoulli(0.5)) args.vos.emplace_back(v);
       }
-      ASSERT_EQ(view.records_for_vos(vos, at(now)),
-                model.records_for_vos(vos, at(now)));
+      bool nonempty = false;
+      expect_same_reads(view, model, now, as_of, horizon, kSites + 2, args,
+                        &nonempty);
+      if (HasFatalFailure()) return;
+      if (nonempty) ++nonempty_digests;
     }
   }
   // Every path the stream means to cover was taken.
@@ -482,6 +527,188 @@ TEST(GridViewReference, SeededOperationStreamsMatchTheMapAndDequeModel) {
   EXPECT_GT(nonempty_digests, 5000u);
   EXPECT_GT(bases_without_vos, 2000u);
   EXPECT_GT(bases_with_vos, 2000u);
+}
+
+TEST(GridViewReference, SkewedStreamsMatchTheMapAndDequeModel) {
+  // Three of forty sites take most records, and runtimes run from 5 s to
+  // 2 h (log-uniform), so a hot site holds a few hundred records whose
+  // expiries interleave out of arrival order: between snapshot trims,
+  // merged twins and clears, each hot site expires thousands of records
+  // and the view compacts the slots they leave many times over.
+  constexpr std::uint64_t kSites = 40;
+  constexpr std::array<std::uint64_t, 3> kHot = {5, 21, 38};
+  std::size_t kept_hot = 0;
+  std::size_t peak_hot = 0;
+  std::size_t trims = 0;
+  std::size_t twins = 0;
+  std::size_t moved_twins = 0;
+  std::size_t clears = 0;
+  std::size_t clamped = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(7000 + seed);
+    std::uint64_t next_seq = 0;
+    const auto pick_site = [&] {
+      return rng.bernoulli(0.85) ? kHot[rng.uniform_index(kHot.size())]
+                                 : rng.uniform_index(kSites);
+    };
+    const auto snapshot_of = [&](std::uint64_t site, std::int64_t as_of_s) {
+      grid::SiteSnapshot s;
+      s.site = SiteId(site);
+      s.total_cpus = std::int32_t(1 + rng.uniform_index(4000));
+      s.free_cpus =
+          std::int32_t(rng.uniform_index(std::uint64_t(s.total_cpus) + 1));
+      if (rng.bernoulli(0.5)) {
+        s.running_per_vo[VoId(rng.uniform_index(6))] =
+            std::int32_t(rng.uniform_index(64));
+      }
+      s.as_of = at(as_of_s);
+      return s;
+    };
+    const auto all_bases = [&](std::int64_t as_of_s) {
+      std::vector<grid::SiteSnapshot> out;
+      for (std::uint64_t site = 0; site < kSites; ++site) {
+        out.push_back(snapshot_of(site, as_of_s));
+      }
+      return out;
+    };
+    const auto random_record = [&](std::int64_t now) {
+      DispatchRecord r;
+      r.origin = DpId(rng.uniform_index(4));
+      r.seq = ++next_seq;
+      r.site = SiteId(pick_site());
+      r.vo = VoId(rng.uniform_index(6));
+      r.group = GroupId(3 * r.vo.value() + rng.uniform_index(3));
+      r.user = UserId(rng.uniform_index(12));
+      r.cpus = std::int32_t(1 + rng.uniform_index(16));
+      r.when = at(std::max<std::int64_t>(1, now - rng.uniform_int(0, 60)));
+      r.est_runtime = sim::Duration::seconds(
+          std::floor(std::exp(rng.uniform(std::log(5.0), std::log(7200.0)))));
+      return r;
+    };
+
+    GridView view;
+    ReferenceView model;
+    const std::vector<grid::SiteSnapshot> initial = all_bases(0);
+    view.bootstrap(initial);
+    model.bootstrap(initial);
+    std::int64_t now = 100;
+    std::int64_t as_of = now - 185;
+    std::int64_t horizon = now + 5;
+    for (int op = 0; op < 2000; ++op) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " op " << op);
+      now += rng.uniform_int(0, 3);
+      const std::uint64_t kind = rng.uniform_index(40);
+      if (kind < 22) {
+        for (std::uint64_t n = 1 + rng.uniform_index(5); n > 0; --n) {
+          const DispatchRecord r = random_record(now);
+          const bool kept = view.record_dispatch(r, at(now));
+          ASSERT_EQ(kept, model.record_dispatch(r, at(now)));
+          if (kept && std::find(kHot.begin(), kHot.end(), r.site.value()) !=
+                          kHot.end()) {
+            ++kept_hot;
+          }
+        }
+      } else if (kind < 28) {
+        // An exact duplicate, a conflicting twin (on its site or moved to
+        // another), a double commit from another origin, or a new record.
+        const std::vector<DispatchRecord> held = model.active_records(at(now));
+        ASSERT_EQ(view.active_records(at(now)), held);
+        DispatchRecord r = random_record(now);
+        if (!held.empty()) {
+          const DispatchRecord& incumbent = held[rng.uniform_index(held.size())];
+          switch (rng.uniform_index(4)) {
+            case 0:
+              r = incumbent;
+              break;
+            case 1:
+            case 2:
+              r = incumbent;
+              r.cpus = std::int32_t(1 + rng.uniform_index(16));
+              r.when = incumbent.when +
+                       sim::Duration::seconds(double(rng.uniform_int(-5, 5)));
+              if (rng.bernoulli(0.3)) {
+                r.site = SiteId(pick_site());
+                ++moved_twins;
+              }
+              ++twins;
+              break;
+            default:
+              r.vo = incumbent.vo;
+              r.group = incumbent.group;
+              r.user = incumbent.user;
+              r.when = incumbent.when;
+              break;
+          }
+        }
+        const GridView::MergeResult got = view.merge_record(r, at(now));
+        const GridView::MergeResult want = model.merge_record(r, at(now));
+        ASSERT_EQ(got.applied, want.applied);
+        ASSERT_EQ(got.conflict, want.conflict);
+        ASSERT_EQ(got.double_commit, want.double_commit);
+      } else if (kind < 31) {
+        // A fresh snapshot of a hot site trims the records made before
+        // it, the oldest part of the site; one on any site may be stale
+        // and ignored.
+        const bool hot = kind == 28;
+        const grid::SiteSnapshot s =
+            hot ? snapshot_of(kHot[rng.uniform_index(kHot.size())],
+                              now - rng.uniform_int(600, 3600))
+                : snapshot_of(rng.uniform_index(kSites),
+                              now - rng.uniform_int(0, 3000));
+        if (hot) ++trims;
+        view.apply_snapshot(s);
+        model.apply_snapshot(s);
+      } else if (kind == 31) {
+        if (rng.bernoulli(0.04)) {
+          view.clear();
+          model.clear();
+          const std::vector<grid::SiteSnapshot> bases = all_bases(now);
+          view.bootstrap(bases);
+          model.bootstrap(bases);
+          ++clears;
+        }
+      } else if (rng.bernoulli(0.5)) {
+        as_of = now - 185;
+        horizon = now + 5;
+      } else {
+        as_of = now - rng.uniform_int(0, 600);
+        horizon = now + rng.uniform_int(-900, 1800);
+      }
+
+      ReadArgs args;
+      args.vo = VoId(rng.uniform_index(6));
+      args.group = GroupId(3 * args.vo.value() + rng.uniform_index(3));
+      args.user = UserId(rng.uniform_index(12));
+      for (std::uint64_t v = 0; v < 6; ++v) {
+        if (rng.bernoulli(0.5)) args.vos.emplace_back(v);
+      }
+      bool nonempty = false;
+      expect_same_reads(view, model, now, as_of, horizon, kSites + 1, args,
+                        &nonempty);
+      if (HasFatalFailure()) return;
+      if (op % 10 == 0) {
+        std::map<std::uint64_t, std::size_t> per_site;
+        for (const DispatchRecord& r : model.active_records(at(now))) {
+          ++per_site[r.site.value()];
+        }
+        for (const std::uint64_t site : kHot) {
+          peak_hot = std::max(peak_hot, per_site[site]);
+        }
+        for (const SiteLoad& l : model.loads(at(now))) {
+          if (l.free_estimate == 0) ++clamped;
+        }
+      }
+    }
+  }
+  // The hot sites held hundreds of records and turned them over many
+  // times, and every operation the stream means to mix in was taken.
+  EXPECT_GT(peak_hot, 150u);
+  EXPECT_GT(kept_hot, 30 * peak_hot);
+  EXPECT_GT(trims, 150u);
+  EXPECT_GT(twins, 400u);
+  EXPECT_GT(moved_twins, 100u);
+  EXPECT_GT(clears, 4u);
+  EXPECT_GT(clamped, 800u);
 }
 
 }  // namespace
