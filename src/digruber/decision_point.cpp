@@ -304,6 +304,7 @@ void DecisionPoint::leave() {
   peer_client_.notify_all(neighbors_, kLeave, announce);
   exchange_timer_.reset();
   saturation_timer_.reset();
+  checkpoint_timer_.reset();
   log::info("digruber", "dp ", id_.value(), " left the mesh");
 }
 
@@ -367,7 +368,6 @@ void DecisionPoint::crash() {
   // SimDisk is deliberately NOT touched — crash models lost RAM, not lost
   // disk; its contents are what restart() replays.
   fresh_.clear();
-  fresh_meta_.clear();
   applied_.clear();
   pulled_.clear();
   last_peer_round_.clear();
@@ -880,8 +880,7 @@ net::Served DecisionPoint::handle_report_selection(std::span<const std::uint8_t>
   }
   if (request.bid) ++counters_.priced_selections;
   if (options_.dissemination != Dissemination::kNone) {
-    fresh_.push_back(record);
-    fresh_meta_.push_back({id_, 0});
+    fresh_.push_back({record, id_, 0});
   }
 
   if (auto* t = trace::current()) {
@@ -949,8 +948,7 @@ net::Served DecisionPoint::handle_exchange(std::span<const std::uint8_t> body,
             ? message.hops->depths[i]
             : 0;
     if (relay_ttl == 0 || prior < relay_ttl) {
-      fresh_.push_back(record);
-      fresh_meta_.push_back({message.from, relay_ttl > 0 ? prior + 1 : 0});
+      fresh_.push_back({record, message.from, relay_ttl > 0 ? prior + 1 : 0});
     } else {
       ++counters_.overlay_relays_suppressed;
       ++relays_dropped;
@@ -1266,12 +1264,12 @@ void DecisionPoint::run_exchange(bool final_flush) {
     // Each group's frame is stamped with the depths of the records it
     // carries; the mesh (ttl 0) carries none.
     if (strategy_->ttl() > 0) message.hops.emplace();
-    for (std::size_t i = 0; i < fresh_.size(); ++i) {
-      if (fresh_meta_[i].from == exclusion) continue;
-      message.dispatches.push_back(fresh_[i]);
+    for (const Fresh& f : fresh_) {
+      if (f.from == exclusion) continue;
+      message.dispatches.push_back(f.record);
       if (message.hops) {
-        message.hops->depths.push_back(fresh_meta_[i].depth);
-        message.hops->max = std::max(message.hops->max, fresh_meta_[i].depth);
+        message.hops->depths.push_back(f.depth);
+        message.hops->max = std::max(message.hops->max, f.depth);
       }
     }
     // Count every copy, not every encode, so bytes-per-round compares
@@ -1281,7 +1279,6 @@ void DecisionPoint::run_exchange(bool final_flush) {
     peer_client_.notify_all(batch, kExchange, message);
   }
   fresh_.clear();
-  fresh_meta_.clear();
   counters_.exchanges_sent += targets.size();
   ++counters_.overlay_rounds;
   if (auto* t = trace::current()) {

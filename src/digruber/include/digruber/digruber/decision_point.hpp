@@ -421,23 +421,23 @@ class DecisionPoint {
   /// from the table's live set on every refresh.
   std::unique_ptr<overlay::Strategy> strategy_;
   std::vector<overlay::Member> overlay_peers_;
-  /// Per-record relay bookkeeping parallel to fresh_: which peer the
-  /// record was learned from (self for own records) and the relay depth
-  /// it arrived at. Exchange frames are composed from it per split-horizon
+  /// A record learned since the last exchange tick (own or relayed), with
+  /// the peer it was learned from (self for own records) and the relay
+  /// depth it arrived at. Exchange frames are composed per split-horizon
   /// exclusion: under a relaying (ttl > 0) strategy a record is never
   /// relayed back to the peer that sent it, and each frame's hops
   /// extension holds the depths of the records it actually carries, so
   /// one deep record cannot poison the relay budget of records that rode
-  /// in shallow. Volatile, like fresh_.
-  struct FreshMeta {
+  /// in shallow.
+  struct Fresh {
+    gruber::DispatchRecord record;
     DpId from;
     std::uint32_t depth = 0;
   };
-  std::vector<FreshMeta> fresh_meta_;
   std::uint64_t next_seq_ = 1;
   std::uint64_t exchange_round_ = 0;
-  /// Records learned since the last exchange tick (own + relayed).
-  std::vector<gruber::DispatchRecord> fresh_;
+  /// Records to send at the next exchange tick. Volatile.
+  std::vector<Fresh> fresh_;
   /// Dedup for flooding: per-origin applied sequence numbers, exact (a
   /// seq a pull skipped stays absent), as ranges of consecutive seqs.
   std::unordered_map<DpId, SeqRanges> applied_;

@@ -13,8 +13,8 @@ namespace digruber::gruber {
 /// The GRUBER queue manager (paper Section 3.2): lives on a submission
 /// host, monitors VO policies, and decides how many jobs to start and
 /// when, consulting the engine for site recommendations. The DI-GRUBER
-/// experiments bypass it (GRUBER acts as a pure site recommender); the
-/// examples use it to show full VO-level USLA enforcement.
+/// experiments, benches and examples bypass it (GRUBER acts as a pure site
+/// recommender); only its unit tests drive it.
 class QueueManager {
  public:
   struct Options {

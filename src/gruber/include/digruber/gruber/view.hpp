@@ -237,9 +237,7 @@ class GridView {
 
  private:
   /// A held record without its site, which its `SiteState` names, and
-  /// with its expiry in place of its runtime. A record that has left the
-  /// view stays in its slot with `cpus` 0 (a tombstone) until the site's
-  /// slots are compacted.
+  /// with its expiry in place of its runtime.
   struct Held {
     DpId origin;
     std::uint64_t seq = 0;
@@ -249,9 +247,9 @@ class GridView {
     sim::Time when;
     sim::Time expiry;
     std::int32_t cpus = 0;
-    /// Not part of the record: entry `i` of its block's expiry heap is
-    /// `slots[i].due` (see `Block`).
-    std::uint32_t due = 0;
+    /// Not part of the record: its place in its site's arrival order,
+    /// which the cold readers report in (see `Block::next_arrival`).
+    std::uint32_t arrival = 0;
   };
 
   /// The CPUs the live records of one site hold for one (VO, group, user)
@@ -269,35 +267,20 @@ class GridView {
   };
 
   /// The records of a site that holds any, kept so that a query never
-  /// walks them: their CPUs summed per chain beside them, and a heap that
-  /// names the next to expire.
+  /// walks them: their CPUs summed per chain beside them.
   struct Block {
-    /// The held records in arrival order, tombstones among them.
-    std::vector<Held> slots;
-    /// One entry per chain the live records hold CPUs for, ascending by
+    /// The held records as a min-heap by expiry (`expires_later` in
+    /// view.cpp): the next to expire is `records.front()`.
+    std::vector<Held> records;
+    /// One entry per chain the records hold CPUs for, ascending by
     /// `chain_before`; an entry whose CPUs fall to zero is erased.
     std::vector<Chain> chains;
-    std::uint32_t tombstones = 0;
-    /// The size of the expiry heap: the slot numbers in `slots[i].due`
-    /// for `i` below it, as a min-heap by expiry, so the heap shares the
-    /// slots' memory. A slot tombstoned by a snapshot or a merge stays in
-    /// the heap until it is popped.
-    std::uint32_t due_count = 0;
-
-    /// The slot that expires first (the heap is not empty).
-    [[nodiscard]] std::uint32_t next_due() const { return slots[0].due; }
-    /// Hold `h` in a new slot (its CPUs are not yet counted), compacting
-    /// the slots first if they are full and hold any tombstone.
-    void push(const Held& h);
-    /// Take the slot that expires first off the heap.
-    std::uint32_t pop_due();
-    /// Move the live records down over the tombstones, keeping their
-    /// order, and rebuild the heap over their new slots.
-    void compact();
-
-   private:
-    /// Put `slot` at heap entry `pos`, or below it where it belongs.
-    void sift_down(std::uint32_t pos, std::uint32_t slot);
+    /// The stamp the next record takes: stamps rise in arrival order,
+    /// restart when the site empties, and are renumbered from zero in
+    /// order once they run past twice the records held, so ordering the
+    /// records by stamp is one pass over at most about twice as many
+    /// stamps (view.cpp).
+    std::uint32_t next_arrival = 0;
   };
 
   /// What a candidate scan reads of one site, packed apart from the base
@@ -322,7 +305,7 @@ class GridView {
     /// The CPUs the held records hold: zero exactly when the site holds
     /// none, since every held record holds at least one.
     std::int32_t pending = 0;
-    /// A lower bound on the held records' expiry: until `now` reaches it,
+    /// The first expiry among the held records: until `now` reaches it,
     /// `prune` has nothing to drop.
     sim::Time next_expiry = sim::Time::max();
     /// `held->chains` as the fold reads it, refreshed whenever it changes.
@@ -345,21 +328,29 @@ class GridView {
     if (now >= state.next_expiry) drop_expired(state, now);
   }
   void drop_expired(SiteState& state, sim::Time now) const;
-  /// Take the record in `slot` out of `state`'s sums and the digest and
-  /// leave a tombstone in its place.
-  void remove(SiteState& state, std::uint32_t slot) const;
+  /// Take `h` out of `state`'s sums and the digest; the caller then takes
+  /// it out of the heap.
+  void remove(SiteState& state, const Held& h) const;
   /// Add `cpus` (negative to take them away) to `state`'s pending CPUs and
   /// to the sum of `h`'s chain.
   static void count(SiteState& state, const Held& h, std::int32_t cpus);
-  /// After removals: set an emptied site's block aside, compact one whose
-  /// tombstones pass an eighth of its slots, and reset the watermark.
+  /// After removals: set an emptied site's block aside, or reset the
+  /// watermark to the next expiry.
   void settle(SiteState& state) const;
-  /// The held record in `slot` of `state`, as it was recorded.
+  /// `h`, held at `state`'s site, as it was recorded.
   [[nodiscard]] static DispatchRecord record_at(const SiteState& state,
-                                                std::uint32_t slot);
-  /// Calls `visit(slot)` for each live slot of `state`, in arrival order.
-  template <class Visit>
-  static void for_each_held(const SiteState& state, Visit&& visit);
+                                                const Held& h);
+  /// `state`'s held records in heap order (none without a block).
+  [[nodiscard]] static std::span<const Held> held_records(
+      const SiteState& state) {
+    if (!state.held) return {};
+    return state.held->records;
+  }
+  /// The records not aged out by `now` that `keep(const Held&)` accepts,
+  /// in (site, then arrival) order.
+  template <class Keep>
+  [[nodiscard]] std::vector<DispatchRecord> collect(sim::Time now,
+                                                    Keep&& keep) const;
   /// The index of `site` in `sites_`, or `sites_.size()` if unknown.
   [[nodiscard]] std::size_t find(SiteId site) const;
   /// The index of `site` in `sites_`, created (and registered with the

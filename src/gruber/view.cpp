@@ -1,6 +1,7 @@
 #include "digruber/gruber/view.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -54,10 +55,34 @@ bool settled(sim::Time when, sim::Time expiry, sim::Time as_of,
   return when <= as_of && expiry > horizon;
 }
 
-
 /// Binary-search order of a site state against a site id.
 constexpr auto site_before = [](const auto& state, SiteId site) {
   return state.site < site;
+};
+
+/// The heap order of a site's held records: the first to expire on top.
+constexpr auto expires_later = [](const auto& a, const auto& b) {
+  return a.expiry > b.expiry;
+};
+
+/// No held record is stamped with this or sits at this heap position, so
+/// it can stand for "none" in either.
+constexpr std::uint32_t kNoArrival = std::numeric_limits<std::uint32_t>::max();
+
+/// How far a site's stamps may run past twice its record count before
+/// they are renumbered, so a site holding few records renumbers rarely.
+constexpr std::size_t kSpareStamps = 64;
+
+/// Set `by_stamp[s]` to the position of `held`'s record stamped `s`, or
+/// to kNoArrival if none is. Stamps are distinct and below
+/// `held.next_arrival`, so a walk over `by_stamp` meets the records in
+/// arrival order, with no sort.
+constexpr auto place_by_stamp = [](const auto& held,
+                                   std::vector<std::uint32_t>& by_stamp) {
+  by_stamp.assign(held.next_arrival, kNoArrival);
+  for (std::uint32_t i = 0; i < held.records.size(); ++i) {
+    by_stamp[held.records[i].arrival] = i;
+  }
 };
 
 }  // namespace
@@ -128,14 +153,12 @@ struct GridView::DigestCache {
                                  const SiteState& state) {
     base_hash ^= snapshot_hash(base);
     SiteBox b;
-    for_each_held(state, [&](std::uint32_t slot) {
-      const sim::Time when = state.held->slots[slot].when;
-      const sim::Time expiry = state.held->slots[slot].expiry;
-      if (settled(when, expiry, as_of, horizon)) {
-        toggle(record_at(state, slot), true);
+    for (const Held& h : held_records(state)) {
+      if (settled(h.when, h.expiry, as_of, horizon)) {
+        toggle(record_at(state, h), true);
       }
-      b.tighten(when, expiry, as_of, horizon);
-    });
+      b.tighten(h.when, h.expiry, as_of, horizon);
+    }
     return b;
   }
 
@@ -145,15 +168,13 @@ struct GridView::DigestCache {
   void rescan(SiteBox& b, const SiteState& state, sim::Time to_as_of,
               sim::Time to_horizon) {
     SiteBox moved;
-    for_each_held(state, [&](std::uint32_t slot) {
-      const sim::Time when = state.held->slots[slot].when;
-      const sim::Time expiry = state.held->slots[slot].expiry;
-      const bool in = settled(when, expiry, to_as_of, to_horizon);
-      if (in != settled(when, expiry, as_of, horizon)) {
-        toggle(record_at(state, slot), in);
+    for (const Held& h : held_records(state)) {
+      const bool in = settled(h.when, h.expiry, to_as_of, to_horizon);
+      if (in != settled(h.when, h.expiry, as_of, horizon)) {
+        toggle(record_at(state, h), in);
       }
-      moved.tighten(when, expiry, to_as_of, to_horizon);
-    });
+      moved.tighten(h.when, h.expiry, to_as_of, to_horizon);
+    }
     b = moved;
   }
 };
@@ -205,9 +226,15 @@ void GridView::apply_snapshot(const grid::SiteSnapshot& snapshot) {
   state.take_counts(base);
   if (!state.held) return;
   // Dispatches made before the snapshot are already reflected in it.
-  for_each_held(state, [&](std::uint32_t slot) {
-    if (state.held->slots[slot].when <= snapshot.as_of) remove(state, slot);
-  });
+  std::vector<Held>& records = state.held->records;
+  const auto absorbed = [&](const Held& h) {
+    if (h.when > snapshot.as_of) return false;
+    remove(state, h);
+    return true;
+  };
+  if (std::erase_if(records, absorbed) != 0) {
+    std::make_heap(records.begin(), records.end(), expires_later);
+  }
   settle(state);
 }
 
@@ -224,9 +251,24 @@ bool GridView::record_dispatch(const DispatchRecord& record, sim::Time now) {
       spare_.pop_back();
     }
   }
-  const Held h{record.origin, record.seq, record.vo, record.group,
-               record.user,   record.when, expiry,    record.cpus};
-  state.held->push(h);
+  Block& held = *state.held;
+  std::vector<Held>& records = held.records;
+  if (held.next_arrival >= 2 * records.size() + kSpareStamps) {
+    // Most stamps handed out belonged to records gone since: renumber the
+    // rest from zero in order, so `place_by_stamp` stays proportional to
+    // the records held and the stamps never run out.
+    std::vector<std::uint32_t> by_stamp;
+    place_by_stamp(held, by_stamp);
+    held.next_arrival = 0;
+    for (const std::uint32_t pos : by_stamp) {
+      if (pos != kNoArrival) records[pos].arrival = held.next_arrival++;
+    }
+  }
+  const Held h{record.origin, record.seq,  record.vo,
+               record.group,  record.user, record.when,
+               expiry,        record.cpus, held.next_arrival++};
+  records.push_back(h);
+  std::push_heap(records.begin(), records.end(), expires_later);
   count(state, h, h.cpus);
   state.next_expiry = std::min(state.next_expiry, expiry);
   ++recorded_;
@@ -238,47 +280,6 @@ bool GridView::record_dispatch(const DispatchRecord& record, sim::Time now) {
                               digest_->horizon);
   }
   return true;
-}
-
-void GridView::Block::push(const Held& h) {
-  // Reuse the tombstones' room before the slots would grow.
-  if (tombstones > 0 && slots.size() == slots.capacity()) compact();
-  const auto slot = std::uint32_t(slots.size());
-  slots.push_back(h);
-  // The heap never holds more entries than there are slots, so its new
-  // last entry is in range; sift the slot up from there.
-  std::uint32_t pos = due_count++;
-  while (pos > 0) {
-    const std::uint32_t parent = (pos - 1) / 2;
-    const std::uint32_t above = slots[parent].due;
-    if (slots[above].expiry <= h.expiry) break;
-    slots[pos].due = above;
-    pos = parent;
-  }
-  slots[pos].due = slot;
-}
-
-std::uint32_t GridView::Block::pop_due() {
-  const std::uint32_t first = slots[0].due;
-  const std::uint32_t last = slots[--due_count].due;
-  if (due_count > 0) sift_down(0, last);
-  return first;
-}
-
-void GridView::Block::sift_down(std::uint32_t pos, std::uint32_t slot) {
-  const sim::Time at = slots[slot].expiry;
-  for (std::uint32_t child = 2 * pos + 1; child < due_count;
-       child = 2 * pos + 1) {
-    if (child + 1 < due_count &&
-        slots[slots[child + 1].due].expiry < slots[slots[child].due].expiry) {
-      ++child;
-    }
-    const std::uint32_t below = slots[child].due;
-    if (at <= slots[below].expiry) break;
-    slots[pos].due = below;
-    pos = child;
-  }
-  slots[pos].due = slot;
 }
 
 void GridView::count(SiteState& state, const Held& h, std::int32_t cpus) {
@@ -296,59 +297,37 @@ void GridView::count(SiteState& state, const Held& h, std::int32_t cpus) {
   state.chain_count = std::uint32_t(chains.size());
 }
 
-void GridView::Block::compact() {
-  std::uint32_t kept = 0;
-  for (std::uint32_t slot = 0; slot < slots.size(); ++slot) {
-    if (slots[slot].cpus == 0) continue;
-    slots[kept++] = slots[slot];
-  }
-  slots.resize(kept);
-  tombstones = 0;
-  due_count = kept;
-  for (std::uint32_t pos = 0; pos < kept; ++pos) slots[pos].due = pos;
-  for (std::uint32_t pos = kept / 2; pos-- > 0;) sift_down(pos, slots[pos].due);
-}
-
 void GridView::drop_expired(SiteState& state, sim::Time now) const {
-  Block& held = *state.held;
-  while (held.due_count > 0 && held.slots[held.next_due()].expiry <= now) {
-    const std::uint32_t slot = held.pop_due();
-    // A slot a snapshot or a merge emptied earlier has nothing to drop.
-    if (held.slots[slot].cpus != 0) remove(state, slot);
+  std::vector<Held>& records = state.held->records;
+  while (!records.empty() && records.front().expiry <= now) {
+    std::pop_heap(records.begin(), records.end(), expires_later);
+    remove(state, records.back());
+    records.pop_back();
   }
   settle(state);
 }
 
-void GridView::remove(SiteState& state, std::uint32_t slot) const {
-  Block& held = *state.held;
-  Held& h = held.slots[slot];
+void GridView::remove(SiteState& state, const Held& h) const {
   if (digest_ && settled(h.when, h.expiry, digest_->as_of, digest_->horizon)) {
-    digest_->toggle(record_at(state, slot), false);
+    digest_->toggle(record_at(state, h), false);
   }
   count(state, h, -h.cpus);
-  h.cpus = 0;
-  ++held.tombstones;
 }
 
 void GridView::settle(SiteState& state) const {
-  if (state.pending == 0) {
-    Block& held = *state.held;
-    held.slots.clear();
-    held.tombstones = 0;
-    held.due_count = 0;
-    spare_.push_back(std::move(state.held));
-    state.chains = nullptr;
-    state.chain_count = 0;
-    state.next_expiry = sim::Time::max();
+  Block& held = *state.held;
+  if (!held.records.empty()) {
+    state.next_expiry = held.records.front().expiry;
     return;
   }
-  Block& held = *state.held;
-  if (held.tombstones > held.slots.size() / 8) held.compact();
-  state.next_expiry = held.slots[held.next_due()].expiry;
+  held.next_arrival = 0;
+  spare_.push_back(std::move(state.held));
+  state.chains = nullptr;
+  state.chain_count = 0;
+  state.next_expiry = sim::Time::max();
 }
 
-DispatchRecord GridView::record_at(const SiteState& state, std::uint32_t slot) {
-  const Held& h = state.held->slots[slot];
+DispatchRecord GridView::record_at(const SiteState& state, const Held& h) {
   DispatchRecord r;
   r.origin = h.origin;
   r.seq = h.seq;
@@ -362,13 +341,22 @@ DispatchRecord GridView::record_at(const SiteState& state, std::uint32_t slot) {
   return r;
 }
 
-template <class Visit>
-void GridView::for_each_held(const SiteState& state, Visit&& visit) {
-  if (!state.held) return;
-  const std::vector<Held>& slots = state.held->slots;
-  for (std::uint32_t slot = 0; slot < slots.size(); ++slot) {
-    if (slots[slot].cpus != 0) visit(slot);
+template <class Keep>
+std::vector<DispatchRecord> GridView::collect(sim::Time now,
+                                              Keep&& keep) const {
+  std::vector<DispatchRecord> out;
+  std::vector<std::uint32_t> by_stamp;
+  for (SiteState& state : sites_) {
+    prune(state, now);
+    if (!state.held) continue;
+    place_by_stamp(*state.held, by_stamp);
+    for (const std::uint32_t i : by_stamp) {
+      if (i == kNoArrival) continue;
+      const Held& h = state.held->records[i];
+      if (keep(h)) out.push_back(record_at(state, h));
+    }
   }
+  return out;
 }
 
 std::size_t GridView::index_for(SiteId site) {
@@ -418,14 +406,7 @@ grid::SiteSnapshot GridView::estimated_snapshot(SiteId site, sim::Time now) cons
 }
 
 std::vector<DispatchRecord> GridView::active_records(sim::Time now) const {
-  std::vector<DispatchRecord> out;
-  for (SiteState& state : sites_) {
-    prune(state, now);
-    for_each_held(state, [&](std::uint32_t slot) {
-      out.push_back(record_at(state, slot));
-    });
-  }
-  return out;
+  return collect(now, [](const Held&) { return true; });
 }
 
 std::vector<grid::SiteSnapshot> GridView::base_snapshots() const {
@@ -474,17 +455,9 @@ ViewDigest GridView::digest(sim::Time as_of, sim::Time horizon) const {
 
 std::vector<DispatchRecord> GridView::records_for_vos(
     const std::vector<VoId>& vos, sim::Time now) const {
-  std::vector<DispatchRecord> out;
-  for (SiteState& state : sites_) {
-    prune(state, now);
-    for_each_held(state, [&](std::uint32_t slot) {
-      const VoId vo = state.held->slots[slot].vo;
-      if (std::binary_search(vos.begin(), vos.end(), vo)) {
-        out.push_back(record_at(state, slot));
-      }
-    });
-  }
-  return out;
+  return collect(now, [&](const Held& h) {
+    return std::binary_search(vos.begin(), vos.end(), h.vo);
+  });
 }
 
 GridView::MergeResult GridView::merge_record(const DispatchRecord& record,
@@ -492,38 +465,46 @@ GridView::MergeResult GridView::merge_record(const DispatchRecord& record,
   MergeResult out;
   for (SiteState& state : sites_) {
     prune(state, now);
-    if (!state.held) continue;
-    const std::vector<Held>& slots = state.held->slots;
-    for (std::uint32_t slot = 0; slot < slots.size(); ++slot) {
-      const Held& h = slots[slot];
-      if (h.cpus == 0) continue;  // left the view
-      if (h.origin == record.origin && h.seq == record.seq) {
-        if (record_at(state, slot) == record) {
-          return out;  // exact duplicate: nothing to do
+    // What a walk in arrival order meets first: the twin (same origin and
+    // seq), and a record of the same logical work admitted independently
+    // by another origin, the split-brain double-commit signature.
+    const Held* twin = nullptr;
+    std::uint32_t first_double = kNoArrival;
+    for (const Held& h : held_records(state)) {
+      if (h.origin == record.origin) {
+        if (h.seq == record.seq && (!twin || h.arrival < twin->arrival)) {
+          twin = &h;
         }
-        // Conflicting twins: severity first (the allocation holding more
-        // CPUs survives, so reconciliation never under-counts committed
-        // capacity), then epoch (later `when`); keep the incumbent on a
-        // full tie so both merge orders converge to the same record.
-        out.conflict = true;
-        const bool incoming_wins =
-            record.cpus != h.cpus ? record.cpus > h.cpus
-                                  : record.when > h.when;
-        if (!incoming_wins) return out;
-        remove(state, slot);
-        settle(state);
-        out.applied = record_dispatch(record, now);
-        return out;
-      }
-      if (h.origin != record.origin && h.vo == record.vo &&
-          h.group == record.group && h.user == record.user &&
-          h.when == record.when) {
-        // The same logical work admitted independently by two origins —
-        // the split-brain double-commit signature. Keep both records (both
-        // really consumed capacity) but surface it for accounting.
-        out.double_commit = true;
+      } else if (h.vo == record.vo && h.group == record.group &&
+                 h.user == record.user && h.when == record.when) {
+        first_double = std::min(first_double, h.arrival);
       }
     }
+    // Keep both sides of a double commit (both really consumed capacity)
+    // but surface it for accounting.
+    if (first_double < (twin ? twin->arrival : kNoArrival)) {
+      out.double_commit = true;
+    }
+    if (!twin) continue;
+    if (record_at(state, *twin) == record) {
+      return out;  // exact duplicate: nothing to do
+    }
+    // Conflicting twins: severity first (the allocation holding more
+    // CPUs survives, so reconciliation never under-counts committed
+    // capacity), then epoch (later `when`); keep the incumbent on a full
+    // tie so both merge orders converge to the same record.
+    out.conflict = true;
+    const bool incoming_wins = record.cpus != twin->cpus
+                                   ? record.cpus > twin->cpus
+                                   : record.when > twin->when;
+    if (!incoming_wins) return out;
+    remove(state, *twin);
+    std::vector<Held>& records = state.held->records;
+    records.erase(records.begin() + (twin - records.data()));
+    std::make_heap(records.begin(), records.end(), expires_later);
+    settle(state);
+    out.applied = record_dispatch(record, now);
+    return out;
   }
   out.applied = record_dispatch(record, now);
   return out;

@@ -514,6 +514,32 @@ TEST(Membership, LeaveDrainsAndRedirectsClientsToSurvivors) {
   c.stop();
 }
 
+TEST(Membership, LeftPointStopsCheckpointing) {
+  Fixture f;
+  DecisionPointOptions o = f.dp_options();
+  o.durability.enabled = true;
+  o.durability.checkpoint_interval = sim::Duration::seconds(30);
+  DecisionPoint a(f.sim, f.transport, DpId(0), f.catalog, f.tree, o);
+  DecisionPoint b(f.sim, f.transport, DpId(1), f.catalog, f.tree, o);
+  a.bootstrap(f.snapshots());
+  b.bootstrap(f.snapshots());
+  f.seed_all({&a, &b});
+
+  std::uint64_t at_leave = 0;
+  f.sim.schedule_at(at(20), [&] {
+    a.leave();
+    at_leave = a.disk()->counters().checkpoints_written;
+  });
+  f.sim.run_until(at(300));
+
+  // Leaving stops every timer, the checkpoint cadence included; the
+  // survivor keeps its own.
+  EXPECT_TRUE(a.left());
+  EXPECT_EQ(a.disk()->counters().checkpoints_written, at_leave);
+  EXPECT_GE(b.disk()->counters().checkpoints_written, 9u);
+  b.stop();
+}
+
 TEST(Membership, QuarantineStopsHalfOpenReprobesOfDeadPoint) {
   Fixture f;
   DecisionPoint a(f.sim, f.transport, DpId(0), f.catalog, f.tree, f.dp_options());

@@ -480,6 +480,38 @@ TEST(GridView, RefusesARecordWithoutCpus) {
   EXPECT_TRUE(view.digest(kAsOf, kHorizon) == digest);
 }
 
+TEST(GridView, StaleSiteCountSkipsSitesNeverRefreshed) {
+  GridView view;
+  view.bootstrap({snapshot(0, 100, 100), snapshot(1, 50, 50)});
+  // Static knowledge (as_of 0) never stales, however late the read.
+  EXPECT_EQ(view.stale_site_count(sim::Time::from_seconds(1e6),
+                                  sim::Duration::seconds(60)),
+            0u);
+}
+
+TEST(GridView, StaleSiteCountFollowsTheNewestSnapshot) {
+  const sim::Duration threshold = sim::Duration::seconds(60);
+  const sim::Time refreshed = sim::Time::from_seconds(10);
+  GridView view;
+  view.bootstrap({snapshot(0, 100, 100), snapshot(1, 50, 50, 10)});
+  // Refreshed at 10 s: not stale at exactly the threshold, stale past it.
+  EXPECT_EQ(view.stale_site_count(refreshed + threshold, threshold), 0u);
+  EXPECT_EQ(view.stale_site_count(
+                refreshed + threshold + sim::Duration::micros(1), threshold),
+            1u);
+
+  // An older snapshot is ignored: the site stays stale.
+  view.apply_snapshot(snapshot(1, 50, 40, 5));
+  EXPECT_EQ(view.stale_site_count(sim::Time::from_seconds(71), threshold), 1u);
+  EXPECT_EQ(view.estimated_free(SiteId(1), sim::Time::from_seconds(71)), 50);
+
+  // A newer one clears it, until it ages past the threshold in turn.
+  view.apply_snapshot(snapshot(1, 50, 40, 50));
+  EXPECT_EQ(view.stale_site_count(sim::Time::from_seconds(71), threshold), 0u);
+  EXPECT_EQ(view.stale_site_count(sim::Time::from_seconds(110), threshold), 0u);
+  EXPECT_EQ(view.stale_site_count(sim::Time::from_seconds(111), threshold), 1u);
+}
+
 TEST(GridViewMerge, DuplicateIsDroppedConflictResolvedBySeverity) {
   const sim::Time now = sim::Time::from_seconds(100);
   GridView view;

@@ -4,11 +4,11 @@
 // with a full erase pass and summing its records one by one, and every
 // digest a full scan. GridView keeps its sites in one sorted vector with
 // each base's counts copied beside the records, keeps per-site CPU sums
-// current instead of walking records, expires records from a heap, leaves
-// tombstones where records left and compacts them later, skips prune
-// passes below each site's expiry watermark and the per-VO lookup on an
-// empty map, and keeps its digest incrementally; none of that may change a
-// result.
+// current instead of walking records, holds each site's records as one
+// heap by expiry with an arrival stamp per record to restore their order,
+// skips prune passes below each site's expiry watermark and the per-VO
+// lookup on an empty map, and keeps its digest incrementally; none of that
+// may change a result.
 #include "digruber/gruber/view.hpp"
 
 #include <gtest/gtest.h>
@@ -534,7 +534,7 @@ TEST(GridViewReference, SkewedStreamsMatchTheMapAndDequeModel) {
   // 2 h (log-uniform), so a hot site holds a few hundred records whose
   // expiries interleave out of arrival order: between snapshot trims,
   // merged twins and clears, each hot site expires thousands of records
-  // and the view compacts the slots they leave many times over.
+  // from its heap, and snapshots and twins erase records from its middle.
   constexpr std::uint64_t kSites = 40;
   constexpr std::array<std::uint64_t, 3> kHot = {5, 21, 38};
   std::size_t kept_hot = 0;
